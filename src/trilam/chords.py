@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import List
 
-from .circle import Arc, contains, format_angle, parse_angle, preimages, sigma
+from .circle import Arc, angle, contains, format_angle, parse_angle, preimages, sigma
 
 
 @dataclass(frozen=True, order=True)
@@ -19,7 +19,7 @@ class Chord:
     b: Fraction
 
     def __init__(self, a, b):
-        a, b = Fraction(a) % 1, Fraction(b) % 1
+        a, b = angle(a), angle(b)
         if b < a:
             a, b = b, a
         object.__setattr__(self, "a", a)

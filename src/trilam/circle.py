@@ -15,12 +15,13 @@ Rational = Union[Fraction, int, str]
 
 
 def angle(x: Rational, den: int | None = None) -> Fraction:
-    """Normalize a rational to the canonical representative in [0, 1)."""
+    """Normalize a rational to the canonical representative in [0, 1).
+    A Fraction already in [0, 1) is returned as it is."""
     if den is not None:
         x = Fraction(x, den)
-    else:
+    elif type(x) is not Fraction:
         x = Fraction(x)
-    return x % 1
+    return x if 0 <= x.numerator < x.denominator else x % 1
 
 
 def parse_angle(text: str) -> Fraction:
@@ -37,7 +38,7 @@ def parse_angle(text: str) -> Fraction:
 
 
 def format_angle(a: Fraction) -> str:
-    a = a % 1
+    a = angle(a)
     if a == 0:
         return "0"
     return f"{a.numerator}/{a.denominator}"

@@ -1,7 +1,7 @@
 """Command-line driver.
 
 Exit codes: 0 success, 1 domain error (valid syntax, impossible request),
-2 usage error (bad flags or malformed angle/chord syntax).
+2 usage error (bad flags, malformed angle/chord syntax or out-of-range values).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import List, Optional
 from . import core, lamination, lamsets, quadgap
 from .chords import Chord, format_chord, parse_chord
 from .render import RenderSpec, render as render_svg
-from .circle import format_angle, parse_angle
+from .circle import format_angle
 from .lamsets import (
     classify_rotational,
     enumerate_rotational,
@@ -35,11 +35,22 @@ def _chord(text: str) -> Chord:
         raise UsageError(str(exc)) from exc
 
 
-def _angle(text: str) -> Fraction:
+def _depth(args) -> int:
+    if args.depth < 0:
+        raise UsageError(f"--depth must be >= 0, got {args.depth}")
+    return args.depth
+
+
+def _rho(text: str) -> Fraction:
+    """A rotation number p/q in (0, 1), never reduced mod 1."""
+    text = text.strip()
     try:
-        return parse_angle(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        rho = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad rotation number: {text!r}") from exc
+    if not 0 < rho < 1:
+        raise UsageError(f"rotation number must be in (0, 1), got {text}")
+    return rho
 
 
 def _lamset(text: str, d: int = 3) -> lamsets.LamSet:
@@ -75,7 +86,7 @@ def cmd_classify_critical_leaf(args) -> int:
 
 def cmd_build_gap(args) -> int:
     c = _chord(args.chord)
-    gap, vertices = build_gap(c, depth=args.depth)
+    gap, vertices = build_gap(c, depth=_depth(args))
     print(gap.serialize())
     print(f"vertices: {len(vertices)}")
     for v in vertices:
@@ -85,6 +96,7 @@ def cmd_build_gap(args) -> int:
 
 def cmd_vassal(args) -> int:
     c = _chord(args.chord)
+    depth = _depth(args)
     gap, _ = build_gap(c, depth=0)
     V = vassal(gap)
     print(V.serialize())
@@ -92,27 +104,28 @@ def cmd_vassal(args) -> int:
     a0, a1 = V.arcs
     print(f"arcs: [{format_angle(a0.start)},{format_angle(a0.end)}] "
           f"[{format_angle(a1.start)},{format_angle(a1.end)}]")
-    for v in V.vertices(args.depth):
+    for v in V.vertices(depth):
         print(format_angle(v))
     return 0
 
 
 def cmd_build_canonical(args) -> int:
+    depth = _depth(args)
     if args.variant == "quadratic-gap":
         if not args.critical:
             raise UsageError("variant quadratic-gap needs --critical CHORD")
         gap, _ = build_gap(_chord(args.critical), depth=0)
-        L = lamination.canonical_of_quadratic_gap(gap, depth=args.depth)
+        L = lamination.canonical_of_quadratic_gap(gap, depth=depth)
     elif args.variant == "diameter":
-        L = lamination.canonical_diameter(depth=args.depth)
+        L = lamination.canonical_diameter(depth=depth)
     elif args.variant == "rotational":
         if not args.set:
             raise UsageError("variant rotational needs --set ANGLES")
-        L = lamination.canonical_of_rotational(_lamset(args.set, 3), depth=args.depth)
+        L = lamination.canonical_of_rotational(_lamset(args.set, 3), depth=depth)
     else:  # quadratic-d2
         if not args.set:
             raise UsageError("variant quadratic-d2 needs --set ANGLES")
-        L = lamination.quadratic_canonical(_lamset(args.set, 2), depth=args.depth)
+        L = lamination.quadratic_canonical(_lamset(args.set, 2), depth=depth)
     text = lamination.dumps(L)
     if args.out:
         with open(args.out, "w") as fh:
@@ -124,9 +137,7 @@ def cmd_build_canonical(args) -> int:
 
 
 def cmd_find_rotational(args) -> int:
-    rho = _angle(args.rho)
-    if rho == 0:
-        raise UsageError("rotation number must be a fraction in (0, 1)")
+    rho = _rho(args.rho)
     for G in enumerate_rotational(args.d, rho, args.orbits):
         rep = classify_rotational(G)
         print(f"{format_lamset(G)} type={rep.type_tag}")
@@ -166,10 +177,13 @@ def cmd_project(args) -> int:
     gaps = [g for g in L.fatou_gaps if isinstance(g, quadgap.GapGen)]
     if args.critical:
         U, _ = build_gap(_chord(args.critical), depth=0)
-    elif gaps:
-        U = gaps[min(args.gap_index, len(gaps) - 1)]
-    else:
+    elif not gaps:
         raise UsageError("no quadratic gap registered; supply --critical CHORD")
+    elif 0 <= args.gap_index < len(gaps):
+        U = gaps[args.gap_index]
+    else:
+        raise UsageError(f"--gap-index must be in 0..{len(gaps) - 1}, "
+                         f"got {args.gap_index}")
     P = lamination.project_through_gap(U, L)
     text = lamination.dumps(P)
     if args.out:

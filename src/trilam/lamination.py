@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .chords import Chord, format_chord, image, linked, parse_chord
 from .circle import (
@@ -26,7 +26,6 @@ from .circle import (
     format_angle,
     orbit,
     parse_angle,
-    preimages,
     sigma_iter,
 )
 from .core import endpoint_classes
@@ -49,9 +48,6 @@ from .quadgap import (
     psi,
     vassal,
 )
-
-_BOUNDARY_TOL = 1e-9
-
 
 class PullbackAmbiguityError(RuntimeError):
     """The admissible sibling collection at some pullback step was not the
@@ -198,8 +194,8 @@ def _tracked(G: LamSet, rounds: int) -> List[List[Tuple[Fraction, Fraction]]]:
             newJ.append(_intersect_intervals(J[i], _merge_intervals(pre)))
         J = newJ
     for i in range(n):
-        assert J[i] and J[i][0][0] == 0 and J[i][-1][1] == hl[i], \
-            "hole endpoints must always track"
+        if not (J[i] and J[i][0][0] == 0 and J[i][-1][1] == hl[i]):
+            raise AssertionError("hole endpoints must always track")
     _TRACK_CACHE[key] = J
     return J
 
@@ -214,42 +210,18 @@ def attached_cycle(G: LamSet) -> List[AttachedGap]:
 
 
 class _RegionView:
-    """Sorted boundary points of a gap with a float index for fast strict
-    side-counting; exact arithmetic resolves anything near a boundary."""
+    """Boundary points of a gap as sorted numerators over the common
+    denominator of one construction; crossing tests are exact bisection."""
 
-    def __init__(self, rid: str, obj, depth: int):
-        self.rid = rid
-        self.obj = obj
-        pts = set()
-        for e in obj.edge_chords(depth):
-            pts.add(e.a)
-            pts.add(e.b)
+    def __init__(self, pts: Iterable[int]):
         self.pts = sorted(pts)
-        self.fpts = [float(x) for x in self.pts]
 
-    def crosses(self, a: Fraction, b: Fraction) -> bool:
+    def crosses(self, a: int, b: int) -> bool:
         """True iff the chord a-b (a < b) has boundary points of this region
         strictly on both sides."""
-        fa, fb = float(a), float(b)
-        n = len(self.pts)
-        inside = max(0, bisect_left(self.fpts, fb - _BOUNDARY_TOL)
-                     - bisect_right(self.fpts, fa + _BOUNDARY_TOL))
-        outside = bisect_left(self.fpts, fa - _BOUNDARY_TOL) \
-            + (n - bisect_right(self.fpts, fb + _BOUNDARY_TOL))
-        if inside and outside:
-            return True
-        # resolve the few points caught in the float fuzz exactly
-        fuzzy = set(range(bisect_left(self.fpts, fa - _BOUNDARY_TOL),
-                          bisect_right(self.fpts, fa + _BOUNDARY_TOL)))
-        fuzzy |= set(range(bisect_left(self.fpts, fb - _BOUNDARY_TOL),
-                           bisect_right(self.fpts, fb + _BOUNDARY_TOL)))
-        for i in fuzzy:
-            x = self.pts[i]
-            if a < x < b:
-                inside += 1
-            elif x != a and x != b:
-                outside += 1
-        return inside > 0 and outside > 0
+        pts = self.pts
+        return bisect_right(pts, a) < bisect_left(pts, b) \
+            and (pts[0] < a or pts[-1] > b)
 
 
 # ---------------------------------------------------------------------------
@@ -282,26 +254,49 @@ class Lamination:
 # pullback engine
 
 
+_REGION_MARGIN = 2  # extra enumeration depth for crossing tests
+
+
 def _pullback_closure(d: int, seeds: Sequence[Chord],
-                      regions: Sequence[_RegionView], depth: int) -> Dict[Chord, int]:
-    leaves: Dict[Chord, int] = {}
-    for s in seeds:
-        leaves[s] = 0
+                      regions: Sequence[object], depth: int) -> Dict[Chord, int]:
+    """Thurston pullback of the seeds, `depth` levels deep: each leaf's d
+    sibling preimages are the preimage pairs that cross no region.
+
+    Runs on exact integers: every angle is its numerator over N, the lcm of
+    d**depth times the seed denominators and of every region boundary
+    denominator.  The preimages of x are x // d + k * (N // d), exact above
+    the last level.  Chords are rebuilt at the end, in insertion order."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    bounds = [{x for e in obj.edge_chords(depth + _REGION_MARGIN) for x in (e.a, e.b)}
+              for obj in regions]
+    N = lcm(d ** depth * lcm(*(x.denominator for s in seeds for x in (s.a, s.b))),
+            *(x.denominator for pts in bounds for x in pts))
+
+    def num(x: Fraction) -> int:
+        return x.numerator * (N // x.denominator)
+
+    def chord(c: Tuple[int, int]) -> Chord:
+        return Chord(Fraction(c[0], N), Fraction(c[1], N))
+
+    views = [_RegionView(map(num, pts)) for pts in bounds]
+    leaves: Dict[Tuple[int, int], int] = {(num(s.a), num(s.b)): 0 for s in seeds}
     frontier = list(leaves)
+    step = N // d
     for level in range(1, depth + 1):
         fresh = []
         for leaf in frontier:
-            pa = preimages(d, leaf.a)
-            pb = preimages(d, leaf.b)
+            pa = [leaf[0] // d + k * step for k in range(d)]
+            pb = [leaf[1] // d + k * step for k in range(d)]
             valid = []
             for p in pa:
                 for q in pb:
-                    c = Chord(p, q)
-                    if c in leaves or not any(R.crosses(c.a, c.b) for R in regions):
+                    c = (p, q) if p <= q else (q, p)
+                    if c in leaves or not any(R.crosses(*c) for R in views):
                         valid.append(c)
             if len(valid) != d:
                 raise PullbackAmbiguityError(
-                    f"pullback of {format_chord(leaf)} admits {len(valid)} "
+                    f"pullback of {format_chord(chord(leaf))} admits {len(valid)} "
                     f"siblings where exactly {d} were expected"
                 )
             for c in valid:
@@ -309,10 +304,7 @@ def _pullback_closure(d: int, seeds: Sequence[Chord],
                     leaves[c] = level
                     fresh.append(c)
         frontier = fresh
-    return leaves
-
-
-_REGION_MARGIN = 2  # extra enumeration depth for crossing tests
+    return {chord(c): lvl for c, lvl in leaves.items()}
 
 
 def canonical_of_quadratic_gap(U: GapGen, depth: int = 6) -> Lamination:
@@ -329,9 +321,7 @@ def canonical_of_quadratic_gap(U: GapGen, depth: int = 6) -> Lamination:
         V = vassal(U)
         region_objs = [U, V] + [ImageGap(V, i) for i in range(1, U.period)]
         seeds = [e for e, _ in U.base_edges()]
-    views = [_RegionView(f"G{i}", obj, depth + _REGION_MARGIN)
-             for i, obj in enumerate(region_objs)]
-    leaves = _pullback_closure(3, seeds, views, depth)
+    leaves = _pullback_closure(3, seeds, region_objs, depth)
     return Lamination(
         d=3, depth=depth, recipe=f"quadratic-gap:{format_chord(U.major)}",
         leaves=leaves, fatou_gaps=region_objs, registry_complete=True,
@@ -355,10 +345,8 @@ def canonical_of_rotational(G: LamSet, depth: int = 6) -> Lamination:
     d = G.degree_d
     cycle = attached_cycle(G)
     region_objs: List[object] = [FiniteRegion(G)] + list(cycle)
-    views = [_RegionView(f"G{i}", obj, depth + _REGION_MARGIN)
-             for i, obj in enumerate(region_objs)]
     seeds = sorted({e for e, _ in holes(G)})
-    leaves = _pullback_closure(d, seeds, views, depth)
+    leaves = _pullback_closure(d, seeds, region_objs, depth)
     tag = "rotational" if d == 3 else "quadratic-d2"
     return Lamination(
         d=d, depth=depth, recipe=f"{tag}:{format_lamset(G)}",
@@ -440,6 +428,14 @@ def _crosses(x: Tuple[int, int], y: Tuple[int, int]) -> bool:
     return x[0] < y[0] < x[1] < y[1] or y[0] < x[0] < y[1] < x[1]
 
 
+def _numerators(chords: Collection[Chord]) -> Tuple[int, List[Tuple[int, int]]]:
+    """N, the lcm of all endpoint denominators, and each chord's endpoints
+    as numerators over N.  Numerator order is angle order."""
+    N = lcm(*{x.denominator for c in chords for x in (c.a, c.b)})
+    return N, [(c.a.numerator * (N // c.a.denominator),
+                c.b.numerator * (N // c.b.denominator)) for c in chords]
+
+
 def check_invariance(L: Lamination) -> InvarianceReport:
     """Leaf-by-leaf invariance check: linked pairs, forward images, sibling
     collections of leaves below the truncation depth, and holes of the
@@ -450,14 +446,9 @@ def check_invariance(L: Lamination) -> InvarianceReport:
     order, and sigma_d is x -> d*x mod N.  Chords and angles are rebuilt
     only for the report."""
     d = L.d
-    N = lcm(*{x.denominator for c in L.leaves for x in (c.a, c.b)})
-    chord_of: Dict[Tuple[int, int], Chord] = {}
-    level: Dict[Tuple[int, int], int] = {}
-    for c, lvl in L.leaves.items():
-        key = (c.a.numerator * (N // c.a.denominator),
-               c.b.numerator * (N // c.b.denominator))
-        chord_of[key] = c
-        level[key] = lvl
+    N, keys = _numerators(L.leaves)
+    chord_of = dict(zip(keys, L.leaves))
+    level = dict(zip(keys, L.leaves.values()))
     leaf_list = sorted(chord_of)
 
     linked_pairs = [(chord_of[x], chord_of[y])
@@ -740,8 +731,9 @@ def dumps(L: Lamination) -> str:
     lines = [f"d={L.d} depth={L.depth} recipe={L.recipe}",
              f"registry={'complete' if L.registry_complete else 'partial'}",
              "[leaves]"]
-    for c in sorted(L.leaves):
-        lines.append(f"{format_chord(c)} {L.leaves[c]}")
+    _, keys = _numerators(L.leaves)
+    for _, (c, lvl) in sorted(zip(keys, L.leaves.items())):
+        lines.append(f"{format_chord(c)} {lvl}")
     lines.append("[gaps]")
     idx = 0
     for G in L.finite_gaps:

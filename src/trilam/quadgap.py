@@ -154,7 +154,8 @@ def classify_critical(c: Chord) -> CriticalClass:
         if not (contains(L, y) and contains(L, z)):
             raise AssertionError("major endpoints escaped L(c)")
         major = Chord(y, z)
-        assert _leaf_period(3, major) == n_c
+        if _leaf_period(3, major) != n_c:
+            raise AssertionError(f"major {major} does not have period {n_c}")
         return CriticalClass(
             tag="PeriodicType", major=major, n_c=n_c, major_period=n_c,
             image_in_pi=False,
@@ -206,7 +207,8 @@ class GapGen:
             a, b = sigma(3, a), sigma(3, b)
             h = 3 * h - 1 if i == 1 else 3 * h
             edge_hole = Arc(a, b)
-            assert arc_length(edge_hole) == h
+            if arc_length(edge_hole) != h:
+                raise AssertionError(f"edge hole {edge_hole} does not have length {h}")
             out.append((Chord(a, b), edge_hole))
         return out
 

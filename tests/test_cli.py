@@ -1,3 +1,5 @@
+import pytest
+
 from trilam.cli import main
 from trilam.lamination import read_lamination
 
@@ -142,3 +144,48 @@ def test_unknown_subcommand(capsys):
 def test_render_requires_source(capsys):
     code, _, err = run(capsys, "render", "--out", "/tmp/x.svg")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("build-canonical", "diameter", "--out"),
+    ("build-canonical", "rotational", "--set", "1/26,3/26,9/26", "--out"),
+    ("build-gap", "145/156-41/156"),
+    ("vassal", "1/12-5/12"),
+])
+def test_negative_depth_is_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "neg.lam"
+    if argv[-1] == "--out":
+        argv += (str(path),)
+    code, out, err = run(capsys, *argv, "--depth", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: --depth must be >= 0, got -1\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("index", ["-5", "-1", "1"])
+def test_project_gap_index_out_of_range(capsys, tmp_path, index):
+    path = str(tmp_path / "p3.lam")
+    run(capsys, "build-canonical", "quadratic-gap", "--critical",
+        "145/156-41/156", "--depth", "1", "--out", path)
+    code, out, err = run(capsys, "project", "--in", path, "--gap-index", index)
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: --gap-index must be in 0..0, got {index}\n"
+
+
+def test_project_default_gap_index(capsys, tmp_path):
+    path = str(tmp_path / "reg.lam")
+    run(capsys, "build-canonical", "quadratic-gap", "--critical", "1/3-2/3",
+        "--depth", "2", "--out", path)
+    code, out, _ = run(capsys, "project", "--in", path)
+    assert code == 0
+    assert out.startswith("d=2 depth=2 recipe=projected:quadratic-gap:1/3-2/3\n")
+
+
+@pytest.mark.parametrize("rho", ["3/2", "4/3", "1", "0", "-1/3", "1/0", "half"])
+def test_find_rotational_rejects_bad_rho(capsys, rho):
+    code, out, err = run(capsys, "find-rotational", f"--rho={rho}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1

@@ -2,15 +2,19 @@ import random
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 import pytest
 
-from trilam.chords import Chord, image, linked
-from trilam.circle import Arc, contains, format_angle, sigma
+from trilam.chords import Chord, format_chord, image, linked
+from trilam.circle import Arc, contains, format_angle, preimages, sigma
 from trilam.lamination import (
     AttachedGap,
+    FiniteRegion,
     Lamination,
     PullbackAmbiguityError,
+    _pullback_closure,
+    _RegionView,
     attached_cycle,
     canonical_diameter,
     canonical_of_quadratic_gap,
@@ -24,7 +28,7 @@ from trilam.lamination import (
     read_lamination,
     write_lamination,
 )
-from trilam.lamsets import LamSet, parse_lamset
+from trilam.lamsets import LamSet, enumerate_rotational, holes, parse_lamset
 from trilam.quadgap import above_diameter, below_diameter, build_gap
 
 FINGAP1 = parse_lamset("7/26,4/13,11/26,10/13,21/26,12/13")
@@ -130,6 +134,144 @@ def test_quadratic_canonical_rabbit():
     assert check_invariance(L).ok
     with pytest.raises(ValueError):
         quadratic_canonical(LamSet([F(1, 3), F(2, 3)], degree_d=3), depth=2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: canonical_of_quadratic_gap(_gap(PERIOD3_CRITICAL), depth=n),
+    lambda n: canonical_of_rotational(FINGAP3, depth=n),
+    canonical_diameter,
+])
+def test_canonical_rejects_negative_depth(build):
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        build(-1)
+
+
+# ---------------------------------------------------------------------------
+# the integer pullback kernel against a Fraction oracle
+
+
+GOLDEN_BUILDS = {
+    "regcrit": lambda n: canonical_of_quadratic_gap(_gap(Chord(F(1, 3), F(2, 3))), n),
+    "period3": lambda n: canonical_of_quadratic_gap(_gap(PERIOD3_CRITICAL), n),
+    "diameter": canonical_diameter,
+    "fingap1": lambda n: canonical_of_rotational(FINGAP1, n),
+    "fingap2": lambda n: canonical_of_rotational(FINGAP2, n),
+    "fingap3": lambda n: canonical_of_rotational(FINGAP3, n),
+    "rabbit": lambda n: quadratic_canonical(parse_lamset("1/7,2/7,4/7", 2), n),
+}
+
+
+def _regions(L):
+    """The regions the construction of L pulled back against, in order."""
+    return [FiniteRegion(G) for G in L.finite_gaps] + list(L.fatou_gaps)
+
+
+def _seeds(L):
+    if L.finite_gaps:
+        return sorted({e for e, _ in holes(L.finite_gaps[0])})
+    return [e for e, _ in L.fatou_gaps[0].base_edges()]
+
+
+def _boundary(obj, depth):
+    return sorted({x for e in obj.edge_chords(depth) for x in (e.a, e.b)})
+
+
+def _fraction_crosses(pts, a, b):
+    """Brute force: some boundary point strictly inside (a, b) and some
+    strictly outside [a, b]."""
+    return sum(a < x < b for x in pts) > 0 and sum(x < a or x > b for x in pts) > 0
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BUILDS))
+def test_region_view_crosses_matches_fraction_count(name):
+    L = GOLDEN_BUILDS[name](0)
+    rng = random.Random(name)
+    outcomes = set()
+    for obj in _regions(L):
+        pts = _boundary(obj, 2)
+        # room for endpoints one numerator step (under 1e-9) from a boundary point
+        N = lcm(*(x.denominator for x in pts)) * 3 ** 20
+        nums = [x.numerator * (N // x.denominator) for x in pts]
+        view = _RegionView(nums)
+        near = sorted({(u + step) % N for u in nums for step in (-1, 0, 1)})
+        ends = sorted(set(rng.sample(near, min(36, len(near)))
+                          + [rng.randrange(N) for _ in range(6)]))
+        for a, b in combinations(ends, 2):
+            want = _fraction_crosses(pts, F(a, N), F(b, N))
+            assert view.crosses(a, b) == want, (format_angle(F(a, N)), format_angle(F(b, N)))
+            outcomes.add((want, a in nums or b in nums))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _fraction_closure(d, seeds, regions, depth):
+    """The pullback closure in Fraction arithmetic: `circle.preimages` for
+    the sibling candidates and a brute-force side count for crossings, with
+    the regions enumerated two levels past the depth, as the constructions
+    enumerate them."""
+    bounds = [_boundary(obj, depth + 2) for obj in regions]
+    leaves = dict.fromkeys(seeds, 0)
+    frontier = list(leaves)
+    for level in range(1, depth + 1):
+        fresh = []
+        for leaf in frontier:
+            valid = []
+            for p in preimages(d, leaf.a):
+                for q in preimages(d, leaf.b):
+                    c = Chord(p, q)
+                    if c in leaves or not any(
+                            _fraction_crosses(pts, c.a, c.b) for pts in bounds):
+                        valid.append(c)
+            if len(valid) != d:
+                raise PullbackAmbiguityError(
+                    f"pullback of {format_chord(leaf)} admits {len(valid)} "
+                    f"siblings where exactly {d} were expected")
+            for c in valid:
+                if c not in leaves:
+                    leaves[c] = level
+                    fresh.append(c)
+        frontier = fresh
+    return leaves
+
+
+def _closure_or_error(closure, *args):
+    try:
+        return list(closure(*args).items())
+    except PullbackAmbiguityError as exc:
+        return str(exc)
+
+
+def _assert_closure_matches_oracle(d, seeds, regions, depth):
+    got = _closure_or_error(_pullback_closure, d, seeds, regions, depth)
+    assert got == _closure_or_error(_fraction_closure, d, seeds, regions, depth)
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BUILDS))
+def test_pullback_closure_matches_fraction_oracle_on_golden_recipes(name):
+    L0 = GOLDEN_BUILDS[name](0)
+    results = [_assert_closure_matches_oracle(L0.d, _seeds(L0), _regions(L0), n)
+               for n in range(5)]
+    assert not isinstance(results[-1], str)
+    assert results[-1][:len(L0.leaves)] == list(L0.leaves.items())
+
+
+def test_pullback_closure_matches_fraction_oracle_on_rotational_sets():
+    sets = [G for q in range(2, 5) for p in range(1, q) if F(p, q).denominator == q
+            for G in enumerate_rotational(3, F(p, q), 2)]
+    assert sets
+    for G in sets:
+        L0 = canonical_of_rotational(G, 0)
+        assert not isinstance(
+            _assert_closure_matches_oracle(3, _seeds(L0), _regions(L0), 4), str)
+
+
+def test_pullback_closure_matches_fraction_oracle_on_a_fixed_region():
+    # The region's denominators do not grow with the depth, so only the
+    # factor d**depth of the common denominator keeps the deepest level exact.
+    region = FiniteRegion(LamSet([F(1, 4), F(3, 4)], degree_d=2))
+    got = _assert_closure_matches_oracle(2, [Chord(F(1, 3), F(2, 3))], [region], 6)
+    assert len(got) == 2 ** 6
+    assert max(c.b.denominator for c, _ in got) == 3 * 2 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +515,7 @@ def test_dumps_loads_roundtrip(make):
     L = make()
     M = loads(dumps(L))
     assert M.leaves == L.leaves
+    assert list(M.leaves) == sorted(L.leaves)  # the file lists leaves in chord order
     assert M.d == L.d and M.depth == L.depth and M.recipe == L.recipe
     assert M.registry_complete == L.registry_complete
     assert dumps(M) == dumps(L)
