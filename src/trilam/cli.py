@@ -138,6 +138,8 @@ def cmd_build_canonical(args) -> int:
 
 def cmd_find_rotational(args) -> int:
     rho = _rho(args.rho)
+    if args.d < 2:
+        raise UsageError(f"--d must be >= 2, got {args.d}")
     for G in enumerate_rotational(args.d, rho, args.orbits):
         rep = classify_rotational(G)
         print(f"{format_lamset(G)} type={rep.type_tag}")

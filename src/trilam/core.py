@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from math import lcm
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .chords import Chord
-from .circle import format_angle, sigma_iter
+from .circle import format_angle
 from .lamsets import LamSet, RotationalReport, classify_rotational, format_lamset
 
 T = TypeVar("T")
@@ -69,11 +70,22 @@ def endpoint_classes(pairs: Iterable[Tuple[T, T]]) -> List[Tuple[T, ...]]:
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 
-def _class_period(d: int, cls: Tuple[Fraction, ...], bound: int) -> Optional[int]:
-    """Minimal j <= bound with sigma_d^j(cls) = cls as a set."""
-    cset = frozenset(cls)
+def _numerators(chords: Collection[Chord]) -> Tuple[int, List[Tuple[int, int]]]:
+    """N, the lcm of all endpoint denominators, and each chord's endpoints
+    as numerators over N.  Numerator order is angle order."""
+    N = lcm(*{x.denominator for c in chords for x in (c.a, c.b)})
+    return N, [(c.a.numerator * (N // c.a.denominator),
+                c.b.numerator * (N // c.b.denominator)) for c in chords]
+
+
+def _class_period(d: int, N: int, cls: Tuple[int, ...], bound: int) -> Optional[int]:
+    """Minimal j <= bound with sigma_d^j(cls) = cls as a set, for a class
+    of numerators over N."""
+    cset = set(cls)
+    m = 1
     for j in range(1, bound + 1):
-        if frozenset(sigma_iter(d, v, j) for v in cls) == cset:
+        m = m * d % N
+        if m * cls[0] % N in cset and {m * v % N for v in cls} == cset:
             return j
     return None
 
@@ -81,18 +93,19 @@ def _class_period(d: int, cls: Tuple[Fraction, ...], bound: int) -> Optional[int
 def periodic_rotational_classes(L, period_bound: int = 6) -> CoreReport:
     """Census of periodic classes whose return map acts as a nontrivial
     rotation.  The return map of a period-j class is sigma_d^j = sigma_{d^j},
-    so the rotational test reuses the plain classifier at degree d^j."""
+    so the rotational test reuses the plain classifier at degree d^j.  The
+    classes are found on numerators over N, where sigma_d is d*x mod N."""
     d = L.d
-    classes = derive_classes(sorted(L.leaves))
-    cut_classes = [c for c in classes if len(c) >= 2]
+    N, pairs = _numerators(L.leaves)
+    angle_of = {v: x for c, p in zip(L.leaves, pairs) for v, x in zip(p, (c.a, c.b))}
+    classes = [c for c in endpoint_classes(pairs) if len(c) >= 2]
+    cut_classes = [tuple(angle_of[v] for v in c) for c in classes]
     rotational: List[Tuple[LamSet, RotationalReport]] = []
-    for cls in classes:
-        if len(cls) < 2:
-            continue
-        j = _class_period(d, cls, period_bound)
+    for cls, angles in zip(classes, cut_classes):
+        j = _class_period(d, N, cls, period_bound)
         if j is None:
             continue
-        G = LamSet(cls, degree_d=d ** j)
+        G = LamSet(angles, degree_d=d ** j)
         rep = classify_rotational(G)
         if rep.is_rotational:
             rotational.append((G, rep))

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .chords import Chord, format_chord, image, linked, parse_chord
+from .chords import Chord, format_chord, linked, parse_chord
 from .circle import (
     Arc,
     arc_length,
@@ -28,7 +28,7 @@ from .circle import (
     parse_angle,
     sigma_iter,
 )
-from .core import endpoint_classes
+from .core import _numerators, endpoint_classes, periodic_rotational_classes
 from .lamsets import (
     LamSet,
     RotationalReport,
@@ -42,7 +42,9 @@ from .lamsets import (
 from .quadgap import (
     GapGen,
     VassalGap,
+    _leaf_period,
     below_diameter,
+    classify_critical,
     gap_from_major,
     parse_gapgen,
     psi,
@@ -428,14 +430,6 @@ def _crosses(x: Tuple[int, int], y: Tuple[int, int]) -> bool:
     return x[0] < y[0] < x[1] < y[1] or y[0] < x[0] < y[1] < x[1]
 
 
-def _numerators(chords: Collection[Chord]) -> Tuple[int, List[Tuple[int, int]]]:
-    """N, the lcm of all endpoint denominators, and each chord's endpoints
-    as numerators over N.  Numerator order is angle order."""
-    N = lcm(*{x.denominator for c in chords for x in (c.a, c.b)})
-    return N, [(c.a.numerator * (N // c.a.denominator),
-                c.b.numerator * (N // c.b.denominator)) for c in chords]
-
-
 def check_invariance(L: Lamination) -> InvarianceReport:
     """Leaf-by-leaf invariance check: linked pairs, forward images, sibling
     collections of leaves below the truncation depth, and holes of the
@@ -641,21 +635,13 @@ def _witness_quadratic_gap(vertices: Sequence[Fraction],
         for a in fixed_points(3, k):
             b = (a + h) % 1
             M = Chord(a, b)
-            cur = M
-            period = None
-            for n in range(1, k + 1):
-                cur = image(3, cur)
-                if cur == M:
-                    period = n
-                    break
-            if period != k:
+            if _leaf_period(3, M) != k:
                 continue
             hole = Arc(a, b)
             if any(0 < (x - a) % 1 < h for x in full):
                 continue
             # validate: a critical chord centered in the hole must classify
             # as periodic type with exactly this major
-            from .quadgap import classify_critical
             m0 = (a + (h - Fraction(1, 3)) / 2) % 1
             c = Chord(m0, (m0 + Fraction(1, 3)) % 1)
             try:
@@ -671,8 +657,6 @@ def _witness_quadratic_gap(vertices: Sequence[Fraction],
 def classify_smp(L: Lamination, period_bound: int = 6) -> SmpVerdict:
     """Decide membership in the simplest-core class: laminations with exactly
     one periodic rotational gap or leaf, all of whose edges are isolated."""
-    from .core import periodic_rotational_classes
-
     if L.d != 3:
         raise ValueError("SMP classification applies to degree-3 laminations")
     report = periodic_rotational_classes(L, period_bound)

@@ -231,25 +231,29 @@ def remap(G: LamSet) -> Tuple[int, Tuple[int, ...]]:
         seen.add(now)
 
 
-def _cycles_with_rotation(d: int, q: int, rho: Fraction) -> List[LamSet]:
+def _cycles_with_rotation(d: int, rho: Fraction) -> List[LamSet]:
     """All single sigma_d-cycles of exact length q whose circular dynamics is
-    the rigid rotation by rho."""
+    the rigid rotation by rho = p/q, walked on numerators over d^q - 1: the
+    sorted points of such a cycle all shift by p places under x -> d*x."""
+    p, q = rho.numerator, rho.denominator
     den = d ** q - 1
-    seen = set()
+    seen = bytearray(den)
     out = []
-    for i in range(den):
-        x = Fraction(i, den)
-        if x in seen:
+    for x in range(den):
+        if seen[x]:
             continue
-        cyc = [x]
-        y = sigma(d, x)
-        while y != x:
+        cyc = []
+        y = x
+        while not seen[y]:
+            seen[y] = 1
             cyc.append(y)
-            y = sigma(d, y)
-        seen.update(cyc)
+            y = d * y % den
         if len(cyc) != q:
             continue
-        G = LamSet(cyc, d)
+        pts = sorted(cyc)
+        if any(d * pts[i] % den != pts[(i + p) % q] for i in range(q)):
+            continue
+        G = LamSet([Fraction(v, den) for v in cyc], d)
         rep = classify_rotational(G)
         if rep.is_rotational and rep.rotation_number == rho:
             out.append(G)
@@ -260,13 +264,15 @@ def enumerate_rotational(d: int, rho: Fraction, max_orbits: int = 2) -> List[Lam
     """All invariant rotational sets of sigma_d with rotation number rho and
     at most max_orbits vertex orbits.  Brute force over angles of denominator
     d^q - 1 (which necessarily carries every period-q point)."""
+    if d < 2:
+        raise ValueError(f"degree must be >= 2, got {d}")
     rho = Fraction(rho)
     if not (0 < rho < 1):
         raise ValueError("rotation number must lie in (0, 1)")
     q = rho.denominator
     if max_orbits not in (1, 2):
         raise ValueError("max_orbits must be 1 or 2")
-    singles = _cycles_with_rotation(d, q, rho)
+    singles = _cycles_with_rotation(d, rho)
     out = list(singles)
     if max_orbits == 2:
         for i in range(len(singles)):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Tuple
 
 from .chords import Chord, format_chord, image, is_critical, parse_chord
@@ -28,7 +29,6 @@ from .circle import (
     Arc,
     arc_length,
     contains,
-    fixed_points,
     format_angle,
     orbit,
     orbit_preperiod_period,
@@ -82,30 +82,31 @@ def _in_closure(A: Arc, x: Fraction) -> bool:
 
 def _nearest_fixed(point: Fraction, n: int, direction: int) -> Fraction:
     """The sigma_3^n-fixed point closest to `point` in the given direction
-    (+1 positive, -1 negative), excluding `point` itself."""
-    best = None
-    best_dist = None
-    for f in fixed_points(3, n):
-        dist = ((f - point) * direction) % 1
-        if dist == 0:
-            continue
-        if best_dist is None or dist < best_dist:
-            best, best_dist = f, dist
-    return best
-
-
-def _leaf_period(d: int, c: Chord) -> Optional[int]:
-    cur = c
-    for n in range(1, 1 + 2 * max(c.a.denominator, c.b.denominator, 2) ** 2):
-        cur = image(d, cur)
-        if cur == c:
-            return n
-    return None
+    (+1 positive, -1 negative), excluding `point` itself: the next multiple
+    of 1/(3^n - 1) strictly past `point`."""
+    q = 3 ** n - 1
+    num, den = point.numerator * q, point.denominator
+    j = num // den + 1 if direction > 0 else -(-num // den) - 1
+    return Fraction(j % q, q)
 
 
 def _point_period(d: int, x: Fraction) -> Optional[int]:
     pre, per = orbit_preperiod_period(d, x)
     return per if pre == 0 else None
+
+
+def _leaf_period(d: int, c: Chord) -> Optional[int]:
+    """Minimal n with sigma_d^n(c) = c, or None when an endpoint of c is
+    not periodic.  The endpoint periods bound n by their lcm."""
+    per_a, per_b = _point_period(d, c.a), _point_period(d, c.b)
+    if per_a is None or per_b is None:
+        return None
+    cur = c
+    for n in range(1, lcm(per_a, per_b) + 1):
+        cur = image(d, cur)
+        if cur == c:
+            return n
+    return None
 
 
 def caterpillar_head(c: Chord) -> Tuple[Chord, Fraction, int, int]:
@@ -384,12 +385,6 @@ class VassalGap:
     def _g1(self, u: Fraction) -> Fraction:
         h = self._h()
         return h - (h - u) / 3 ** self.period
-
-    def _words(self, depth: int):
-        level = [()]
-        for _ in range(depth):
-            level = [w + (bit,) for w in level for bit in (0, 1)]
-            yield from level
 
     def _apply(self, w, u: Fraction) -> Fraction:
         for bit in reversed(w):

@@ -189,3 +189,11 @@ def test_find_rotational_rejects_bad_rho(capsys, rho):
     assert code == 2
     assert out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("d", ["1", "0", "-3"])
+def test_find_rotational_rejects_degree_below_two(capsys, d):
+    code, out, err = run(capsys, "find-rotational", "--rho", "1/3", "--d", d)
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: --d must be >= 2, got {d}\n"

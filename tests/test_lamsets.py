@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -168,3 +169,19 @@ def test_enumerate_rotational_validates_input():
         enumerate_rotational(3, F(0), 1)
     with pytest.raises(ValueError):
         enumerate_rotational(3, F(1, 3), 3)
+    for d in (1, 0, -2):
+        with pytest.raises(ValueError, match="degree must be >= 2"):
+            enumerate_rotational(d, F(1, 3), 1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_enumerate_rotational_goldberg_count(d):
+    # Goldberg: sigma_d has C(q+d-2, q) single-cycle rotation sets with
+    # rotation number p/q, for each p/q in lowest terms
+    for q in range(2, 13):
+        for p in range(1, q):
+            if F(p, q).denominator != q:
+                continue
+            sets = enumerate_rotational(d, F(p, q), max_orbits=1)
+            assert len(sets) == comb(q + d - 2, q), (d, p, q)
+            assert all(len(G) == q for G in sets)

@@ -1,14 +1,17 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trilam.chords import Chord, image, linked
-from trilam.circle import Arc, arc_length, contains, orbit, sigma
+from trilam.circle import Arc, arc_length, contains, fixed_points, orbit, sigma
 from trilam.quadgap import (
     CaterpillarGap,
     GapGen,
     VassalGap,
+    _leaf_period,
+    _nearest_fixed,
     above_diameter,
     below_diameter,
     big_arc,
@@ -72,6 +75,66 @@ def test_classify_caterpillar():
 def test_classify_rejects_non_critical():
     with pytest.raises(ValueError):
         classify_critical(Chord(F(0), F(1, 2)))
+
+
+def _scan_nearest_fixed(point, n, direction):
+    """Oracle: scan every sigma_3^n-fixed point for the nearest one past
+    `point` in the given direction, skipping `point` itself."""
+    best = best_dist = None
+    for f in fixed_points(3, n):
+        dist = ((f - point) * direction) % 1
+        if dist and (best_dist is None or dist < best_dist):
+            best, best_dist = f, dist
+    return best
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_nearest_fixed_matches_scan(n):
+    q = 3 ** n - 1
+    rng = random.Random(n)
+    # every fixed point excludes itself; the scan costs O(q) per point, so
+    # at n = 6 a seeded sample of them stands in for all 728
+    fixed = range(q) if n <= 5 else sorted({0, 1, q - 1, *rng.sample(range(q), 30)})
+    points = [F(j, q) for j in fixed]
+    points += [F(rng.randrange(10 ** 6), rng.randrange(1, 10 ** 6)) % 1 for _ in range(20)]
+    points += [F(rng.randrange(3 * q), 3 * q) for _ in range(10)]
+    for x in points:
+        for direction in (+1, -1):
+            assert _nearest_fixed(x, n, direction) == _scan_nearest_fixed(x, n, direction), \
+                (x, n, direction)
+
+
+def _bounded_leaf_period(c, bound):
+    cur = c
+    for n in range(1, bound + 1):
+        cur = image(3, cur)
+        if cur == c:
+            return n
+    return None
+
+
+def test_leaf_period_of_census_majors():
+    majors = 0
+    for k in range(1, 7):
+        h = F(3 ** (k - 1), 3 ** k - 1)
+        for u in fixed_points(3, k):
+            M = Chord(u, (u + h) % 1)
+            if _bounded_leaf_period(M, k) == k:
+                majors += 1
+                assert _leaf_period(3, M) == k
+    assert majors > 100
+    assert _leaf_period(3, Chord(F(1, 9), F(4, 9))) is None  # 1/9 -> 1/3 -> 0
+    assert _leaf_period(3, Chord(F(0), F(1, 3))) is None  # one periodic endpoint
+    # period-2 endpoints that swap: the leaf period is below their lcm
+    assert _leaf_period(3, Chord(F(1, 4), F(3, 4))) == 1
+
+
+@pytest.mark.parametrize("den", [4, 7, 8, 9, 10, 13])
+def test_leaf_period_matches_bounded_iteration(den):
+    for i in range(den):
+        for j in range(i, den):
+            c = Chord(F(i, den), F(j, den))
+            assert _leaf_period(3, c) == _bounded_leaf_period(c, 2 * den ** 2), c
 
 
 # ---------------------------------------------------------------------------
