@@ -1,7 +1,8 @@
 """Command-line driver.
 
 Exit codes: 0 success, 1 domain error (valid syntax, impossible request),
-2 usage error (bad flags, malformed angle/chord syntax or out-of-range values).
+2 usage error (bad flags, malformed angle/chord syntax, out-of-range values or
+a malformed .lam file).
 """
 
 from __future__ import annotations
@@ -303,7 +304,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, lamination.LamFormatError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, AssertionError,

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .chords import Chord
 from .circle import format_angle
@@ -70,14 +69,6 @@ def endpoint_classes(pairs: Iterable[Tuple[T, T]]) -> List[Tuple[T, ...]]:
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 
-def _numerators(chords: Collection[Chord]) -> Tuple[int, List[Tuple[int, int]]]:
-    """N, the lcm of all endpoint denominators, and each chord's endpoints
-    as numerators over N.  Numerator order is angle order."""
-    N = lcm(*{x.denominator for c in chords for x in (c.a, c.b)})
-    return N, [(c.a.numerator * (N // c.a.denominator),
-                c.b.numerator * (N // c.b.denominator)) for c in chords]
-
-
 def _class_period(d: int, N: int, cls: Tuple[int, ...], bound: int) -> Optional[int]:
     """Minimal j <= bound with sigma_d^j(cls) = cls as a set, for a class
     of numerators over N."""
@@ -94,12 +85,12 @@ def periodic_rotational_classes(L, period_bound: int = 6) -> CoreReport:
     """Census of periodic classes whose return map acts as a nontrivial
     rotation.  The return map of a period-j class is sigma_d^j = sigma_{d^j},
     so the rotational test reuses the plain classifier at degree d^j.  The
-    classes are found on numerators over N, where sigma_d is d*x mod N."""
+    classes are found on the lamination's numerators over N, where sigma_d
+    is d*x mod N."""
     d = L.d
-    N, pairs = _numerators(L.leaves)
-    angle_of = {v: x for c, p in zip(L.leaves, pairs) for v, x in zip(p, (c.a, c.b))}
-    classes = [c for c in endpoint_classes(pairs) if len(c) >= 2]
-    cut_classes = [tuple(angle_of[v] for v in c) for c in classes]
+    N = L.leaves.N
+    classes = [c for c in endpoint_classes(L.leaves.pairs) if len(c) >= 2]
+    cut_classes = [tuple(Fraction(v, N) for v in c) for c in classes]
     rotational: List[Tuple[LamSet, RotationalReport]] = []
     for cls, angles in zip(classes, cut_classes):
         j = _class_period(d, N, cls, period_bound)

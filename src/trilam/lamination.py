@@ -12,11 +12,12 @@ certify.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import ItemsView, Mapping, MutableMapping, ValuesView
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .chords import Chord, format_chord, linked, parse_chord
 from .circle import (
@@ -28,7 +29,7 @@ from .circle import (
     parse_angle,
     sigma_iter,
 )
-from .core import _numerators, endpoint_classes, periodic_rotational_classes
+from .core import endpoint_classes, periodic_rotational_classes
 from .lamsets import (
     LamSet,
     RotationalReport,
@@ -43,9 +44,11 @@ from .quadgap import (
     GapGen,
     VassalGap,
     _leaf_period,
+    _parse_arc,
     below_diameter,
     classify_critical,
     gap_from_major,
+    parse_fields,
     parse_gapgen,
     psi,
     vassal,
@@ -230,19 +233,115 @@ class _RegionView:
 # the lamination type
 
 
+class Leaves(MutableMapping):
+    """The leaves of a lamination, stored as integers: `pairs` maps each
+    leaf's endpoint numerators (a, b), a <= b, over the common denominator
+    `N` to the leaf's level, in insertion order.
+
+    As a mapping it is the public Chord -> level view of that store.
+    Length, membership, lookup and writes work on the integers; only
+    iteration builds Chords, in insertion order."""
+
+    def __init__(self, N: int = 1, pairs: Optional[Dict[Tuple[int, int], int]] = None):
+        self.N = N
+        self.pairs = {} if pairs is None else pairs
+
+    @classmethod
+    def from_chords(cls, chords: Mapping[Chord, int]) -> "Leaves":
+        """The store of a Chord -> level mapping, over the lcm of its
+        endpoint denominators."""
+        N = lcm(*{x.denominator for c in chords for x in (c.a, c.b)})
+        return cls(N, {(c.a.numerator * (N // c.a.denominator),
+                        c.b.numerator * (N // c.b.denominator)): lvl
+                       for c, lvl in chords.items()})
+
+    def chord(self, pair: Tuple[int, int]) -> Chord:
+        return Chord(Fraction(pair[0], self.N), Fraction(pair[1], self.N))
+
+    def _key(self, c: Chord) -> Optional[Tuple[int, int]]:
+        """The numerators of c over N, or None if c is not a chord or its
+        endpoints are not multiples of 1/N (then it is not a leaf)."""
+        if not isinstance(c, Chord):
+            return None
+        N, qa, qb = self.N, c.a.denominator, c.b.denominator
+        if N % qa or N % qb:
+            return None
+        return c.a.numerator * (N // qa), c.b.numerator * (N // qb)
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __iter__(self) -> Iterator[Chord]:
+        return map(self.chord, self.pairs)
+
+    def __contains__(self, c) -> bool:
+        return self._key(c) in self.pairs
+
+    def __getitem__(self, c: Chord) -> int:
+        try:
+            return self.pairs[self._key(c)]
+        except KeyError:
+            raise KeyError(c) from None
+
+    def __setitem__(self, c: Chord, level: int) -> None:
+        if not isinstance(c, Chord):
+            raise TypeError(f"leaves are Chords, got {c!r}")
+        key = self._key(c)
+        if key is None:  # refine the common denominator
+            M = lcm(self.N, c.a.denominator, c.b.denominator)
+            f = M // self.N
+            self.N, self.pairs = M, {(a * f, b * f): lvl
+                                     for (a, b), lvl in self.pairs.items()}
+            key = self._key(c)
+        self.pairs[key] = level
+
+    def __delitem__(self, c: Chord) -> None:
+        try:
+            del self.pairs[self._key(c)]
+        except KeyError:
+            raise KeyError(c) from None
+
+    def items(self) -> ItemsView:
+        return _LeafItems(self)
+
+    def values(self) -> ValuesView:
+        return self.pairs.values()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Leaves):
+            return Mapping.__eq__(self, other)
+        if len(self) != len(other):
+            return False
+        if self.N == other.N:
+            return self.pairs == other.pairs
+        M = lcm(self.N, other.N)
+        f, g = M // self.N, M // other.N
+        return {(a * f, b * f): v for (a, b), v in self.pairs.items()} \
+            == {(a * g, b * g): v for (a, b), v in other.pairs.items()}
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} leaves over N={self.N}>"
+
+
+class _LeafItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.pairs.values())
+
+
 @dataclass
 class Lamination:
     d: int
     depth: int
     recipe: str
-    leaves: Dict[Chord, int] = field(default_factory=dict)  # leaf -> level
+    # leaf -> level; a Chord -> level mapping passed in is stored as Leaves
+    leaves: Leaves = field(default_factory=Leaves)
     fatou_gaps: List[object] = field(default_factory=list)
     finite_gaps: List[LamSet] = field(default_factory=list)
     registry_complete: bool = False
 
-    @property
-    def leaf_list(self) -> List[Chord]:
-        return sorted(self.leaves)
+    def __post_init__(self):
+        if not isinstance(self.leaves, Leaves):
+            self.leaves = Leaves.from_chords(self.leaves)
 
     def __len__(self):
         return len(self.leaves)
@@ -260,14 +359,15 @@ _REGION_MARGIN = 2  # extra enumeration depth for crossing tests
 
 
 def _pullback_closure(d: int, seeds: Sequence[Chord],
-                      regions: Sequence[object], depth: int) -> Dict[Chord, int]:
+                      regions: Sequence[object], depth: int) -> Leaves:
     """Thurston pullback of the seeds, `depth` levels deep: each leaf's d
     sibling preimages are the preimage pairs that cross no region.
 
     Runs on exact integers: every angle is its numerator over N, the lcm of
     d**depth times the seed denominators and of every region boundary
     denominator.  The preimages of x are x // d + k * (N // d), exact above
-    the last level.  Chords are rebuilt at the end, in insertion order."""
+    the last level.  The leaves are returned as they were found, in
+    insertion order."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     bounds = [{x for e in obj.edge_chords(depth + _REGION_MARGIN) for x in (e.a, e.b)}
@@ -306,7 +406,7 @@ def _pullback_closure(d: int, seeds: Sequence[Chord],
                     leaves[c] = level
                     fresh.append(c)
         frontier = fresh
-    return {chord(c): lvl for c, lvl in leaves.items()}
+    return Leaves(N, leaves)
 
 
 def canonical_of_quadratic_gap(U: GapGen, depth: int = 6) -> Lamination:
@@ -372,7 +472,8 @@ def quadratic_canonical(G2: LamSet, depth: int = 6) -> Lamination:
 @dataclass
 class InvarianceReport:
     leaf_count: int
-    linked_pairs: List[Tuple[Chord, Chord]]
+    linked_pairs: List[Tuple[Chord, Chord]]  # examples, at most 20
+    linked_count: int  # every crossing pair
     forward_missing: List[Chord]
     sibling_missing: List[Chord]
     gap_violations: List[str]
@@ -384,7 +485,7 @@ class InvarianceReport:
 
     def lines(self) -> List[str]:
         out = [f"leaves: {self.leaf_count}",
-               f"linked_pairs: {len(self.linked_pairs)}",
+               f"linked_pairs: {self.linked_count}",
                f"forward_missing: {len(self.forward_missing)}",
                f"sibling_missing: {len(self.sibling_missing)}",
                f"gap_violations: {len(self.gap_violations)}",
@@ -425,6 +526,35 @@ def _find_linked_pairs(chords: List[Tuple[int, int]],
     return out
 
 
+def _count_crossings(chords: List[Tuple[int, int]]) -> int:
+    """The number of crossing pairs in a family of distinct chords given as
+    endpoint pairs a <= b, in O(n log n).  The chords are taken in the
+    order (a, -b); a Fenwick tree over the sorted endpoints counts the
+    earlier chords whose b' lies strictly inside (a, b).  Those have a' < a,
+    since an earlier chord with a' == a has b' > b.  Degenerate chords
+    (a == b) cross nothing."""
+    chords = [c for c in chords if c[0] < c[1]]
+    pts = sorted({x for c in chords for x in c})
+    rank = {x: i + 1 for i, x in enumerate(pts)}
+    tree = [0] * (len(pts) + 1)
+
+    def below(i: int) -> int:  # inserted ends of rank <= i
+        n = 0
+        while i:
+            n += tree[i]
+            i &= i - 1
+        return n
+
+    total = 0
+    for a, b in sorted(chords, key=lambda c: (c[0], -c[1])):
+        total += below(rank[b] - 1) - below(rank[a])
+        i = rank[b]
+        while i < len(tree):
+            tree[i] += 1
+            i += i & -i
+    return total
+
+
 def _crosses(x: Tuple[int, int], y: Tuple[int, int]) -> bool:
     """`chords.linked` for endpoint pairs a <= b on a common scale."""
     return x[0] < y[0] < x[1] < y[1] or y[0] < x[0] < y[1] < x[1]
@@ -435,18 +565,16 @@ def check_invariance(L: Lamination) -> InvarianceReport:
     collections of leaves below the truncation depth, and holes of the
     finite gap polygons.
 
-    The check runs on exact integers: every endpoint becomes its numerator
-    over N, the lcm of all endpoint denominators.  Numerator order is angle
-    order, and sigma_d is x -> d*x mod N.  Chords and angles are rebuilt
-    only for the report."""
+    The check runs on the lamination's integer store: numerators over one
+    denominator N, whose order is angle order, and sigma_d is x -> d*x mod N.
+    Chords and angles are built only for the report.  The crossing pairs
+    are counted only when the scan for examples has found one."""
     d = L.d
-    N, keys = _numerators(L.leaves)
-    chord_of = dict(zip(keys, L.leaves))
-    level = dict(zip(keys, L.leaves.values()))
-    leaf_list = sorted(chord_of)
+    N, level = L.leaves.N, L.leaves.pairs
+    chord = L.leaves.chord
+    leaf_list = sorted(level)
 
-    linked_pairs = [(chord_of[x], chord_of[y])
-                    for x, y in _find_linked_pairs(leaf_list)]
+    linked_pairs = [(chord(x), chord(y)) for x, y in _find_linked_pairs(leaf_list)]
 
     forward_missing = []
     image_of: Dict[Tuple[int, int], Tuple[int, int]] = {}
@@ -458,8 +586,8 @@ def check_invariance(L: Lamination) -> InvarianceReport:
         img = (u, v) if u < v else (v, u)
         image_of[c] = img
         by_image.setdefault(img, []).append(c)
-        if img not in chord_of:
-            forward_missing.append(chord_of[c])
+        if img not in level:
+            forward_missing.append(chord(c))
 
     sibling_missing = []
     for c, img in image_of.items():
@@ -470,7 +598,7 @@ def check_invariance(L: Lamination) -> InvarianceReport:
             not any(_crosses(x, y) for x, y in combinations((c,) + combo, 2))
             for combo in combinations(others, d - 1))
         if not has_collection:
-            sibling_missing.append(chord_of[c])
+            sibling_missing.append(chord(c))
 
     gap_violations = []
     for cls in endpoint_classes(leaf_list):
@@ -478,8 +606,8 @@ def check_invariance(L: Lamination) -> InvarianceReport:
         if n < 3:
             continue
         # only treat full polygons (every consecutive chord a leaf) as gaps
-        if (cls[0], cls[-1]) not in chord_of or not all(
-                (cls[i], cls[i + 1]) in chord_of for i in range(n - 1)):
+        if (cls[0], cls[-1]) not in level or not all(
+                (cls[i], cls[i + 1]) in level for i in range(n - 1)):
             continue
         imgs = [d * v % N for v in cls]
         img_pts = sorted(set(imgs))
@@ -500,6 +628,7 @@ def check_invariance(L: Lamination) -> InvarianceReport:
     return InvarianceReport(
         leaf_count=len(leaf_list),
         linked_pairs=linked_pairs,
+        linked_count=_count_crossings(leaf_list) if linked_pairs else 0,
         forward_missing=forward_missing,
         sibling_missing=sibling_missing,
         gap_violations=gap_violations,
@@ -532,16 +661,15 @@ class CleanReport:
 
 
 def clean(L: Lamination) -> CleanReport:
-    """Iteratively remove isolated leaves (those bordering two gaps of the
-    registry) and report the merged super-gaps.
+    """The cleaned lamination of L, in one stage: every leaf removed and the
+    whole disk as the single super-gap.  No leaf is tested.
 
-    Isolation is combinatorial: the constructors register every base gap and
-    each pullback step carries gaps along, so in a canonical lamination every
-    leaf borders two gaps.  The merge graph of gap regions across removed
-    leaves is the laminar forest of the leaf set plus the root face, which is
-    connected — removing everything leaves the whole disk as the unique
-    super-gap.  Laminations without a complete registry cannot decide
-    isolation at a finite truncation and are rejected.
+    This is the theorem-backed answer for a complete registry: the
+    constructors register every base gap and each pullback step carries
+    gaps along, so in a canonical lamination every leaf borders two gaps and
+    is isolated.  Merging the gaps across all the leaves leaves one region,
+    the whole disk.  Without a complete registry, isolation cannot be
+    decided at a finite truncation, so L is rejected.
     """
     if not L.registry_complete:
         raise ValueError(
@@ -564,13 +692,12 @@ def project_through_gap(U: GapGen, L: Lamination) -> Lamination:
     """Collapse L through the boundary map of U: leaves with both endpoints
     in U's basis map endpoint-wise by psi; degenerate images are dropped."""
     M = U.major
-    for c in L.leaves:
+    out: Dict[Chord, int] = {}
+    for c in L.leaves:  # one pass: the view builds each Chord on iteration
         if linked(c, M):
             raise ValueError(
                 f"leaf {format_chord(c)} crosses the major {format_chord(M)}"
             )
-    out: Dict[Chord, int] = {}
-    for c in L.leaves:
         if U.in_basis(c.a) and U.in_basis(c.b):
             pa, pb = psi(U, c.a), psi(U, c.b)
             if pa != pb:
@@ -712,12 +839,19 @@ def classify_smp(L: Lamination, period_bound: int = 6) -> SmpVerdict:
 
 
 def dumps(L: Lamination) -> str:
+    N = L.leaves.N
+
+    def fmt(x: int) -> str:
+        if not x:
+            return "0"
+        g = gcd(x, N)
+        return f"{x // g}/{N // g}"
+
     lines = [f"d={L.d} depth={L.depth} recipe={L.recipe}",
              f"registry={'complete' if L.registry_complete else 'partial'}",
              "[leaves]"]
-    _, keys = _numerators(L.leaves)
-    for _, (c, lvl) in sorted(zip(keys, L.leaves.items())):
-        lines.append(f"{format_chord(c)} {lvl}")
+    for (a, b), lvl in sorted(L.leaves.pairs.items()):
+        lines.append(f"{fmt(a)}-{fmt(b)} {lvl}")
     lines.append("[gaps]")
     idx = 0
     for G in L.finite_gaps:
@@ -729,55 +863,109 @@ def dumps(L: Lamination) -> str:
     return "\n".join(lines) + "\n"
 
 
+class LamFormatError(ValueError):
+    """Malformed .lam text; the message names the line."""
+
+
+def _angle_parts(text: str) -> Tuple[int, int]:
+    """Numerator and denominator of the angle `parse_angle(text)`, reduced;
+    plain "p/q" and "p" are read without building a Fraction."""
+    num, slash, den = text.partition("/")
+    if num.isascii() and num.isdigit() and (
+            not slash or den.isascii() and den.isdigit()):
+        q = int(den) if slash else 1
+        if q:
+            p = int(num) % q
+            g = gcd(p, q)
+            return p // g, q // g
+    x = parse_angle(text)
+    return x.numerator, x.denominator
+
+
+def _integer(text: str, name: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+
+
 def loads(text: str) -> Lamination:
-    lines = [ln.rstrip("\n") for ln in text.strip().splitlines() if ln.strip()]
-    header = dict(p.split("=", 1) for p in lines[0].split())
-    d = int(header["d"])
-    depth = int(header["depth"])
-    recipe = header.get("recipe", "file")
-    registry_complete = False
-    i = 1
-    if i < len(lines) and lines[i].startswith("registry="):
-        registry_complete = lines[i].split("=", 1)[1] == "complete"
-        i += 1
-    if i >= len(lines) or lines[i] != "[leaves]":
-        raise ValueError("lamination file: missing [leaves] section")
-    i += 1
-    leaves: Dict[Chord, int] = {}
-    while i < len(lines) and lines[i] != "[gaps]":
-        parts = lines[i].split()
-        leaves[parse_chord(parts[0])] = int(parts[1]) if len(parts) > 1 else 0
-        i += 1
-    fatou: List[object] = []
-    finite: List[LamSet] = []
-    if i < len(lines) and lines[i] == "[gaps]":
-        i += 1
-        while i < len(lines):
-            _, spec = lines[i].split(" ", 1)
-            obj = _parse_region(spec, d)
+    """Read the .lam format that `dumps` writes.  Malformed text raises
+    LamFormatError.  The leaves are read as integers: each angle reduced,
+    then scaled to the lcm of the file's denominators."""
+    numbered = ((no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)
+                if ln.strip())
+    no, line = next(numbered, (1, ""))
+    try:
+        if not line:
+            raise ValueError("empty lamination file")
+        header = parse_fields(line)
+        d, depth = _integer(header["d"], "d"), _integer(header["depth"], "depth")
+        if d not in (2, 3):
+            raise ValueError(f"degree must be 2 or 3, got d={d}")
+        if depth < 0:
+            raise ValueError(f"depth must be >= 0, got depth={depth}")
+        no, line = next(numbered, (no + 1, ""))
+        registry_complete = False
+        if line.startswith("registry="):
+            registry_complete = line.split("=", 1)[1] == "complete"
+            no, line = next(numbered, (no + 1, ""))
+        if line != "[leaves]":
+            raise ValueError("missing [leaves] section")
+        angles: Dict[str, Tuple[int, int]] = {}
+        rows = []
+        for no, line in numbered:
+            if line == "[gaps]":
+                break
+            parts = line.split()
+            ends = parts[0].split("-")
+            if len(ends) != 2:
+                raise ValueError(f"bad chord syntax: {parts[0]!r}")
+            ta, tb = ends
+            a = angles.get(ta) or angles.setdefault(ta, _angle_parts(ta))
+            b = angles.get(tb) or angles.setdefault(tb, _angle_parts(tb))
+            rows.append((a, b, _integer(parts[1], "level") if len(parts) > 1 else 0))
+        fatou: List[object] = []
+        finite: List[LamSet] = []
+        for no, line in numbered:
+            name_spec = line.split(None, 1)
+            if len(name_spec) < 2:
+                raise ValueError("gap line without a spec")
+            obj = _parse_region(name_spec[1], d)
             if isinstance(obj, FiniteRegion):
                 finite.append(obj.base)
             else:
                 fatou.append(obj)
-            i += 1
-    return Lamination(d=d, depth=depth, recipe=recipe, leaves=leaves,
-                      fatou_gaps=fatou, finite_gaps=finite,
+    except ValueError as exc:
+        raise LamFormatError(f"line {no}: {exc}") from None
+    N = lcm(*(q for _, q in angles.values()))
+    pairs: Dict[Tuple[int, int], int] = {}
+    for (pa, qa), (pb, qb), lvl in rows:
+        a, b = pa * (N // qa), pb * (N // qb)
+        pairs[(a, b) if a <= b else (b, a)] = lvl
+    return Lamination(d=d, depth=depth, recipe=header.get("recipe", "file"),
+                      leaves=Leaves(N, pairs), fatou_gaps=fatou, finite_gaps=finite,
                       registry_complete=registry_complete)
 
 
 def _parse_region(spec: str, d: int):
-    fields = dict(p.split("=", 1) for p in spec.split())
+    fields = parse_fields(spec)
     kind = fields["kind"]
     if kind == "finite":
-        deg = int(fields.get("degree", d))
+        deg = _integer(fields.get("degree", d), "degree")
         return FiniteRegion(parse_lamset(fields["vertices"], deg))
     if kind == "attached":
-        deg = int(fields.get("degree", d))
-        return AttachedGap(parse_lamset(fields["set"], deg), int(fields["index"]))
+        deg = _integer(fields.get("degree", d), "degree")
+        G = parse_lamset(fields["set"], deg)
+        index = _integer(fields["index"], "index")
+        if not 0 <= index < len(G):
+            raise ValueError(f"attached gap index {index} is not an edge of a "
+                             f"{len(G)}-vertex set")
+        return AttachedGap(G, index)
     if kind == "vassal-image":
         base = VassalGap(
             major=parse_chord(fields["major"]),
-            hole=Arc(*(parse_angle(x) for x in fields["hole"].split(","))),
+            hole=_parse_arc(fields["hole"]),
             period=int(fields["period"]),
         )
         return ImageGap(base, int(fields["power"]))

@@ -272,8 +272,26 @@ class GapGen:
         return f"GapGen<{self.serialize()}>"
 
 
+class _Fields(dict):
+    """The key=value fields of a spec; a missing key is a ValueError."""
+
+    def __missing__(self, key: str):
+        raise ValueError(f"missing field {key}=")
+
+
+def parse_fields(text: str) -> _Fields:
+    """Parse whitespace-separated key=value tokens."""
+    fields = _Fields()
+    for tok in text.split():
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ValueError(f"expected key=value, got {tok!r}")
+        fields[key] = value
+    return fields
+
+
 def parse_gapgen(text: str) -> "GapGen":
-    fields = dict(p.split("=", 1) for p in text.split())
+    fields = parse_fields(text)
     kind = fields["kind"]
     if kind == "vassal":
         return VassalGap(
@@ -281,19 +299,20 @@ def parse_gapgen(text: str) -> "GapGen":
             hole=_parse_arc(fields["hole"]),
             period=int(fields["period"]),
         )
-    hs, he = fields["hole"].split(",")
     return GapGen(
         kind=kind,
         major=parse_chord(fields["major"]),
-        hole=Arc(parse_angle(hs), parse_angle(he)),
+        hole=_parse_arc(fields["hole"]),
         period=None if fields["period"] == "-" else int(fields["period"]),
         critical=None if fields["critical"] == "-" else parse_chord(fields["critical"]),
     )
 
 
 def _parse_arc(text: str) -> Arc:
-    hs, he = text.split(",")
-    return Arc(parse_angle(hs), parse_angle(he))
+    ends = text.split(",")
+    if len(ends) != 2:
+        raise ValueError(f"bad arc syntax: {text!r}")
+    return Arc(parse_angle(ends[0]), parse_angle(ends[1]))
 
 
 def build_gap(c: Chord, depth: int = 6) -> Tuple[GapGen, List[Fraction]]:

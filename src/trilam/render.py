@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Optional, Sequence, Set, Tuple
 
 from .chords import Chord
 from .circle import format_angle
@@ -64,13 +64,15 @@ def _chord_path(c: Chord, cx: float, cy: float, r: float) -> str:
             f"A {_fmt(rr)} {_fmt(rr)} 0 0 {sweep} {_fmt(x2)} {_fmt(y2)}")
 
 
-def _collect_chords(obj) -> List[Chord]:
+def _collect_chords(obj) -> Iterable[Chord]:
+    """The chords to draw, in sorted order."""
     if isinstance(obj, Chord):
         return [obj]
     if isinstance(obj, LamSet):
         return sorted({e for e, _ in holes(obj)})
-    if hasattr(obj, "leaves"):  # Lamination
-        return sorted(obj.leaves)
+    if hasattr(obj, "leaves"):  # Lamination: sort the integer store, one Chord at a time
+        leaves = obj.leaves
+        return map(leaves.chord, sorted(leaves.pairs))
     if hasattr(obj, "edge_chords"):  # any gap generator
         return sorted(set(obj.edge_chords(6)))
     if isinstance(obj, Iterable):
@@ -94,7 +96,10 @@ def render(obj, spec: Optional[RenderSpec] = None) -> str:
         f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
         f'fill="none" stroke="black" stroke-width="{spec.circle_stroke}"/>',
     ]
+    labels = {}  # label points in first-seen order
     for i, c in enumerate(chords):
+        if spec.label_angles:
+            labels.update(dict.fromkeys((c.a, c.b)))
         if c.degenerate:
             continue
         hl = c in spec.highlight
@@ -104,17 +109,11 @@ def render(obj, spec: Optional[RenderSpec] = None) -> str:
             f'  <path d="{_chord_path(c, cx, cy, r)}" fill="none" '
             f'stroke="{color}" stroke-width="{width}"/>'
         )
-    if spec.label_angles:
-        seen = set()
-        for c in chords:
-            for v in (c.a, c.b):
-                if v in seen:
-                    continue
-                seen.add(v)
-                x, y = _pt(v, cx, cy, r * 1.06)
-                out.append(
-                    f'  <text x="{_fmt(x)}" y="{_fmt(y)}" font-size="10" '
-                    f'text-anchor="middle">{format_angle(v)}</text>'
-                )
+    for v in labels:
+        x, y = _pt(v, cx, cy, r * 1.06)
+        out.append(
+            f'  <text x="{_fmt(x)}" y="{_fmt(y)}" font-size="10" '
+            f'text-anchor="middle">{format_angle(v)}</text>'
+        )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -197,3 +197,24 @@ def test_find_rotational_rejects_degree_below_two(capsys, d):
     assert code == 2
     assert out == ""
     assert err == f"usage error: --d must be >= 2, got {d}\n"
+
+
+@pytest.mark.parametrize("text, err", [
+    ("depth=1 recipe=x\n[leaves]\n0-1/2 0\n[gaps]\n", "line 1: missing field d="),
+    ("", "line 1: empty lamination file"),
+    ("d=3 depth=1 recipe=x\n[leaves]\n0-1/2 0\n[gaps]\nG0 kind=attached\n",
+     "line 5: missing field set="),
+    ("d=3 depth=1 recipe=x\n[leaves]\n0-1/2 0\n[gaps]\nG0\n",
+     "line 5: gap line without a spec"),
+    ("d=3 depth=1 recipe=x\n[leaves]\n1/3-2/3 zz\n[gaps]\n",
+     "line 3: level must be an integer, got 'zz'"),
+    ("d=7 depth=1 recipe=x\n[leaves]\n0-1/2 0\n[gaps]\n",
+     "line 1: degree must be 2 or 3, got d=7"),
+], ids=["no-degree", "empty", "attached-no-fields", "gap-no-spec", "bad-level", "d7"])
+def test_malformed_lam_file_is_usage_error(capsys, tmp_path, text, err):
+    path = tmp_path / "bad.lam"
+    path.write_text(text)
+    code, out, got = run(capsys, "check-invariance", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert got == f"usage error: {err}\n"

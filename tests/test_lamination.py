@@ -5,14 +5,19 @@ from itertools import combinations
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trilam.chords import Chord, format_chord, image, linked
-from trilam.circle import Arc, contains, format_angle, preimages, sigma
+from trilam.chords import Chord, format_chord, image, linked, parse_chord
+from trilam.circle import Arc, contains, format_angle, parse_angle, preimages, sigma
 from trilam.lamination import (
     AttachedGap,
     FiniteRegion,
     Lamination,
+    LamFormatError,
+    Leaves,
     PullbackAmbiguityError,
+    _angle_parts,
+    _count_crossings,
     _pullback_closure,
     _RegionView,
     attached_cycle,
@@ -535,3 +540,165 @@ def test_write_read_roundtrip(tmp_path):
 def test_loads_rejects_malformed():
     with pytest.raises(ValueError):
         loads("d=3 depth=1 recipe=x\nregistry=partial\n1/2 0\n")
+
+
+# ---------------------------------------------------------------------------
+# exact crossing count
+
+
+def _brute_force_crossings(L):
+    leaves = list(L.leaves)
+    return sum(linked(x, y) for x, y in combinations(leaves, 2))
+
+
+def test_linked_count_is_exact_where_the_examples_stop():
+    # the example scan finds only 0-1/2 x 1/10-3/5; 0-1/2 also crosses 1/5-11/20
+    A, B, C = Chord(F(0), F(1, 2)), Chord(F(1, 10), F(3, 5)), Chord(F(1, 5), F(11, 20))
+    rep = check_invariance(Lamination(d=3, depth=0, recipe="manual",
+                                      leaves={A: 0, B: 0, C: 0}))
+    assert rep.linked_pairs == [(A, B)]
+    assert rep.linked_count == 2
+    assert "linked_pairs: 2" in rep.lines()
+
+
+def test_linked_count_matches_brute_force_on_perturbations():
+    bases = _golden_suite(3) + (
+        quadratic_canonical(LamSet([F(1, 7), F(2, 7), F(4, 7)], degree_d=2), depth=3),)
+    crossing = 0
+    for seed in range(84):
+        L = _perturbed(bases[seed % len(bases)], random.Random(seed))
+        want = _brute_force_crossings(L)
+        assert check_invariance(L).linked_count == want
+        crossing += want > 0
+    assert crossing
+
+
+def test_count_crossings_matches_brute_force_on_random_families():
+    rng = random.Random(7)
+    for _ in range(200):
+        pts = rng.sample(range(40), rng.randint(2, 20))
+        chords = {tuple(sorted(rng.sample(pts, 2))) for _ in range(rng.randint(1, 30))}
+        chords |= {(p, p) for p in rng.sample(pts, 2)}  # degenerate leaves
+        want = sum(x[0] < y[0] < x[1] < y[1] or y[0] < x[0] < y[1] < x[1]
+                   for x, y in combinations(chords, 2))
+        assert _count_crossings(list(chords)) == want
+
+
+# ---------------------------------------------------------------------------
+# the integer leaf store
+
+
+def test_leaves_view_reads_and_writes_the_store():
+    L = canonical_diameter(depth=3)
+    store = L.leaves
+    assert isinstance(store, Leaves) and len(store) == len(store.pairs) == 27
+    c = Chord(F(1, 6), F(1, 3))
+    assert c in store and store[c] == 1
+    assert Chord(F(0), F(1, 4)) not in store and "0-1/2" not in store
+    with pytest.raises(KeyError):
+        store[Chord(F(0), F(1, 4))]
+    # a write off the grid of 1/N refines N and keeps every leaf and the order
+    before = list(store.items())
+    store[Chord(F(0), F(1, 4))] = 0
+    assert store.N % 4 == 0
+    assert list(store.items()) == before + [(Chord(F(0), F(1, 4)), 0)]
+    del store[Chord(F(0), F(1, 4))]
+    assert list(store.items()) == before
+
+
+def test_leaves_equality_across_denominators():
+    L = canonical_of_rotational(FINGAP3, depth=2)
+    M = Lamination(d=3, depth=2, recipe="copy", leaves=dict(L.leaves))
+    assert M.leaves.N != L.leaves.N  # the build's N also covers its regions
+    assert M.leaves == L.leaves and L.leaves == dict(L.leaves)
+    M.leaves[next(iter(M.leaves))] = 5
+    assert M.leaves != L.leaves
+    K = canonical_of_rotational(FINGAP3, depth=2)
+    assert K.leaves.N == L.leaves.N and K.leaves == L.leaves
+    K.leaves[next(iter(K.leaves))] = 5
+    assert K.leaves != L.leaves
+
+
+def test_build_check_and_dumps_build_few_chords(monkeypatch):
+    built = [0]
+    init = Chord.__init__
+
+    def counting_init(self, a, b):
+        built[0] += 1
+        init(self, a, b)
+
+    monkeypatch.setattr(Chord, "__init__", counting_init)
+    L = canonical_of_rotational(FINGAP1, depth=6)
+    assert check_invariance(L).ok
+    dumps(L)
+    assert len(L.leaves) == 4374
+    # region set-up and seeds only: no Chord per leaf in any of these layers
+    assert built[0] < len(L.leaves) // 20
+
+
+def test_leaves_iterate_in_insertion_order():
+    chords = [Chord(F(1, 2), F(3, 4)), Chord(F(0), F(1, 3)), Chord(F(1, 5), F(1, 4))]
+    L = Lamination(d=3, depth=0, recipe="manual", leaves=dict.fromkeys(chords, 0))
+    assert list(L.leaves) == chords
+    assert list(loads(dumps(L)).leaves) == sorted(chords)
+
+
+_denominators = st.sampled_from([1, 2, 3, 4, 6, 7, 8, 9, 12, 26, 27, 80, 81, 242])
+
+
+@st.composite
+def _laminations(draw):
+    chords = draw(st.lists(
+        st.builds(lambda p, q, r, s: Chord(F(p, q), F(r, s)),
+                  st.integers(0, 300), _denominators, st.integers(0, 300), _denominators),
+        max_size=25))
+    levels = draw(st.lists(st.integers(0, 6), min_size=len(chords), max_size=len(chords)))
+    d = draw(st.sampled_from([2, 3]))
+    return Lamination(d=d, depth=draw(st.integers(0, 6)), recipe="random",
+                      leaves=dict(zip(chords, levels)),
+                      registry_complete=draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_laminations())
+def test_dumps_loads_roundtrip_on_random_laminations(L):
+    text = dumps(L)
+    M = loads(text)
+    assert M.leaves == L.leaves
+    assert list(M.leaves.items()) == sorted(L.leaves.items())
+    assert dumps(M) == text
+    assert (M.d, M.depth, M.recipe, M.registry_complete) == \
+        (L.d, L.depth, L.recipe, L.registry_complete)
+
+
+_angle_text = st.one_of(
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(0, 10 ** 6), st.integers(0, 5000)),
+    st.builds(str, st.integers(0, 50)),
+    st.text(st.sampled_from("0123456789/+-._eE x٣²"), max_size=8),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_angle_text, _angle_text)
+def test_integer_angle_parser_matches_parse_chord(ta, tb):
+    text = f"{ta}-{tb}"
+    try:
+        want = parse_chord(text)
+    except ValueError:
+        want = None
+    for t in (ta, tb):
+        try:
+            x = parse_angle(t)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _angle_parts(t)
+        else:
+            assert _angle_parts(t) == (x.numerator, x.denominator)
+    if any(ch.isspace() for ch in text):
+        return  # a .lam line splits at whitespace
+    lam_text = f"d=3 depth=0 recipe=x\n[leaves]\n{text} 0\n[gaps]\n"
+    if want is None:
+        with pytest.raises(LamFormatError, match="^line 3: "):
+            loads(lam_text)
+    else:
+        assert list(loads(lam_text).leaves.items()) == [(want, 0)]
