@@ -1,12 +1,13 @@
 """Finitely presented invariant laminations.
 
 A lamination here is a truncated leaf set generated by Thurston pullback
-from a registered family of gaps (the quadratic gaps of `quadgap`, finite
-rotational polygons, and the Fatou gaps attached to them).  The registry is
-what makes the truncation honest: invariance is checked leaf by leaf, and
-isolation of leaves (for cleaning) is decided combinatorially against the
-registered gaps instead of a metric criterion that a finite set cannot
-certify.
+through a critical portrait: a few critical polygons, d - 1 critical chords'
+worth, one inside each critical gap of a registered family (the quadratic
+gaps of `quadgap` with their vassal cycle, and the Fatou gaps attached to a
+rotational polygon), plus any critical seed leaf.  A leaf's siblings are the
+preimage pairs that cross no polygon.  The registry travels with the
+lamination: the .lam file records it, and cleaning, projection and the SMP
+classifier read it.  Invariance is checked leaf by leaf.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from bisect import bisect_left, bisect_right
 from collections.abc import ItemsView, Mapping, MutableMapping, ValuesView
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import gcd, lcm
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .chords import Chord, format_chord, linked, parse_chord
 from .circle import (
@@ -27,7 +28,8 @@ from .circle import (
     format_angle,
     orbit,
     parse_angle,
-    sigma_iter,
+    preimages,
+    sigma,
 )
 from .core import endpoint_classes, periodic_rotational_classes
 from .lamsets import (
@@ -37,7 +39,6 @@ from .lamsets import (
     classify_rotational,
     format_lamset,
     holes,
-    majors,
     parse_lamset,
 )
 from .quadgap import (
@@ -55,8 +56,10 @@ from .quadgap import (
 )
 
 class PullbackAmbiguityError(RuntimeError):
-    """The admissible sibling collection at some pullback step was not the
-    expected size; the construction refuses to guess."""
+    """A leaf had other than d sibling candidates crossing no polygon of the
+    critical portrait.  The constructions choose the portrait's critical
+    values off the leaf endpoints, so this cannot happen; the check stays
+    so that a wrong portrait fails loudly instead of guessing."""
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +73,6 @@ class FiniteRegion:
     base: LamSet
     kind: str = "finite"
 
-    def edge_chords(self, depth: int) -> List[Chord]:
-        return sorted({e for e, _ in holes(self.base)})
-
     def serialize(self) -> str:
         return f"kind=finite degree={self.base.degree_d} vertices={format_lamset(self.base)}"
 
@@ -85,12 +85,6 @@ class ImageGap:
     power: int
     kind: str = "vassal-image"
 
-    def edge_chords(self, depth: int) -> List[Chord]:
-        out = []
-        for e in self.base.edge_chords(depth):
-            out.append(Chord(sigma_iter(3, e.a, self.power), sigma_iter(3, e.b, self.power)))
-        return out
-
     def serialize(self) -> str:
         return f"kind=vassal-image power={self.power} {self.base.serialize().removeprefix('kind=vassal ')}"
 
@@ -101,9 +95,7 @@ class AttachedGap:
 
     Its basis consists of the points x whose iterates track the hole cycle:
     sigma^s(x) stays in the closure of the hole that edge `index` reaches
-    after s steps.  Enumeration is by interval refinement; every interval
-    endpoint produced at a finite stage is a genuine basis point (it is a
-    finite preimage of a vertex of G)."""
+    after s steps."""
 
     base: LamSet
     index: int
@@ -116,117 +108,17 @@ class AttachedGap:
 
     @property
     def is_critical(self) -> bool:
-        return self.outer_edge in majors(self.base)
-
-    def arcs(self, depth: int) -> List[Tuple[Fraction, Fraction]]:
-        vs = self.base.vertices
-        v = vs[self.index]
-        return [((v + lo) % 1, (v + hi) % 1)
-                for lo, hi in _tracked(self.base, depth)[self.index]]
-
-    def edge_chords(self, depth: int) -> List[Chord]:
-        segs = self.arcs(depth)
-        out = [self.outer_edge]
-        for j in range(len(segs) - 1):
-            if segs[j][1] != segs[j + 1][0]:
-                out.append(Chord(segs[j][1], segs[j + 1][0]))
-        return out
+        """The gap's hole is a major hole, at least 1/d long."""
+        return arc_length(holes(self.base)[self.index][1]) >= Fraction(1, self.base.degree_d)
 
     def serialize(self) -> str:
         return (f"kind=attached degree={self.base.degree_d} "
                 f"set={format_lamset(self.base)} index={self.index}")
 
 
-_TRACK_CACHE: Dict[Tuple, List[List[Tuple[Fraction, Fraction]]]] = {}
-
-
-def _merge_intervals(ivs):
-    out = []
-    for lo, hi in sorted(ivs):
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def _intersect_intervals(xs, ys):
-    out = []
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        lo = max(xs[i][0], ys[j][0])
-        hi = min(xs[i][1], ys[j][1])
-        if lo <= hi:
-            out.append((lo, hi))
-        if xs[i][1] < ys[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
-def _tracked(G: LamSet, rounds: int) -> List[List[Tuple[Fraction, Fraction]]]:
-    """Per edge index: the surviving closed sub-intervals of the hole (in
-    local coordinates from the hole's start vertex) after `rounds` steps of
-    hole tracking."""
-    key = (G.vertices, G.degree_d, rounds)
-    if key in _TRACK_CACHE:
-        return _TRACK_CACHE[key]
-    d = G.degree_d
-    vs = G.vertices
-    n = len(vs)
-    p = _displacement(G)
-    if p is None:
-        raise ValueError("hole tracking needs a rigid edge rotation")
-    hl = [arc_length(h) for _, h in holes(G)]
-    J = [[(Fraction(0), hl[i])] for i in range(n)]
-    for _ in range(rounds):
-        newJ = []
-        for i in range(n):
-            t = (i + p) % n
-            vt, vi = vs[t], vs[i]
-            pre = []
-            for lo, hi in J[t]:
-                length = (hi - lo) / d
-                for j in range(d):
-                    s = (((vt + lo + j) / d) - vi) % 1
-                    segs = [(s, s + length)] if s + length <= 1 \
-                        else [(s, Fraction(1)), (Fraction(0), s + length - 1)]
-                    for a0, b0 in segs:
-                        a0, b0 = max(a0, Fraction(0)), min(b0, hl[i])
-                        if a0 <= b0:
-                            pre.append((a0, b0))
-            newJ.append(_intersect_intervals(J[i], _merge_intervals(pre)))
-        J = newJ
-    for i in range(n):
-        if not (J[i] and J[i][0][0] == 0 and J[i][-1][1] == hl[i]):
-            raise AssertionError("hole endpoints must always track")
-    _TRACK_CACHE[key] = J
-    return J
-
-
 def attached_cycle(G: LamSet) -> List[AttachedGap]:
     """All Fatou gaps attached to the edges of a rotational set."""
     return [AttachedGap(G, i) for i in range(len(holes(G)))]
-
-
-# ---------------------------------------------------------------------------
-# regions with fast crossing tests
-
-
-class _RegionView:
-    """Boundary points of a gap as sorted numerators over the common
-    denominator of one construction; crossing tests are exact bisection."""
-
-    def __init__(self, pts: Iterable[int]):
-        self.pts = sorted(pts)
-
-    def crosses(self, a: int, b: int) -> bool:
-        """True iff the chord a-b (a < b) has boundary points of this region
-        strictly on both sides."""
-        pts = self.pts
-        return bisect_right(pts, a) < bisect_left(pts, b) \
-            and (pts[0] < a or pts[-1] > b)
 
 
 # ---------------------------------------------------------------------------
@@ -355,33 +247,103 @@ class Lamination:
 # pullback engine
 
 
-_REGION_MARGIN = 2  # extra enumeration depth for crossing tests
+Polygon = Tuple[Fraction, ...]
+
+
+def _gap_polygon(U: GapGen, seeds: Sequence[Chord]) -> Polygon:
+    """The critical polygon inside the quadratic gap U: the preimages of
+    sigma(x) that lie in U's basis, for the first x = j/(3^m - 1), by m and
+    then j, that is a basis point of U whose orbit misses the forward
+    orbits of the seed endpoints."""
+    avoid = {y for s in seeds for e in (s.a, s.b) for y in orbit(3, e)}
+    for m in count(1):
+        q = 3 ** m - 1
+        for j in range(q):
+            x = Fraction(j, q)
+            if U.in_basis(x) and avoid.isdisjoint(orbit(3, x)):
+                return tuple(y for y in preimages(3, sigma(3, x)) if U.in_basis(y))
+
+
+def _vassal_chord(V: VassalGap) -> Polygon:
+    """The critical chord of the vassal gap V, from a + u* to a + u* + 1/3.
+    u* is the fixed point of the return-map branches composed as the word
+    (0, 1); that composition f is affine, so u* = f(0) / (1 - (f(1) - f(0)))."""
+    f0 = V._apply((0, 1), Fraction(0))
+    u = f0 / (1 - (V._apply((0, 1), Fraction(1)) - f0))
+    return (V.a + u) % 1, (V.a + u + Fraction(1, 3)) % 1
+
+
+def _attached_polygon(g: AttachedGap) -> Polygon:
+    """The critical polygon of a critical attached gap i of G: the delta
+    preimages x + k/d (k < delta) of sigma(x) in hole i, where
+    delta = 1 + d*l_i - l_{i+p} is the gap's degree, l the hole lengths and
+    p the edge displacement of G.
+
+    In local coordinates u on a hole the inverse branches are
+    u -> (u + k)/d, k < delta.  x is the fixed point of the word that goes
+    twice around the c-hole cycle of hole i with k = 0, except k = 1 at the
+    first critical step of the second pass, which is hole i itself:
+    u = d^(c-1) / (d^(2c) - 1).  That is a basis point strictly inside the
+    hole and off the cycle of G."""
+    G, i = g.base, g.index
+    d, n, p = G.degree_d, len(G), _displacement(G)
+    ell = [arc_length(h) for _, h in holes(G)]
+    delta = 1 + d * ell[i] - ell[(i + p) % n]
+    c = n // gcd(n, p)
+    x = G.vertices[i] + Fraction(d ** (c - 1), d ** (2 * c) - 1)
+    return tuple((x + Fraction(k, d)) % 1 for k in range(int(delta)))
+
+
+def _critical_portrait(d: int, seeds: Sequence[Chord],
+                       regions: Sequence[object]) -> List[Polygon]:
+    """The critical portrait of a construction: each critical seed as a
+    2-gon, and one critical polygon inside each critical registered gap
+    (a quadratic gap, a vassal gap or a critical attached gap)."""
+    portrait: List[Polygon] = [(s.a, s.b) for s in seeds
+                               if sigma(d, s.a) == sigma(d, s.b)]
+    for R in regions:
+        if isinstance(R, GapGen):
+            portrait.append(_gap_polygon(R, seeds))
+        elif isinstance(R, VassalGap):
+            portrait.append(_vassal_chord(R))
+        elif isinstance(R, AttachedGap) and R.is_critical:
+            portrait.append(_attached_polygon(R))
+    return portrait
+
+
+def _format_portrait(portrait: Sequence[Polygon]) -> str:
+    return " ".join("{" + ",".join(map(format_angle, P)) + "}" for P in portrait)
 
 
 def _pullback_closure(d: int, seeds: Sequence[Chord],
-                      regions: Sequence[object], depth: int) -> Leaves:
-    """Thurston pullback of the seeds, `depth` levels deep: each leaf's d
-    sibling preimages are the preimage pairs that cross no region.
+                      portrait: Sequence[Polygon], depth: int) -> Leaves:
+    """Thurston pullback of the seeds, `depth` levels deep, through a
+    critical portrait: polygons whose vertices share one sigma_d image,
+    with sum(|P| - 1) = d - 1.  A leaf's siblings are the preimage pairs
+    that cross no polygon, that is, have no polygon with vertices strictly
+    on both sides.  When no critical value is a leaf endpoint there are
+    exactly d of them; any other count raises PullbackAmbiguityError.
 
     Runs on exact integers: every angle is its numerator over N, the lcm of
-    d**depth times the seed denominators and of every region boundary
-    denominator.  The preimages of x are x // d + k * (N // d), exact above
-    the last level.  The leaves are returned as they were found, in
-    insertion order."""
+    d**depth times the seed denominators and of the polygon denominators.
+    The preimages of x are x // d + k * (N // d), exact above the last
+    level.  The leaves are returned as they were found, in insertion order."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    bounds = [{x for e in obj.edge_chords(depth + _REGION_MARGIN) for x in (e.a, e.b)}
-              for obj in regions]
+    if sum(len(P) - 1 for P in portrait) != d - 1 or any(
+            len({sigma(d, x) for x in P}) != 1 for P in portrait):
+        raise ValueError(f"not a critical portrait of sigma_{d}: "
+                         f"{_format_portrait(portrait)}")
     N = lcm(d ** depth * lcm(*(x.denominator for s in seeds for x in (s.a, s.b))),
-            *(x.denominator for pts in bounds for x in pts))
+            *(x.denominator for P in portrait for x in P))
 
     def num(x: Fraction) -> int:
         return x.numerator * (N // x.denominator)
 
-    def chord(c: Tuple[int, int]) -> Chord:
-        return Chord(Fraction(c[0], N), Fraction(c[1], N))
+    def fmt(c: Tuple[int, int]) -> str:
+        return format_chord(Chord(Fraction(c[0], N), Fraction(c[1], N)))
 
-    views = [_RegionView(map(num, pts)) for pts in bounds]
+    polys = [sorted(map(num, P)) for P in portrait]
     leaves: Dict[Tuple[int, int], int] = {(num(s.a), num(s.b)): 0 for s in seeds}
     frontier = list(leaves)
     step = N // d
@@ -393,14 +355,17 @@ def _pullback_closure(d: int, seeds: Sequence[Chord],
             valid = []
             for p in pa:
                 for q in pb:
-                    c = (p, q) if p <= q else (q, p)
-                    if c in leaves or not any(R.crosses(*c) for R in views):
-                        valid.append(c)
+                    a, b = (p, q) if p <= q else (q, p)
+                    if (a, b) in leaves or not any(
+                            bisect_right(P, a) < bisect_left(P, b)
+                            and (P[0] < a or P[-1] > b) for P in polys):
+                        valid.append((a, b))
             if len(valid) != d:
                 raise PullbackAmbiguityError(
-                    f"pullback of {format_chord(chord(leaf))} admits {len(valid)} "
-                    f"siblings where exactly {d} were expected"
-                )
+                    f"pullback of {fmt(leaf)} admits {len(valid)} siblings where "
+                    f"exactly {d} were expected: candidates "
+                    f"{', '.join(map(fmt, valid)) or '-'}; portrait "
+                    f"{_format_portrait(portrait)}")
             for c in valid:
                 if c not in leaves:
                     leaves[c] = level
@@ -423,7 +388,8 @@ def canonical_of_quadratic_gap(U: GapGen, depth: int = 6) -> Lamination:
         V = vassal(U)
         region_objs = [U, V] + [ImageGap(V, i) for i in range(1, U.period)]
         seeds = [e for e, _ in U.base_edges()]
-    leaves = _pullback_closure(3, seeds, region_objs, depth)
+    portrait = _critical_portrait(3, seeds, region_objs)
+    leaves = _pullback_closure(3, seeds, portrait, depth)
     return Lamination(
         d=3, depth=depth, recipe=f"quadratic-gap:{format_chord(U.major)}",
         leaves=leaves, fatou_gaps=region_objs, registry_complete=True,
@@ -439,16 +405,15 @@ def canonical_diameter(depth: int = 6) -> Lamination:
 
 def canonical_of_rotational(G: LamSet, depth: int = 6) -> Lamination:
     """Canonical lamination of a rotational set: attach the Fatou gaps that
-    track the hole cycle, then pull back the edges of G avoiding all of
-    them."""
+    track the hole cycle, then pull back the edges of G through a critical
+    polygon inside each critical attached gap."""
     rep = classify_rotational(G)
     if not (rep.is_rotational or rep.diameter_special):
         raise ValueError("canonical construction needs a rotational set")
     d = G.degree_d
     cycle = attached_cycle(G)
-    region_objs: List[object] = [FiniteRegion(G)] + list(cycle)
     seeds = sorted({e for e, _ in holes(G)})
-    leaves = _pullback_closure(d, seeds, region_objs, depth)
+    leaves = _pullback_closure(d, seeds, _critical_portrait(d, seeds, cycle), depth)
     tag = "rotational" if d == 3 else "quadratic-d2"
     return Lamination(
         d=d, depth=depth, recipe=f"{tag}:{format_lamset(G)}",
@@ -924,7 +889,10 @@ def loads(text: str) -> Lamination:
             ta, tb = ends
             a = angles.get(ta) or angles.setdefault(ta, _angle_parts(ta))
             b = angles.get(tb) or angles.setdefault(tb, _angle_parts(tb))
-            rows.append((a, b, _integer(parts[1], "level") if len(parts) > 1 else 0))
+            level = _integer(parts[1], "level") if len(parts) > 1 else 0
+            if not 0 <= level <= depth:
+                raise ValueError(f"level {level} is outside 0..{depth}")
+            rows.append((a, b, level))
         fatou: List[object] = []
         finite: List[LamSet] = []
         for no, line in numbered:
@@ -951,12 +919,14 @@ def loads(text: str) -> Lamination:
 def _parse_region(spec: str, d: int):
     fields = parse_fields(spec)
     kind = fields["kind"]
+    if kind in ("finite", "attached"):
+        deg = _integer(fields.get("degree", d), "degree")
+        if deg != d:
+            raise ValueError(f"gap degree {deg} does not match d={d}")
     if kind == "finite":
-        deg = _integer(fields.get("degree", d), "degree")
-        return FiniteRegion(parse_lamset(fields["vertices"], deg))
+        return FiniteRegion(parse_lamset(fields["vertices"], d))
     if kind == "attached":
-        deg = _integer(fields.get("degree", d), "degree")
-        G = parse_lamset(fields["set"], deg)
+        G = parse_lamset(fields["set"], d)
         index = _integer(fields["index"], "index")
         if not 0 <= index < len(G):
             raise ValueError(f"attached gap index {index} is not an edge of a "
@@ -968,8 +938,12 @@ def _parse_region(spec: str, d: int):
             hole=_parse_arc(fields["hole"]),
             period=int(fields["period"]),
         )
-        return ImageGap(base, int(fields["power"]))
-    return parse_gapgen(spec)
+        gap = ImageGap(base, int(fields["power"]))
+    else:
+        gap = parse_gapgen(spec)
+    if d != 3:
+        raise ValueError(f"a {kind} gap needs d=3, got d={d}")
+    return gap
 
 
 def write_lamination(L: Lamination, path: str) -> None:

@@ -176,13 +176,16 @@ def classify_critical(c: Chord) -> CriticalClass:
 # gap generators
 
 
+GAP_KINDS = ("regular-critical", "periodic-type", "above-diameter", "below-diameter")
+
+
 @dataclass(frozen=True)
 class GapGen:
     """Symbolic recipe for an invariant quadratic gap: the major chord and
     the positively oriented hole (a, b) behind it.  Basis points are exactly
     the angles whose forward orbit avoids the open hole."""
 
-    kind: str  # regular-critical | periodic-type | above-diameter | below-diameter
+    kind: str  # one of GAP_KINDS
     major: Chord
     hole: Arc
     period: Optional[int] = None  # leaf period of the major; None if critical
@@ -299,6 +302,8 @@ def parse_gapgen(text: str) -> "GapGen":
             hole=_parse_arc(fields["hole"]),
             period=int(fields["period"]),
         )
+    if kind not in GAP_KINDS:
+        raise ValueError(f"unknown gap kind {kind!r}")
     return GapGen(
         kind=kind,
         major=parse_chord(fields["major"]),

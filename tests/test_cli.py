@@ -210,7 +210,18 @@ def test_find_rotational_rejects_degree_below_two(capsys, d):
      "line 3: level must be an integer, got 'zz'"),
     ("d=7 depth=1 recipe=x\n[leaves]\n0-1/2 0\n[gaps]\n",
      "line 1: degree must be 2 or 3, got d=7"),
-], ids=["no-degree", "empty", "attached-no-fields", "gap-no-spec", "bad-level", "d7"])
+    ("d=3 depth=1 recipe=x\n[leaves]\n0-1/2 9\n[gaps]\n",
+     "line 3: level 9 is outside 0..1"),
+    ("d=3 depth=1 recipe=x\n[leaves]\n0-1/2 -3\n[gaps]\n",
+     "line 3: level -3 is outside 0..1"),
+    ("d=3 depth=1 recipe=x\n[leaves]\n0-1/2 0\n[gaps]\n"
+     "G0 kind=bogus major=0-1/2 hole=0,1/2 period=1 critical=-\n",
+     "line 5: unknown gap kind 'bogus'"),
+    ("d=3 depth=1 recipe=x\n[leaves]\n0-1/2 0\n[gaps]\n"
+     "G0 kind=finite degree=2 vertices=1/3,2/3\n",
+     "line 5: gap degree 2 does not match d=3"),
+], ids=["no-degree", "empty", "attached-no-fields", "gap-no-spec", "bad-level", "d7",
+        "level-above-depth", "level-negative", "bogus-kind", "degree-mismatch"])
 def test_malformed_lam_file_is_usage_error(capsys, tmp_path, text, err):
     path = tmp_path / "bad.lam"
     path.write_text(text)
@@ -218,3 +229,16 @@ def test_malformed_lam_file_is_usage_error(capsys, tmp_path, text, err):
     assert code == 2
     assert out == ""
     assert got == f"usage error: {err}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("quadratic-d2", "--set", "1/7,2/7,4/7"),
+    ("rotational", "--set", "1/26,3/26,9/26"),
+])
+def test_build_canonical_at_depth_one(capsys, argv):
+    # both used to fail here with PullbackAmbiguityError, though deeper
+    # builds succeeded
+    code, out, err = run(capsys, "build-canonical", *argv, "--depth", "1")
+    assert code == 0
+    assert err == ""
+    assert out.startswith(f"d={2 if argv[0] == 'quadratic-d2' else 3} depth=1 ")

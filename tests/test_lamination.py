@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trilam.chords import Chord, format_chord, image, linked, parse_chord
-from trilam.circle import Arc, contains, format_angle, parse_angle, preimages, sigma
+from trilam.circle import (
+    Arc, contains, fixed_points, format_angle, parse_angle, preimages, sigma,
+)
 from trilam.lamination import (
     AttachedGap,
     FiniteRegion,
@@ -17,9 +19,12 @@ from trilam.lamination import (
     Leaves,
     PullbackAmbiguityError,
     _angle_parts,
+    _attached_polygon,
     _count_crossings,
+    _critical_portrait,
+    _gap_polygon,
     _pullback_closure,
-    _RegionView,
+    _vassal_chord,
     attached_cycle,
     canonical_diameter,
     canonical_of_quadratic_gap,
@@ -33,8 +38,15 @@ from trilam.lamination import (
     read_lamination,
     write_lamination,
 )
-from trilam.lamsets import LamSet, enumerate_rotational, holes, parse_lamset
-from trilam.quadgap import above_diameter, below_diameter, build_gap
+from trilam.lamsets import LamSet, enumerate_rotational, format_lamset, holes, parse_lamset
+from trilam.quadgap import (
+    GapGen, VassalGap, above_diameter, below_diameter, build_gap, classify_critical,
+)
+
+from region_oracle import (
+    REGION_MARGIN, RegionView, region_boundary, region_closure, region_edges,
+    tracks_hole_cycle,
+)
 
 FINGAP1 = parse_lamset("7/26,4/13,11/26,10/13,21/26,12/13")
 FINGAP2 = parse_lamset("7/26,11/26,21/26")
@@ -121,7 +133,7 @@ def test_attached_cycle_of_fingap1():
     assert len(crit) == 2
     for g in cycle:
         assert isinstance(g, AttachedGap)
-        assert g.outer_edge in {c for c in g.edge_chords(2)}
+        assert g.outer_edge in region_edges(g, 2)
 
 
 def test_quadratic_canonical_basilica():
@@ -152,7 +164,7 @@ def test_canonical_rejects_negative_depth(build):
 
 
 # ---------------------------------------------------------------------------
-# the integer pullback kernel against a Fraction oracle
+# the portrait closure against the region-closure and Fraction oracles
 
 
 GOLDEN_BUILDS = {
@@ -167,7 +179,7 @@ GOLDEN_BUILDS = {
 
 
 def _regions(L):
-    """The regions the construction of L pulled back against, in order."""
+    """The regions registered by the construction of L, in order."""
     return [FiniteRegion(G) for G in L.finite_gaps] + list(L.fatou_gaps)
 
 
@@ -177,8 +189,31 @@ def _seeds(L):
     return [e for e, _ in L.fatou_gaps[0].base_edges()]
 
 
-def _boundary(obj, depth):
-    return sorted({x for e in obj.edge_chords(depth) for x in (e.a, e.b)})
+@lru_cache(maxsize=None)
+def _rotational_census():
+    """Every sigma_3 rotational set with q <= 5, the diameter {0, 1/2}, and
+    every sigma_2 rotational set with q <= 7."""
+    sets = [G for d, qmax in ((3, 5), (2, 7)) for q in range(2, qmax + 1)
+            for p in range(1, q) if F(p, q).denominator == q
+            for G in enumerate_rotational(d, F(p, q), 2)]
+    return tuple(sets) + (LamSet([F(0), F(1, 2)], degree_d=3),)
+
+
+@lru_cache(maxsize=None)
+def _periodic_gaps(kmax):
+    """The periodic-type quadratic gaps of major period k <= kmax, found as
+    acceptance 2 finds them."""
+    gaps = []
+    for k in range(1, kmax + 1):
+        h = F(3 ** (k - 1), 3 ** k - 1)
+        for u in fixed_points(3, k):
+            m = (u + (h - F(1, 3)) / 2) % 1
+            c = Chord(m, (m + F(1, 3)) % 1)
+            cls = classify_critical(c)
+            if cls.tag == "PeriodicType" and cls.n_c == k \
+                    and cls.major == Chord(u, (u + h) % 1):
+                gaps.append(_gap(c))
+    return tuple(gaps)
 
 
 def _fraction_crosses(pts, a, b):
@@ -189,15 +224,16 @@ def _fraction_crosses(pts, a, b):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_BUILDS))
 def test_region_view_crosses_matches_fraction_count(name):
+    # the region oracle's bisection against a brute-force side count
     L = GOLDEN_BUILDS[name](0)
     rng = random.Random(name)
     outcomes = set()
     for obj in _regions(L):
-        pts = _boundary(obj, 2)
+        pts = region_boundary(obj, 2)
         # room for endpoints one numerator step (under 1e-9) from a boundary point
         N = lcm(*(x.denominator for x in pts)) * 3 ** 20
         nums = [x.numerator * (N // x.denominator) for x in pts]
-        view = _RegionView(nums)
+        view = RegionView(nums)
         near = sorted({(u + step) % N for u in nums for step in (-1, 0, 1)})
         ends = sorted(set(rng.sample(near, min(36, len(near)))
                           + [rng.randrange(N) for _ in range(6)]))
@@ -209,11 +245,10 @@ def test_region_view_crosses_matches_fraction_count(name):
 
 
 def _fraction_closure(d, seeds, regions, depth):
-    """The pullback closure in Fraction arithmetic: `circle.preimages` for
+    """The region closure in Fraction arithmetic: `circle.preimages` for
     the sibling candidates and a brute-force side count for crossings, with
-    the regions enumerated two levels past the depth, as the constructions
-    enumerate them."""
-    bounds = [_boundary(obj, depth + 2) for obj in regions]
+    the regions enumerated REGION_MARGIN levels past the depth."""
+    bounds = [region_boundary(obj, depth + REGION_MARGIN) for obj in regions]
     leaves = dict.fromkeys(seeds, 0)
     frontier = list(leaves)
     for level in range(1, depth + 1):
@@ -245,19 +280,26 @@ def _closure_or_error(closure, *args):
         return str(exc)
 
 
-def _assert_closure_matches_oracle(d, seeds, regions, depth):
-    got = _closure_or_error(_pullback_closure, d, seeds, regions, depth)
-    assert got == _closure_or_error(_fraction_closure, d, seeds, regions, depth)
-    return got
+def _assert_closure_matches_oracle(d, seeds, regions, depth, portrait=None):
+    """The Fraction and integer region oracles agree, their errors included.
+    The portrait closure never fails, and it gives their leaves, levels and
+    insertion order wherever they succeed.  Returns both results."""
+    want = _closure_or_error(_fraction_closure, d, seeds, regions, depth)
+    assert _closure_or_error(region_closure, d, seeds, regions, depth) == want
+    if portrait is None:
+        portrait = _critical_portrait(d, seeds, regions)
+    got = list(_pullback_closure(d, seeds, portrait, depth).items())
+    assert isinstance(want, str) or got == want
+    return got, want
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_BUILDS))
 def test_pullback_closure_matches_fraction_oracle_on_golden_recipes(name):
     L0 = GOLDEN_BUILDS[name](0)
-    results = [_assert_closure_matches_oracle(L0.d, _seeds(L0), _regions(L0), n)
-               for n in range(5)]
-    assert not isinstance(results[-1], str)
-    assert results[-1][:len(L0.leaves)] == list(L0.leaves.items())
+    for n in range(5):
+        got, want = _assert_closure_matches_oracle(L0.d, _seeds(L0), _regions(L0), n)
+    assert not isinstance(want, str)
+    assert got[:len(L0.leaves)] == list(L0.leaves.items())
 
 
 def test_pullback_closure_matches_fraction_oracle_on_rotational_sets():
@@ -266,17 +308,114 @@ def test_pullback_closure_matches_fraction_oracle_on_rotational_sets():
     assert sets
     for G in sets:
         L0 = canonical_of_rotational(G, 0)
-        assert not isinstance(
-            _assert_closure_matches_oracle(3, _seeds(L0), _regions(L0), 4), str)
+        _, want = _assert_closure_matches_oracle(3, _seeds(L0), _regions(L0), 4)
+        assert not isinstance(want, str)
 
 
 def test_pullback_closure_matches_fraction_oracle_on_a_fixed_region():
     # The region's denominators do not grow with the depth, so only the
     # factor d**depth of the common denominator keeps the deepest level exact.
+    # The region is the critical chord 1/4-3/4 of sigma_2, so it is also
+    # the portrait.
     region = FiniteRegion(LamSet([F(1, 4), F(3, 4)], degree_d=2))
-    got = _assert_closure_matches_oracle(2, [Chord(F(1, 3), F(2, 3))], [region], 6)
+    got, _ = _assert_closure_matches_oracle(2, [Chord(F(1, 3), F(2, 3))], [region], 6,
+                                            portrait=[(F(1, 4), F(3, 4))])
     assert len(got) == 2 ** 6
     assert max(c.b.denominator for c, _ in got) == 3 * 2 ** 6
+
+
+def test_portrait_closure_matches_region_oracle():
+    # golden recipes at depths 0-6, the rotational census at depth 4 and
+    # the periodic-type gaps with k <= 4 at depth 3
+    cases = [(GOLDEN_BUILDS[name](0), n) for name in sorted(GOLDEN_BUILDS)
+             for n in range(7)]
+    cases += [(canonical_of_rotational(G, 0), 4) for G in _rotational_census()]
+    cases += [(canonical_of_quadratic_gap(U, 0), 3) for U in _periodic_gaps(4)]
+    compared = 0
+    for L0, n in cases:
+        seeds, regions = _seeds(L0), _regions(L0)
+        want = _closure_or_error(region_closure, L0.d, seeds, regions, n)
+        got = _pullback_closure(L0.d, seeds, _critical_portrait(L0.d, seeds, regions), n)
+        if not isinstance(want, str):
+            assert list(got.items()) == want, (L0.recipe, n)
+            compared += 1
+    # the oracle fails on fingap1, fingap3 and the rabbit at depth 1, and on
+    # eight sigma_2 sets with q = 6 or 7 at depth 4
+    assert len(cases) - compared == 11
+
+
+def test_rotational_census_builds_at_every_depth():
+    # the region oracle fails on 70, 48 and 28 of these sigma_3 sets at
+    # depths 1, 2 and 3
+    for G in _rotational_census():
+        deep = canonical_of_rotational(G, 6).leaves
+        for n in range(7):
+            L = canonical_of_rotational(G, n)
+            f = deep.N // L.leaves.N  # compare in insertion order, over deep.N
+            assert [((a * f, b * f), lvl) for (a, b), lvl in L.leaves.pairs.items()] \
+                == [(c, lvl) for c, lvl in deep.pairs.items() if lvl <= n]
+            assert check_invariance(L).ok, (format_lamset(G), n)
+
+
+def _portrait_constructions():
+    """(d, seeds, regions) of the golden recipes, the rotational census and
+    the periodic-type gaps with k <= 5."""
+    builds = [GOLDEN_BUILDS[name](0) for name in sorted(GOLDEN_BUILDS)]
+    builds += [canonical_of_rotational(G, 0) for G in _rotational_census()]
+    builds += [canonical_of_quadratic_gap(U, 0) for U in _periodic_gaps(5)]
+    return [(L.d, _seeds(L), _regions(L)) for L in builds]
+
+
+def test_critical_portraits_are_valid():
+    for d, seeds, regions in _portrait_constructions():
+        portrait = _critical_portrait(d, seeds, regions)
+        assert sum(len(P) - 1 for P in portrait) == d - 1
+        for P in portrait:
+            assert len(set(P)) == len(P) >= 2
+            assert len({sigma(d, x) for x in P}) == 1
+        for P, Q in combinations(portrait, 2):
+            assert not any(linked(Chord(*e), Chord(*f)) for e in combinations(P, 2)
+                           for f in combinations(Q, 2)), (P, Q)
+        # each polygon lies in the basis of its gap, or is a critical seed
+        expected = [(s.a, s.b) for s in seeds if sigma(d, s.a) == sigma(d, s.b)]
+        for R in regions:
+            if isinstance(R, GapGen):
+                expected.append(_gap_polygon(R, seeds))
+                assert all(map(R.in_basis, expected[-1]))
+            elif isinstance(R, VassalGap):
+                expected.append(_vassal_chord(R))
+                assert all(map(R.in_basis, expected[-1]))
+            elif isinstance(R, AttachedGap) and R.is_critical:
+                expected.append(_attached_polygon(R))
+                assert all(tracks_hole_cycle(R, x) for x in expected[-1])
+        assert portrait == expected
+
+
+def test_critical_values_are_off_the_leaf_endpoints():
+    for d, seeds, regions in _portrait_constructions():
+        L = _pullback_closure(d, seeds, _critical_portrait(d, seeds, regions), 3)
+        ends = {x for c in L for x in (c.a, c.b)}
+        for P in _critical_portrait(d, seeds, regions):
+            assert sigma(d, P[0]) not in ends
+
+
+def test_pullback_closure_rejects_a_non_critical_portrait():
+    seeds = [Chord(F(1, 3), F(2, 3))]
+    with pytest.raises(ValueError, match="not a critical portrait"):
+        _pullback_closure(3, seeds, [(F(1, 3), F(2, 3))], 2)
+    with pytest.raises(ValueError, match="not a critical portrait"):
+        _pullback_closure(3, seeds, [(F(1, 3), F(2, 3)), (F(0), F(1, 2))], 2)
+
+
+def test_pullback_ambiguity_names_leaf_candidates_and_portrait():
+    # critical values 0 and 1/2 are the endpoints of the seed
+    seeds = [Chord(F(0), F(1, 2))]
+    with pytest.raises(PullbackAmbiguityError) as info:
+        _pullback_closure(3, seeds, [(F(0), F(1, 3)), (F(1, 2), F(5, 6))], 2)
+    assert str(info.value) == (
+        "pullback of 0-1/2 admits 8 siblings where exactly 3 were expected: "
+        "candidates 0-1/6, 0-1/2, 0-5/6, 1/6-1/3, 1/3-1/2, 1/3-5/6, 1/2-2/3, "
+        "2/3-5/6; portrait {0,1/3} {1/2,5/6}")
 
 
 # ---------------------------------------------------------------------------
@@ -652,9 +791,10 @@ def _laminations(draw):
         st.builds(lambda p, q, r, s: Chord(F(p, q), F(r, s)),
                   st.integers(0, 300), _denominators, st.integers(0, 300), _denominators),
         max_size=25))
-    levels = draw(st.lists(st.integers(0, 6), min_size=len(chords), max_size=len(chords)))
+    depth = draw(st.integers(0, 6))  # a .lam file holds levels 0..depth only
+    levels = draw(st.lists(st.integers(0, depth), min_size=len(chords), max_size=len(chords)))
     d = draw(st.sampled_from([2, 3]))
-    return Lamination(d=d, depth=draw(st.integers(0, 6)), recipe="random",
+    return Lamination(d=d, depth=depth, recipe="random",
                       leaves=dict(zip(chords, levels)),
                       registry_complete=draw(st.booleans()))
 

@@ -1,0 +1,37 @@
+"""Smoke tests: the scripts in scripts/ run to completion at depth 1."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_smp_survey_runs():
+    proc = _run_script("smp_survey.py", "--max-q", "4", "--depth", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    # the 37 sigma_3 rotational sets with q <= 4, one line each, then the tally
+    assert proc.stdout.splitlines()[-4:] == [
+        "",
+        "type A -> RotationalInsideQuadraticGap: 10",
+        "type B -> RotationalInsideQuadraticGap: 11",
+        "type D -> CanonicalTypeD: 16",
+    ]
+
+
+def test_gap_gallery_runs(tmp_path):
+    proc = _run_script("gap_gallery.py", "--depth", "1", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted(f"{name}.svg" for name in (
+        "diameter", "regular_critical", "period3_gap", "fingap1", "fingap2",
+        "fingap3", "rabbit_d2"))
+    assert all((tmp_path / n).read_text().startswith("<svg") for n in names)
