@@ -61,6 +61,12 @@ def _lamset(text: str, d: int = 3) -> lamsets.LamSet:
         raise UsageError(str(exc)) from exc
 
 
+def _degree(d: int) -> int:
+    if d < 2:
+        raise UsageError(f"--d must be >= 2, got {d}")
+    return d
+
+
 def _emit(lines) -> None:
     for ln in lines:
         print(ln)
@@ -139,9 +145,7 @@ def cmd_build_canonical(args) -> int:
 
 def cmd_find_rotational(args) -> int:
     rho = _rho(args.rho)
-    if args.d < 2:
-        raise UsageError(f"--d must be >= 2, got {args.d}")
-    for G in enumerate_rotational(args.d, rho, args.orbits):
+    for G in enumerate_rotational(_degree(args.d), rho, args.orbits):
         rep = classify_rotational(G)
         print(f"{format_lamset(G)} type={rep.type_tag}")
     return 0
@@ -199,10 +203,13 @@ def cmd_project(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if args.size <= 0:
+        raise UsageError(f"--size must be > 0, got {args.size}")
+    d = _degree(args.d)
     if args.infile:
         obj = lamination.read_lamination(args.infile)
     elif args.set:
-        obj = _lamset(args.set, args.d)
+        obj = _lamset(args.set, d)
     elif args.chord:
         obj = _chord(args.chord)
     else:

@@ -20,7 +20,7 @@ from itertools import combinations, count
 from math import gcd, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .chords import Chord, format_chord, linked, parse_chord
+from .chords import Chord, format_chord, parse_chord
 from .circle import (
     Arc,
     arc_length,
@@ -51,7 +51,7 @@ from .quadgap import (
     gap_from_major,
     parse_fields,
     parse_gapgen,
-    psi,
+    psi_over,
     vassal,
 )
 
@@ -655,18 +655,27 @@ def clean(L: Lamination) -> CleanReport:
 
 def project_through_gap(U: GapGen, L: Lamination) -> Lamination:
     """Collapse L through the boundary map of U: leaves with both endpoints
-    in U's basis map endpoint-wise by psi; degenerate images are dropped."""
-    M = U.major
+    in U's basis map endpoint-wise by psi; degenerate images are dropped.
+
+    The leaves are read from the integer store: the crossing test with the
+    major runs on numerators over the lcm of N and the major's denominators,
+    and psi on numerators over N."""
+    major, N = U.major, L.leaves.N
+    M = lcm(N, major.a.denominator, major.b.denominator)
+    f = M // N
+    m = (major.a.numerator * (M // major.a.denominator),
+         major.b.numerator * (M // major.b.denominator))
     out: Dict[Chord, int] = {}
-    for c in L.leaves:  # one pass: the view builds each Chord on iteration
-        if linked(c, M):
-            raise ValueError(
-                f"leaf {format_chord(c)} crosses the major {format_chord(M)}"
-            )
-        if U.in_basis(c.a) and U.in_basis(c.b):
-            pa, pb = psi(U, c.a), psi(U, c.b)
-            if pa != pb:
-                out[Chord(pa, pb)] = L.depth
+    for a, b in L.leaves.pairs:
+        if _crosses((a * f, b * f), m):
+            raise ValueError(f"leaf {format_chord(L.leaves.chord((a, b)))} "
+                             f"crosses the major {format_chord(major)}")
+        pa = psi_over(U, a, N)
+        if pa is None:
+            continue
+        pb = psi_over(U, b, N)
+        if pb is not None and pa != pb:
+            out[Chord(pa, pb)] = L.depth
     return Lamination(
         d=2, depth=L.depth, recipe=f"projected:{L.recipe}",
         leaves=out, registry_complete=False,
@@ -816,6 +825,9 @@ def dumps(L: Lamination) -> str:
              f"registry={'complete' if L.registry_complete else 'partial'}",
              "[leaves]"]
     for (a, b), lvl in sorted(L.leaves.pairs.items()):
+        if not 0 <= lvl <= L.depth:
+            raise ValueError(f"leaf {fmt(a)}-{fmt(b)} has level {lvl}, "
+                             f"outside 0..{L.depth}")
         lines.append(f"{fmt(a)}-{fmt(b)} {lvl}")
     lines.append("[gaps]")
     idx = 0

@@ -22,16 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .chords import Chord, format_chord, image, is_critical, parse_chord
+from .chords import Chord, format_chord, is_critical, parse_chord
 from .circle import (
     Arc,
     arc_length,
     contains,
     format_angle,
-    orbit,
-    orbit_preperiod_period,
     parse_angle,
     preimages,
     sigma,
@@ -75,9 +73,19 @@ def big_arc(c: Chord) -> Arc:
     return Arc(t, s)
 
 
-def _in_closure(A: Arc, x: Fraction) -> bool:
-    t = (x - A.start) % 1
-    return t <= arc_length(A)
+def _over(M: int, x: Fraction) -> int:
+    """The numerator of x mod 1 over M, a multiple of x's denominator."""
+    return x.numerator % x.denominator * (M // x.denominator)
+
+
+def _orbit_walk(d: int, x: int, M: int) -> Tuple[List[int], int]:
+    """The sigma_d-orbit of x/M as numerators over M, listed up to the first
+    repeat, and the index where its cycle starts."""
+    seen: Dict[int, int] = {}
+    while x not in seen:
+        seen[x] = len(seen)
+        x = d * x % M
+    return list(seen), seen[x]
 
 
 def _nearest_fixed(point: Fraction, n: int, direction: int) -> Fraction:
@@ -91,20 +99,23 @@ def _nearest_fixed(point: Fraction, n: int, direction: int) -> Fraction:
 
 
 def _point_period(d: int, x: Fraction) -> Optional[int]:
-    pre, per = orbit_preperiod_period(d, x)
-    return per if pre == 0 else None
+    nums, start = _orbit_walk(d, x.numerator % x.denominator, x.denominator)
+    return len(nums) if start == 0 else None
 
 
 def _leaf_period(d: int, c: Chord) -> Optional[int]:
     """Minimal n with sigma_d^n(c) = c, or None when an endpoint of c is
-    not periodic.  The endpoint periods bound n by their lcm."""
+    not periodic.  The endpoint periods bound n by their lcm; both endpoints
+    step together on numerators over the lcm of their denominators."""
     per_a, per_b = _point_period(d, c.a), _point_period(d, c.b)
     if per_a is None or per_b is None:
         return None
-    cur = c
+    M = lcm(c.a.denominator, c.b.denominator)
+    a, b = _over(M, c.a), _over(M, c.b)
+    x, y = a, b
     for n in range(1, lcm(per_a, per_b) + 1):
-        cur = image(d, cur)
-        if cur == c:
+        x, y = d * x % M, d * y % M
+        if (x, y) in ((a, b), (b, a)):
             return n
     return None
 
@@ -137,15 +148,20 @@ def classify_critical(c: Chord) -> CriticalClass:
         raise ValueError(f"{c} is not a critical chord of the tripling map")
     s, t = _short_side(c)
     L = big_arc(c)
-    orb = orbit(3, sigma(3, c.a))
+    # the orbit of sigma(c) on numerators over M; the closure of L(c) is the
+    # closed arc from t to s
+    M = lcm(s.denominator, t.denominator)
+    s_num, t_num = _over(M, s), _over(M, t)
+    span = (s_num - t_num) % M
+    orb, _ = _orbit_walk(3, 3 * _over(M, c.a) % M, M)
 
     escape = None
     hits_boundary = False
     for i, x in enumerate(orb):
-        if not _in_closure(L, x):
+        if (x - t_num) % M > span:
             escape = i
             break
-        if x == s or x == t:
+        if x == s_num or x == t_num:
             hits_boundary = True
 
     if escape is not None:
@@ -196,8 +212,26 @@ class GapGen:
     def hole_length(self) -> Fraction:
         return arc_length(self.hole)
 
+    def _hole(self, M: int) -> Tuple[int, int]:
+        """The hole start and length as numerators over M."""
+        a, b = _over(M, self.hole.start), _over(M, self.hole.end)
+        return a, (b - a) % M
+
+    def _itinerary(self, x: int, N: int) -> Optional[Tuple[List[int], int]]:
+        """The orbit of x/N read as bits (0 on the third of the circle that
+        starts at the hole end) and the index where its cycle starts, or
+        None when the orbit enters the open hole."""
+        hole = self.hole
+        M = lcm(3, N, hole.start.denominator, hole.end.denominator)
+        a, h = self._hole(M)
+        orb, start = _orbit_walk(self.degree, x % N * (M // N), M)
+        if any(0 < (v - a) % M < h for v in orb):
+            return None
+        b, third = (a + h) % M, M // 3
+        return [int((v - b) % M >= third) for v in orb], start
+
     def in_basis(self, x: Fraction) -> bool:
-        return all(not contains(self.hole, p) for p in orbit(self.degree, x))
+        return self._itinerary(x.numerator, x.denominator) is not None
 
     def base_edges(self) -> List[Tuple[Chord, Arc]]:
         """The major orbit with its holes (a single critical edge for a
@@ -250,15 +284,20 @@ class GapGen:
             pts.add(e.a)
             pts.add(e.b)
         if self.critical is not None:
-            for x in orbit(3, sigma(3, self.critical.a)):
-                if self.in_basis(x):
-                    pts.add(x)
+            # one walk of the critical orbit: its point i stays in the basis
+            # iff no point from index min(i, start) on lies in the hole
+            c, hole = self.critical.a, self.hole
+            M = lcm(c.denominator, hole.start.denominator, hole.end.denominator)
+            a, h = self._hole(M)
+            orb, start = _orbit_walk(self.degree, self.degree * _over(M, c) % M, M)
+            last_hit = max((i for i, v in enumerate(orb) if 0 < (v - a) % M < h),
+                           default=-1)
+            if start > last_hit:
+                pts.update(Fraction(v, M) for v in orb[last_hit + 1:])
         for p in range(1, depth + 1):
             q = 3 ** p - 1
-            for i in range(q):
-                x = Fraction(i, q)
-                if x not in pts and self.in_basis(x):
-                    pts.add(x)
+            pts.update(Fraction(j, q) for j in range(q)
+                       if self._itinerary(j, q) is not None)
         return sorted(pts)
 
     def serialize(self) -> str:
@@ -440,17 +479,22 @@ class VassalGap:
                 ))
         return out
 
+    def _itinerary(self, x: int, N: int) -> Optional[Tuple[List[int], int]]:
+        """The sigma^k-orbit of x/N read as bits (0 on the arc at a, 1 on
+        the arc at b) and the index where its cycle starts, or None when an
+        iterate leaves the closed two-arc horseshoe."""
+        M = lcm(3, N, self.a.denominator, self.b.denominator)
+        a, third = _over(M, self.a), M // 3
+        h = (_over(M, self.b) - a) % M
+        orb, start = _orbit_walk(3 ** self.period, x % N * (M // N), M)
+        us = [(v - a) % M for v in orb]
+        if not all(u <= h - third or third <= u <= h for u in us):
+            return None
+        return [int(u > h - third) for u in us], start
+
     def in_basis(self, x: Fraction) -> bool:
         """Every sigma^k-iterate stays in the closed two-arc horseshoe."""
-        h = self._h()
-        pre, per = orbit_preperiod_period(3 ** self.period, x)
-        cur = x % 1
-        for _ in range(pre + per):
-            u = (cur - self.a) % 1
-            if not (u <= h - THIRD or THIRD <= u <= h):
-                return False
-            cur = sigma(3 ** self.period, cur)
-        return True
+        return self._itinerary(x.numerator, x.denominator) is not None
 
     def serialize(self) -> str:
         return (
@@ -534,17 +578,21 @@ def build_caterpillar(c: Chord, side: Optional[Fraction] = None) -> CaterpillarG
 def _binary_value(bits: List[int], preperiod: int) -> Fraction:
     """Exact value of the binary expansion 0.b0 b1 ... with the tail from
     `preperiod` on repeating."""
-    head = bits[:preperiod]
-    tail = bits[preperiod:]
-    val = Fraction(0)
-    for j, b in enumerate(head):
-        val += Fraction(b, 2 ** (j + 1))
-    if tail:
-        tail_int = 0
-        for b in tail:
-            tail_int = 2 * tail_int + b
-        val += Fraction(tail_int, (2 ** len(tail) - 1) * 2 ** preperiod)
-    return val % 1
+    head = tail = 0
+    for b in bits[:preperiod]:
+        head = 2 * head + b
+    for b in bits[preperiod:]:
+        tail = 2 * tail + b
+    cycle = 2 ** (len(bits) - preperiod) - 1
+    return Fraction(head * cycle + tail, cycle * 2 ** preperiod) % 1
+
+
+def psi_over(U, x: int, N: int) -> Optional[Fraction]:
+    """psi of the angle x/N (x a numerator over N), or None when x/N is not
+    in the basis of U.  One orbit walk decides membership and gives the
+    bits."""
+    itinerary = U._itinerary(x, N)
+    return None if itinerary is None else _binary_value(*itinerary)
 
 
 def psi(U, x: Fraction) -> Fraction:
@@ -556,39 +604,7 @@ def psi(U, x: Fraction) -> Fraction:
     image angle.  The labels are chosen so the hole-start side reads 0; for
     the diameter gaps this sends both major endpoints to 0.
     """
-    x = x % 1
-    if not U.in_basis(x):
+    value = psi_over(U, x.numerator, x.denominator)
+    if value is None:
         raise ValueError(f"{format_angle(x)} is not in the basis of {U}")
-    if isinstance(U, VassalGap):
-        return _psi_vassal(U, x)
-    b = U.hole.end
-    step = 1
-
-    def bit(p: Fraction) -> int:
-        return 0 if (p - b) % 1 < THIRD else 1
-
-    pre, per = orbit_preperiod_period(3 ** step, x)
-    pts = []
-    cur = x
-    for _ in range(pre + per):
-        pts.append(cur)
-        cur = sigma(3 ** step, cur)
-    bits = [bit(p) for p in pts]
-    return _binary_value(bits, pre)
-
-
-def _psi_vassal(V: VassalGap, x: Fraction) -> Fraction:
-    h = V._h()
-    k = V.period
-
-    def bit(p: Fraction) -> int:
-        return 0 if (p - V.a) % 1 <= h - THIRD else 1
-
-    pre, per = orbit_preperiod_period(3 ** k, x)
-    pts = []
-    cur = x
-    for _ in range(pre + per):
-        pts.append(cur)
-        cur = sigma(3 ** k, cur)
-    bits = [bit(p) for p in pts]
-    return _binary_value(bits, pre)
+    return value

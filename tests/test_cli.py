@@ -242,3 +242,25 @@ def test_build_canonical_at_depth_one(capsys, argv):
     assert code == 0
     assert err == ""
     assert out.startswith(f"d={2 if argv[0] == 'quadratic-d2' else 3} depth=1 ")
+
+
+@pytest.mark.parametrize("size", ["-5", "0"])
+def test_render_rejects_non_positive_size(capsys, tmp_path, size):
+    path = tmp_path / "x.svg"
+    code, out, err = run(capsys, "render", "--chord", "1/3-2/3", "--size", size,
+                         "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: --size must be > 0, got {size}\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("d", ["1", "0"])
+def test_render_rejects_degree_below_two(capsys, tmp_path, d):
+    path = tmp_path / "x.svg"
+    code, out, err = run(capsys, "render", "--set", "1/3,2/3", "--d", d,
+                         "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: --d must be >= 2, got {d}\n"
+    assert not path.exists()

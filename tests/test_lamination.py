@@ -681,6 +681,13 @@ def test_loads_rejects_malformed():
         loads("d=3 depth=1 recipe=x\nregistry=partial\n1/2 0\n")
 
 
+def test_dumps_rejects_level_above_depth():
+    # loads would reject the file, so dumps refuses to write it
+    L = Lamination(d=3, depth=2, recipe="manual", leaves={Chord(F(1, 3), F(2, 3)): 6})
+    with pytest.raises(ValueError, match=r"^leaf 1/3-2/3 has level 6, outside 0\.\.2$"):
+        dumps(L)
+
+
 # ---------------------------------------------------------------------------
 # exact crossing count
 

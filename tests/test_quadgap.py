@@ -5,13 +5,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trilam.chords import Chord, image, linked
-from trilam.circle import Arc, arc_length, contains, fixed_points, orbit, sigma
+from trilam.circle import (
+    Arc,
+    arc_length,
+    contains,
+    fixed_points,
+    orbit,
+    orbit_preperiod_period,
+    sigma,
+)
+from trilam.lamination import canonical_of_quadratic_gap, project_through_gap
 from trilam.quadgap import (
     CaterpillarGap,
     GapGen,
     VassalGap,
     _leaf_period,
     _nearest_fixed,
+    _short_side,
     above_diameter,
     below_diameter,
     big_arc,
@@ -380,3 +390,165 @@ def test_psi_vassal_pinned_values():
     assert psi(V, F(0)) == 0
     assert psi(V, F(1, 2)) == 0
     assert {psi(V, F(1, 6)), psi(V, F(1, 3))} == {F(1, 2)}
+
+
+# ---------------------------------------------------------------------------
+# the integer orbit walks against the Fraction code they replaced
+
+
+def _oracle_in_basis(U, x):
+    if isinstance(U, VassalGap):
+        h = arc_length(U.hole)
+        return all(
+            (p - U.a) % 1 <= h - F(1, 3) or F(1, 3) <= (p - U.a) % 1 <= h
+            for p in orbit(3 ** U.period, x))
+    return all(not contains(U.hole, p) for p in orbit(3, x))
+
+
+def _oracle_psi(U, x):
+    """The Fraction bit loop: the itinerary of x read as a binary number."""
+    if isinstance(U, VassalGap):
+        d, h = 3 ** U.period, arc_length(U.hole)
+
+        def bit(p):
+            return 0 if (p - U.a) % 1 <= h - F(1, 3) else 1
+    else:
+        d = 3
+
+        def bit(p):
+            return 0 if (p - U.hole.end) % 1 < F(1, 3) else 1
+    pre, per = orbit_preperiod_period(d, x)
+    bits = [bit(p) for p in orbit(d, x)]
+    val = sum(F(b, 2 ** (j + 1)) for j, b in enumerate(bits[:pre]))
+    tail = int("".join(map(str, bits[pre:])), 2)
+    return (val + F(tail, (2 ** per - 1) * 2 ** pre)) % 1
+
+
+def _oracle_scan(c):
+    """The escape index of the orbit of sigma(c) from the closure of L(c)
+    (None if it stays) and whether the orbit hits an endpoint of c."""
+    s, t = _short_side(c)
+    L = big_arc(c)
+    hits = False
+    for i, x in enumerate(orbit(3, sigma(3, c.a))):
+        if (x - L.start) % 1 > arc_length(L):
+            return i, hits
+        hits |= x in (s, t)
+    return None, hits
+
+
+def _oracle_vertices(U, depth):
+    pts = {x for e in U.edge_chords(depth) for x in (e.a, e.b)}
+    if U.critical is not None:
+        pts.update(x for x in orbit(3, sigma(3, U.critical.a)) if _oracle_in_basis(U, x))
+    pts.update(x for p in range(1, depth + 1) for x in fixed_points(3, p)
+               if _oracle_in_basis(U, x))
+    return sorted(pts)
+
+
+def _census_candidates():
+    for k in range(1, 7):
+        h = F(3 ** (k - 1), 3 ** k - 1)
+        for u in fixed_points(3, k):
+            m = (u + (h - F(1, 3)) / 2) % 1
+            yield Chord(m, (m + F(1, 3)) % 1)
+
+
+def test_classify_and_vertices_match_fraction_oracles_on_census():
+    kinds = {}
+    for c in _census_candidates():
+        escape, hits = _oracle_scan(c)
+        cls = classify_critical(c)
+        kinds[cls.tag] = kinds.get(cls.tag, 0) + 1
+        if escape is not None:
+            assert (cls.tag, cls.n_c) == ("PeriodicType", escape + 1), c
+        else:
+            assert cls.tag == ("Caterpillar" if hits else "RegularCritical"), c
+        if cls.tag != "Caterpillar":
+            gap, verts = build_gap(c, 0)
+            assert verts == _oracle_vertices(gap, 0), c
+    assert sum(kinds.values()) == 1086
+    assert kinds["PeriodicType"] > 210
+
+
+_PERIOD3 = build_gap(PERIOD3_CRITICAL, depth=0)[0]
+_ORACLE_GAPS = [FGA, FGB, build_gap(Chord(F(1, 3), F(2, 3)), depth=0)[0],
+                _PERIOD3, vassal(_PERIOD3), vassal(FGB)]
+_ORACLE_IDS = ["FGA", "FGB", "regular-critical", "period3", "period3-vassal", "FGB-vassal"]
+
+
+@pytest.mark.parametrize("U", _ORACLE_GAPS, ids=_ORACLE_IDS)
+def test_in_basis_and_psi_match_fraction_oracles(U):
+    # every j/(3^p - 1) for p <= 5, and the edge endpoints, which sit on the
+    # boundaries of the hole and of the bit arcs
+    points = {x for p in range(1, 6) for x in fixed_points(3, p)}
+    points |= {x for e in U.edge_chords(2) for x in (e.a, e.b)}
+    inside = 0
+    for x in sorted(points):
+        want = _oracle_in_basis(U, x)
+        assert U.in_basis(x) == want, x
+        if want:
+            inside += 1
+            assert psi(U, x) == _oracle_psi(U, x), x
+        else:
+            with pytest.raises(ValueError, match="is not in the basis of"):
+                psi(U, x)
+    assert inside > 0
+
+
+@pytest.mark.parametrize("U", _ORACLE_GAPS[:4], ids=_ORACLE_IDS[:4])
+def test_vertices_match_fraction_oracle(U):
+    for depth in range(4):
+        assert U.vertices(depth) == _oracle_vertices(U, depth), depth
+
+
+def _oracle_leaf_period(c):
+    """Iterate the chord until some chord repeats; a periodic c repeats
+    first."""
+    seen, cur = set(), c
+    while cur not in seen:
+        seen.add(cur)
+        cur = image(3, cur)
+        if cur == c:
+            return len(seen)
+    return None
+
+
+def _rationals(max_den):
+    return st.builds(lambda p, q: F(p, q) % 1, st.integers(0, 10 ** 4),
+                     st.integers(1, max_den))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rationals(3000), st.sampled_from(_ORACLE_GAPS), _rationals(80), _rationals(80))
+def test_integer_walks_match_fraction_oracles_on_random_rationals(x, U, y, z):
+    want = _oracle_in_basis(U, x)
+    assert U.in_basis(x) == want
+    if want:
+        assert psi(U, x) == _oracle_psi(U, x)
+    c = Chord(y, z)
+    assert _leaf_period(3, c) == _oracle_leaf_period(c), c
+    critical = Chord(x, (x + F(1, 3)) % 1)
+    escape, hits = _oracle_scan(critical)
+    cls = classify_critical(critical)
+    if escape is not None:
+        assert (cls.tag, cls.n_c) == ("PeriodicType", escape + 1)
+    else:
+        assert cls.tag == ("Caterpillar" if hits else "RegularCritical")
+
+
+@pytest.mark.parametrize("critical", [Chord(F(1, 3), F(2, 3)), PERIOD3_CRITICAL],
+                         ids=["regular-critical", "period3"])
+def test_project_through_gap_matches_fraction_oracle(critical):
+    U = build_gap(critical, depth=0)[0]
+    L = canonical_of_quadratic_gap(U, depth=4)
+    want = {}
+    for c in L.leaves:
+        assert not linked(c, U.major)
+        if _oracle_in_basis(U, c.a) and _oracle_in_basis(U, c.b):
+            pa, pb = _oracle_psi(U, c.a), _oracle_psi(U, c.b)
+            if pa != pb:
+                want[Chord(pa, pb)] = L.depth
+    got = project_through_gap(U, L).leaves
+    assert list(got.items()) == list(want.items())
+    assert want
