@@ -51,7 +51,7 @@ from .quadgap import (
     gap_from_major,
     parse_fields,
     parse_gapgen,
-    psi_over,
+    psi,
     vassal,
 )
 
@@ -658,8 +658,8 @@ def project_through_gap(U: GapGen, L: Lamination) -> Lamination:
     in U's basis map endpoint-wise by psi; degenerate images are dropped.
 
     The leaves are read from the integer store: the crossing test with the
-    major runs on numerators over the lcm of N and the major's denominators,
-    and psi on numerators over N."""
+    major runs on numerators over the lcm of N and the major's denominators.
+    psi walks each endpoint's orbit once, deciding membership and the image."""
     major, N = U.major, L.leaves.N
     M = lcm(N, major.a.denominator, major.b.denominator)
     f = M // N
@@ -670,11 +670,11 @@ def project_through_gap(U: GapGen, L: Lamination) -> Lamination:
         if _crosses((a * f, b * f), m):
             raise ValueError(f"leaf {format_chord(L.leaves.chord((a, b)))} "
                              f"crosses the major {format_chord(major)}")
-        pa = psi_over(U, a, N)
-        if pa is None:
+        try:
+            pa, pb = psi(U, Fraction(a, N)), psi(U, Fraction(b, N))
+        except ValueError:  # an endpoint is off U's basis
             continue
-        pb = psi_over(U, b, N)
-        if pb is not None and pa != pb:
+        if pa != pb:
             out[Chord(pa, pb)] = L.depth
     return Lamination(
         d=2, depth=L.depth, recipe=f"projected:{L.recipe}",

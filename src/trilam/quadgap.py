@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .chords import Chord, format_chord, is_critical, parse_chord
 from .circle import (
@@ -76,6 +76,12 @@ def big_arc(c: Chord) -> Arc:
 def _over(M: int, x: Fraction) -> int:
     """The numerator of x mod 1 over M, a multiple of x's denominator."""
     return x.numerator % x.denominator * (M // x.denominator)
+
+
+def _arc_over(M: int, arc: Arc) -> Tuple[int, int]:
+    """The start and length of an arc as numerators over M."""
+    a = _over(M, arc.start)
+    return a, (_over(M, arc.end) - a) % M
 
 
 def _orbit_walk(d: int, x: int, M: int) -> Tuple[List[int], int]:
@@ -212,26 +218,26 @@ class GapGen:
     def hole_length(self) -> Fraction:
         return arc_length(self.hole)
 
-    def _hole(self, M: int) -> Tuple[int, int]:
-        """The hole start and length as numerators over M."""
-        a, b = _over(M, self.hole.start), _over(M, self.hole.end)
-        return a, (b - a) % M
+    def _hits(self, orb: List[int], M: int) -> Iterator[bool]:
+        """Whether each numerator over M in `orb` lies in the open hole."""
+        a, h = _arc_over(M, self.hole)
+        return (0 < (v - a) % M < h for v in orb)
 
-    def _itinerary(self, x: int, N: int) -> Optional[Tuple[List[int], int]]:
-        """The orbit of x/N read as bits (0 on the third of the circle that
-        starts at the hole end) and the index where its cycle starts, or
-        None when the orbit enters the open hole."""
-        hole = self.hole
-        M = lcm(3, N, hole.start.denominator, hole.end.denominator)
-        a, h = self._hole(M)
+    def _basis_orbit(self, x: int, N: int) -> Optional[Tuple[List[int], int, int]]:
+        """The orbit of x/N as numerators over M, a multiple of 3 and N, with
+        the index where its cycle starts and M; None when the orbit enters
+        the open hole."""
+        M = lcm(3, N, self.hole.start.denominator, self.hole.end.denominator)
         orb, start = _orbit_walk(self.degree, x % N * (M // N), M)
-        if any(0 < (v - a) % M < h for v in orb):
-            return None
-        b, third = (a + h) % M, M // 3
-        return [int((v - b) % M >= third) for v in orb], start
+        return None if any(self._hits(orb, M)) else (orb, start, M)
+
+    def _bits(self, orb: List[int], M: int) -> List[int]:
+        """psi's bits: 0 on the third of the circle starting at the hole end."""
+        b = _over(M, self.hole.end)
+        return [int((v - b) % M >= M // 3) for v in orb]
 
     def in_basis(self, x: Fraction) -> bool:
-        return self._itinerary(x.numerator, x.denominator) is not None
+        return self._basis_orbit(x.numerator, x.denominator) is not None
 
     def base_edges(self) -> List[Tuple[Chord, Arc]]:
         """The major orbit with its holes (a single critical edge for a
@@ -288,16 +294,15 @@ class GapGen:
             # iff no point from index min(i, start) on lies in the hole
             c, hole = self.critical.a, self.hole
             M = lcm(c.denominator, hole.start.denominator, hole.end.denominator)
-            a, h = self._hole(M)
             orb, start = _orbit_walk(self.degree, self.degree * _over(M, c) % M, M)
-            last_hit = max((i for i, v in enumerate(orb) if 0 < (v - a) % M < h),
+            last_hit = max((i for i, hit in enumerate(self._hits(orb, M)) if hit),
                            default=-1)
             if start > last_hit:
                 pts.update(Fraction(v, M) for v in orb[last_hit + 1:])
         for p in range(1, depth + 1):
             q = 3 ** p - 1
             pts.update(Fraction(j, q) for j in range(q)
-                       if self._itinerary(j, q) is not None)
+                       if self._basis_orbit(j, q) is not None)
         return sorted(pts)
 
     def serialize(self) -> str:
@@ -479,22 +484,26 @@ class VassalGap:
                 ))
         return out
 
-    def _itinerary(self, x: int, N: int) -> Optional[Tuple[List[int], int]]:
-        """The sigma^k-orbit of x/N read as bits (0 on the arc at a, 1 on
-        the arc at b) and the index where its cycle starts, or None when an
-        iterate leaves the closed two-arc horseshoe."""
+    def _basis_orbit(self, x: int, N: int) -> Optional[Tuple[List[int], int, int]]:
+        """The sigma^k-orbit of x/N as numerators over M, a multiple of 3 and
+        N, with the index where its cycle starts and M; None when an iterate
+        leaves the closed two-arc horseshoe."""
         M = lcm(3, N, self.a.denominator, self.b.denominator)
-        a, third = _over(M, self.a), M // 3
-        h = (_over(M, self.b) - a) % M
         orb, start = _orbit_walk(3 ** self.period, x % N * (M // N), M)
-        us = [(v - a) % M for v in orb]
-        if not all(u <= h - third or third <= u <= h for u in us):
-            return None
-        return [int(u > h - third) for u in us], start
+        a, h = _arc_over(M, self.hole)
+        third = M // 3
+        if all(u <= h - third or third <= u <= h for u in ((v - a) % M for v in orb)):
+            return orb, start, M
+        return None
+
+    def _bits(self, orb: List[int], M: int) -> List[int]:
+        """psi's bits: 0 on the arc at a, 1 on the arc at b."""
+        a, h = _arc_over(M, self.hole)
+        return [int((v - a) % M > h - M // 3) for v in orb]
 
     def in_basis(self, x: Fraction) -> bool:
         """Every sigma^k-iterate stays in the closed two-arc horseshoe."""
-        return self._itinerary(x.numerator, x.denominator) is not None
+        return self._basis_orbit(x.numerator, x.denominator) is not None
 
     def serialize(self) -> str:
         return (
@@ -587,12 +596,13 @@ def _binary_value(bits: List[int], preperiod: int) -> Fraction:
     return Fraction(head * cycle + tail, cycle * 2 ** preperiod) % 1
 
 
-def psi_over(U, x: int, N: int) -> Optional[Fraction]:
-    """psi of the angle x/N (x a numerator over N), or None when x/N is not
-    in the basis of U.  One orbit walk decides membership and gives the
-    bits."""
-    itinerary = U._itinerary(x, N)
-    return None if itinerary is None else _binary_value(*itinerary)
+class _OffBasis(ValueError):
+    """psi's error for a point off the basis.  The message is formatted only
+    when read, so callers that skip such points do not pay for it."""
+
+    def __str__(self) -> str:
+        U, x = self.args
+        return f"{format_angle(x)} is not in the basis of {U}"
 
 
 def psi(U, x: Fraction) -> Fraction:
@@ -602,9 +612,11 @@ def psi(U, x: Fraction) -> Fraction:
     gap's critical chord; the itinerary of x (under sigma for an invariant
     gap, under sigma^k for a vassal) read as a binary expansion is the
     image angle.  The labels are chosen so the hole-start side reads 0; for
-    the diameter gaps this sends both major endpoints to 0.
+    the diameter gaps this sends both major endpoints to 0.  One orbit walk
+    decides basis membership and gives the bits.
     """
-    value = psi_over(U, x.numerator, x.denominator)
-    if value is None:
-        raise ValueError(f"{format_angle(x)} is not in the basis of {U}")
-    return value
+    walk = U._basis_orbit(x.numerator, x.denominator)
+    if walk is None:
+        raise _OffBasis(U, x)
+    orb, start, M = walk
+    return _binary_value(U._bits(orb, M), start)

@@ -552,3 +552,30 @@ def test_project_through_gap_matches_fraction_oracle(critical):
     got = project_through_gap(U, L).leaves
     assert list(got.items()) == list(want.items())
     assert want
+
+
+def test_project_through_gap_calls_psi_by_module_name(monkeypatch):
+    # the projection evaluates psi through lamination's `psi` name, once per
+    # endpoint it tries, so a wrapper rebound there sees every evaluation
+    import trilam.lamination as lamination_module
+    U = build_gap(PERIOD3_CRITICAL, depth=0)[0]
+    L = canonical_of_quadratic_gap(U, depth=3)
+    calls = []
+
+    def counting_psi(gap, x):
+        calls.append(x)
+        return psi(gap, x)
+
+    monkeypatch.setattr(lamination_module, "psi", counting_psi)
+    project_through_gap(U, L)
+    want = [x for c in L.leaves
+            for x in ((c.a, c.b) if _oracle_in_basis(U, c.a) else (c.a,))]
+    assert calls == want
+
+
+def test_psi_off_basis_message():
+    U = build_gap(PERIOD3_CRITICAL, depth=0)[0]
+    x = next(x for x in fixed_points(3, 3) if x and not _oracle_in_basis(U, x))
+    with pytest.raises(ValueError) as info:
+        psi(U, x)
+    assert str(info.value) == f"{x.numerator}/{x.denominator} is not in the basis of {U!r}"
