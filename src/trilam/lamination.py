@@ -13,11 +13,13 @@ classifier read it.  Invariance is checked leaf by leaf.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from collections.abc import ItemsView, Mapping, MutableMapping, ValuesView
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, count
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .chords import Chord, format_chord, parse_chord
@@ -327,7 +329,18 @@ def _pullback_closure(d: int, seeds: Sequence[Chord],
     Runs on exact integers: every angle is its numerator over N, the lcm of
     d**depth times the seed denominators and of the polygon denominators.
     The preimages of x are x // d + k * (N // d), exact above the last
-    level.  The leaves are returned as they were found, in insertion order."""
+    level.  The leaves are returned as they were found, in insertion order.
+
+    The crossing test is one table lookup per preimage.  A point x that is
+    no polygon vertex lies in the sector (bisect_right(P, x) % |P| for each
+    polygon P) of the portrait's complement, and that tuple is constant
+    between consecutive vertices, so one bisection into the sorted vertex
+    list finds it.  A pair (a, b) of such points crosses no polygon iff a
+    and b share a sector: with i = bisect_right(P, a) <= j =
+    bisect_right(P, b), it crosses P iff i < j and (i > 0 or j < |P|), that
+    is, iff i and j differ mod |P|.  A leaf with a preimage on a vertex is
+    tested pair by pair against every polygon.  A pair that is already a
+    leaf is a sibling whether or not it crosses."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if sum(len(P) - 1 for P in portrait) != d - 1 or any(
@@ -344,6 +357,13 @@ def _pullback_closure(d: int, seeds: Sequence[Chord],
         return format_chord(Chord(Fraction(c[0], N), Fraction(c[1], N)))
 
     polys = [sorted(map(num, P)) for P in portrait]
+    vertices = sorted({x for P in polys for x in P})
+    vertex_set = set(vertices)
+    # sector[i]: the sector of the points strictly between vertices[i - 1]
+    # and vertices[i], numbered by first appearance
+    ids: Dict[Tuple[int, ...], int] = {}
+    sector = [ids.setdefault(tuple(bisect_right(P, v) % len(P) for P in polys), len(ids))
+              for v in [-1] + vertices]
     leaves: Dict[Tuple[int, int], int] = {(num(s.a), num(s.b)): 0 for s in seeds}
     frontier = list(leaves)
     step = N // d
@@ -352,14 +372,21 @@ def _pullback_closure(d: int, seeds: Sequence[Chord],
         for leaf in frontier:
             pa = [leaf[0] // d + k * step for k in range(d)]
             pb = [leaf[1] // d + k * step for k in range(d)]
-            valid = []
-            for p in pa:
-                for q in pb:
-                    a, b = (p, q) if p <= q else (q, p)
-                    if (a, b) in leaves or not any(
-                            bisect_right(P, a) < bisect_left(P, b)
-                            and (P[0] < a or P[-1] > b) for P in polys):
-                        valid.append((a, b))
+            if vertex_set.isdisjoint(pa + pb):
+                sa = [sector[bisect_right(vertices, p)] for p in pa]
+                sb = [sector[bisect_right(vertices, q)] for q in pb]
+                valid = [c for p, s in zip(pa, sa) for q, t in zip(pb, sb)
+                         for c in [(p, q) if p <= q else (q, p)]
+                         if s == t or c in leaves]
+            else:
+                valid = []
+                for p in pa:
+                    for q in pb:
+                        a, b = (p, q) if p <= q else (q, p)
+                        if (a, b) in leaves or not any(
+                                bisect_right(P, a) < bisect_left(P, b)
+                                and (P[0] < a or P[-1] > b) for P in polys):
+                            valid.append((a, b))
             if len(valid) != d:
                 raise PullbackAmbiguityError(
                     f"pullback of {fmt(leaf)} admits {len(valid)} siblings where "
@@ -468,14 +495,16 @@ class InvarianceReport:
 
 def _find_linked_pairs(chords: List[Tuple[int, int]],
                        limit: int = 20) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
-    """Crossing pairs in a family of chords given as endpoint pairs a <= b,
-    O(n log n) when the family is laminar (intervals [a, b] pairwise nested
-    or disjoint).  Every pair returned crosses, and the result is empty
-    only for a laminar family; past the first crossing the stack is no
-    longer a nested chain, so not every crossing pair is found."""
+    """Crossing pairs in a family of distinct chords given as endpoint pairs
+    a <= b in sorted order, O(n log n) when the family is laminar (intervals
+    [a, b] pairwise nested or disjoint).  The chords are scanned in the
+    order (a, -b): a stable sort by a of the reversed list.  Every pair
+    returned crosses, and the result is empty only for a laminar family;
+    past the first crossing the stack is no longer a nested chain, so not
+    every crossing pair is found."""
     out = []
     stack: List[Tuple[int, int]] = []
-    for c in sorted(set(chords), key=lambda c: (c[0], -c[1])):
+    for c in sorted(reversed(chords), key=itemgetter(0)):
         a, b = c
         while stack and stack[-1][1] <= a:
             stack.pop()
@@ -533,37 +562,45 @@ def check_invariance(L: Lamination) -> InvarianceReport:
     The check runs on the lamination's integer store: numerators over one
     denominator N, whose order is angle order, and sigma_d is x -> d*x mod N.
     Chords and angles are built only for the report.  The crossing pairs
-    are counted only when the scan for examples has found one."""
+    are counted only when the scan for examples has found one.
+
+    The images are computed once, in one pass over the sorted leaves.  When
+    the scan finds no crossing the family is laminar, so any d leaves with
+    one image are pairwise unlinked: a leaf has a sibling collection iff at
+    least d leaves share its image.  Only a family with a crossing is
+    searched for pairwise unlinked collections."""
     d = L.d
     N, level = L.leaves.N, L.leaves.pairs
     chord = L.leaves.chord
     leaf_list = sorted(level)
 
-    linked_pairs = [(chord(x), chord(y)) for x, y in _find_linked_pairs(leaf_list)]
+    linked = _find_linked_pairs(leaf_list)
+    linked_pairs = [(chord(x), chord(y)) for x, y in linked]
 
-    forward_missing = []
-    image_of: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    by_image: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for c in leaf_list:
-        u, v = d * c[0] % N, d * c[1] % N
-        if u == v:
-            continue
-        img = (u, v) if u < v else (v, u)
-        image_of[c] = img
-        by_image.setdefault(img, []).append(c)
-        if img not in level:
-            forward_missing.append(chord(c))
+    images = [(u, v) if (u := d * a % N) < (v := d * b % N) else (v, u)
+              for a, b in leaf_list]
+    forward_missing = [chord(c) for c, img in zip(leaf_list, images)
+                       if img[0] != img[1] and img not in level]
 
-    sibling_missing = []
-    for c, img in image_of.items():
-        if level[c] >= L.depth:
-            continue
-        others = [x for x in by_image[img] if x != c]
-        has_collection = any(
-            not any(_crosses(x, y) for x, y in combinations((c,) + combo, 2))
-            for combo in combinations(others, d - 1))
-        if not has_collection:
-            sibling_missing.append(chord(c))
+    if linked:
+        by_image: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        for c, img in zip(leaf_list, images):
+            by_image.setdefault(img, []).append(c)
+
+        def has_collection(c, img) -> bool:
+            others = [x for x in by_image[img] if x != c]
+            return any(
+                not any(_crosses(x, y) for x, y in combinations((c,) + combo, 2))
+                for combo in combinations(others, d - 1))
+    else:
+        share = Counter(images)
+
+        def has_collection(c, img) -> bool:
+            return share[img] >= d
+
+    sibling_missing = [chord(c) for c, img in zip(leaf_list, images)
+                       if img[0] != img[1] and level[c] < L.depth
+                       and not has_collection(c, img)]
 
     gap_violations = []
     for cls in endpoint_classes(leaf_list):
@@ -812,8 +849,11 @@ def classify_smp(L: Lamination, period_bound: int = 6) -> SmpVerdict:
 # file format
 
 
-def dumps(L: Lamination) -> str:
-    N = L.leaves.N
+def _leaf_lines(L: Lamination) -> List[str]:
+    """The [leaves] lines of L in sorted order, each endpoint as a reduced
+    p/q formatted once per distinct endpoint.  A level outside 0..depth
+    raises ValueError naming the first such leaf."""
+    N, pairs = L.leaves.N, L.leaves.pairs
 
     def fmt(x: int) -> str:
         if not x:
@@ -821,14 +861,20 @@ def dumps(L: Lamination) -> str:
         g = gcd(x, N)
         return f"{x // g}/{N // g}"
 
+    keys = sorted(pairs)
+    if pairs and not 0 <= min(pairs.values()) <= max(pairs.values()) <= L.depth:
+        a, b = next(k for k in keys if not 0 <= pairs[k] <= L.depth)
+        raise ValueError(f"leaf {fmt(a)}-{fmt(b)} has level {pairs[a, b]}, "
+                         f"outside 0..{L.depth}")
+    text = {x: fmt(x) for x in {x for k in keys for x in k}}
+    return [f"{text[a]}-{text[b]} {pairs[a, b]}" for a, b in keys]
+
+
+def dumps(L: Lamination) -> str:
     lines = [f"d={L.d} depth={L.depth} recipe={L.recipe}",
              f"registry={'complete' if L.registry_complete else 'partial'}",
              "[leaves]"]
-    for (a, b), lvl in sorted(L.leaves.pairs.items()):
-        if not 0 <= lvl <= L.depth:
-            raise ValueError(f"leaf {fmt(a)}-{fmt(b)} has level {lvl}, "
-                             f"outside 0..{L.depth}")
-        lines.append(f"{fmt(a)}-{fmt(b)} {lvl}")
+    lines += _leaf_lines(L)
     lines.append("[gaps]")
     idx = 0
     for G in L.finite_gaps:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -459,29 +460,25 @@ class VassalGap:
             u = self._g0(u) if bit == 0 else self._g1(u)
         return u
 
+    def _word_levels(self, u: Fraction) -> Iterator[List[Fraction]]:
+        """Level k = 0, 1, ...: `_apply(w, u)` for the 2^k words w of length
+        k, in lexicographic word order.  _apply((bit,) + w, u) is
+        g_bit(_apply(w, u)), so level k is g0, then g1, of level k - 1."""
+        level = [u]
+        while True:
+            yield level
+            level = [self._g0(x) for x in level] + [self._g1(x) for x in level]
+
     def vertices(self, depth: int) -> List[Fraction]:
-        h = self._h()
-        pts = {self.a, self.b}
-        level = [()]
-        for _ in range(depth):
-            level = [w + (bit,) for w in level for bit in (0, 1)]
-        for w in level:
-            pts.add((self.a + self._apply(w, Fraction(0))) % 1)
-            pts.add((self.a + self._apply(w, h)) % 1)
-        return sorted(pts)
+        lo, hi = (next(islice(self._word_levels(u), depth, None))
+                  for u in (Fraction(0), self._h()))
+        return sorted({self.a, self.b, *((self.a + x) % 1 for x in lo + hi)})
 
     def edge_chords(self, depth: int) -> List[Chord]:
-        h = self._h()
-        u0, u1 = h - THIRD, THIRD  # parameters of the co-major endpoints
+        u0, u1 = self._h() - THIRD, THIRD  # parameters of the co-major endpoints
         out = [self.major, self.co_major]
-        level = [()]
-        for _ in range(depth):
-            level = [w + (bit,) for w in level for bit in (0, 1)]
-            for w in level:
-                out.append(Chord(
-                    (self.a + self._apply(w, u0)) % 1,
-                    (self.a + self._apply(w, u1)) % 1,
-                ))
+        for lo, hi in islice(zip(self._word_levels(u0), self._word_levels(u1)), 1, depth + 1):
+            out += [Chord((self.a + x) % 1, (self.a + y) % 1) for x, y in zip(lo, hi)]
         return out
 
     def _basis_orbit(self, x: int, N: int) -> Optional[Tuple[List[int], int, int]]:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -418,6 +418,26 @@ def test_pullback_ambiguity_names_leaf_candidates_and_portrait():
         "2/3-5/6; portrait {0,1/3} {1/2,5/6}")
 
 
+@pytest.mark.parametrize("d, seeds, polygon, candidates", [
+    # 1/2 is the critical value of the triangle, so the seed's preimages
+    # include the triangle's vertices and its pairs are tested one by one
+    (3, [Chord(F(1, 13), F(1, 2))], (F(1, 6), F(1, 2), F(5, 6)),
+     "1/39-1/6, 1/39-5/6, 1/6-14/39, 14/39-1/2, 1/2-9/13, 9/13-5/6"),
+    # 1/6-1/3 crosses 1/4-3/4, but it is a seed, so it is a sibling
+    # candidate of 1/3-2/3 all the same
+    (2, [Chord(F(1, 3), F(2, 3)), Chord(F(1, 6), F(1, 3))], (F(1, 4), F(3, 4)),
+     "1/6-1/3, 1/6-5/6, 1/3-2/3"),
+])
+def test_pullback_vertex_and_leaf_candidates_match_region_oracle(d, seeds, polygon, candidates):
+    # A finite region whose vertices are the polygon's is crossed exactly
+    # when the polygon is, so the region closure counts the same candidates.
+    # A leaf ending at a critical value has more than d of them.
+    region = FiniteRegion(LamSet(list(polygon), degree_d=d))
+    want = _closure_or_error(region_closure, d, seeds, [region], 2)
+    got = _closure_or_error(_pullback_closure, d, seeds, [polygon], 2)
+    assert got == f"{want}: candidates {candidates}; portrait {{{','.join(map(format_angle, polygon))}}}"
+
+
 # ---------------------------------------------------------------------------
 # invariance checking
 
@@ -531,8 +551,9 @@ def _assert_matches_oracle(L):
     assert rep.leaf_count == len(L.leaves)
     assert rep.ok == (not (crossing or forward_missing or sibling_missing
                            or gap_violations))
-    assert sorted(rep.forward_missing) == forward_missing
-    assert sorted(rep.sibling_missing) == sibling_missing
+    # the report lists leaves in chord order
+    assert rep.forward_missing == forward_missing
+    assert rep.sibling_missing == sibling_missing
     assert sorted(rep.gap_violations) == gap_violations
     assert all(linked(x, y) for x, y in rep.linked_pairs)
     assert bool(rep.linked_pairs) == crossing
@@ -545,14 +566,17 @@ def test_check_invariance_matches_oracle_on_golden_suite(index, depth):
     assert _assert_matches_oracle(_golden_suite(depth)[index]).ok
 
 
-def _perturbed(L, rng):
-    """L with a few leaves dropped and a few foreign leaves added: chords
-    between existing endpoints, chords on fresh rational points, and now
-    and then a foreign triangle."""
+def _perturbed(L, rng, foreign=True):
+    """L with a few leaves dropped and, if `foreign`, a few foreign leaves
+    added: chords between existing endpoints, chords on fresh rational
+    points, and now and then a foreign triangle.  Without foreign leaves at
+    least one leaf is dropped, and the family stays laminar."""
     leaves = dict(L.leaves)
     existing = sorted(leaves)
-    for c in rng.sample(existing, rng.randint(0, 3)):
+    for c in rng.sample(existing, rng.randint(0 if foreign else 1, 3)):
         del leaves[c]
+    if not foreign:
+        return Lamination(d=L.d, depth=L.depth, recipe=L.recipe, leaves=leaves)
     pts = sorted({x for c in existing for x in (c.a, c.b)})
     for _ in range(rng.randint(0, 3)):
         if rng.random() < 0.6:
@@ -582,6 +606,16 @@ def test_check_invariance_matches_oracle_on_perturbations():
         failures["gap"] += bool(rep.gap_violations)
     # the perturbations reach every criterion, so none is compared vacuously
     assert all(failures.values()), failures
+    # dropped leaves only: the family stays laminar, and the sibling check
+    # counts the leaves that share each image
+    laminar = {"forward": 0, "sibling": 0}
+    for seed in range(42):
+        L = _perturbed(bases[seed % len(bases)], random.Random(seed), foreign=False)
+        rep = _assert_matches_oracle(L)
+        assert not rep.linked_pairs
+        laminar["forward"] += bool(rep.forward_missing)
+        laminar["sibling"] += bool(rep.sibling_missing)
+    assert all(laminar.values()), laminar
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +720,56 @@ def test_dumps_rejects_level_above_depth():
     L = Lamination(d=3, depth=2, recipe="manual", leaves={Chord(F(1, 3), F(2, 3)): 6})
     with pytest.raises(ValueError, match=r"^leaf 1/3-2/3 has level 6, outside 0\.\.2$"):
         dumps(L)
+
+
+def _per_leaf_dumps(L):
+    """The .lam writer formatting each leaf's endpoints with their own gcd,
+    over the sorted (leaf, level) items; the first leaf out of range
+    raises."""
+    N = L.leaves.N
+
+    def fmt(x):
+        if not x:
+            return "0"
+        g = gcd(x, N)
+        return f"{x // g}/{N // g}"
+
+    lines = [f"d={L.d} depth={L.depth} recipe={L.recipe}",
+             f"registry={'complete' if L.registry_complete else 'partial'}",
+             "[leaves]"]
+    for (a, b), lvl in sorted(L.leaves.pairs.items()):
+        if not 0 <= lvl <= L.depth:
+            raise ValueError(f"leaf {fmt(a)}-{fmt(b)} has level {lvl}, "
+                             f"outside 0..{L.depth}")
+        lines.append(f"{fmt(a)}-{fmt(b)} {lvl}")
+    return "\n".join(lines + ["[gaps]"]) + "\n"
+
+
+@st.composite
+def _leaf_stores(draw):
+    """Laminations over a Leaves store whose N is a multiple of the needed
+    denominator, so some endpoints reduce; 0 is a likely endpoint."""
+    N = draw(st.sampled_from([1, 2, 3, 12, 26, 81, 242])) * draw(st.integers(1, 6))
+    end = st.one_of(st.just(0), st.integers(0, N - 1))
+    depth = draw(st.integers(0, 6))
+    levels = st.integers(0, depth) if draw(st.booleans()) else st.integers(-2, depth + 2)
+    pairs = draw(st.dictionaries(st.tuples(end, end).map(sorted).map(tuple), levels,
+                                 max_size=25))
+    return Lamination(d=draw(st.sampled_from([2, 3])), depth=depth, recipe="random",
+                      leaves=Leaves(N, pairs), registry_complete=draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_leaf_stores())
+def test_dumps_matches_per_leaf_formatter(L):
+    try:
+        want = _per_leaf_dumps(L)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            dumps(L)
+        assert str(info.value) == str(exc)
+    else:
+        assert dumps(L) == want
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,29 @@ def test_vassal_horseshoe_containment():
         assert not linked(e, V.major)
 
 
+def _per_word_oracle(V, depth):
+    """V's vertices and edge chords with every word of length <= depth
+    applied from scratch by `_apply`, the words of each length in
+    lexicographic order."""
+    levels = [[()]]
+    for _ in range(depth):
+        levels.append([w + (bit,) for w in levels[-1] for bit in (0, 1)])
+    h = arc_length(V.hole)
+    pts = {V.a, V.b} | {(V.a + V._apply(w, u)) % 1 for w in levels[-1] for u in (F(0), h)}
+    u0, u1 = h - F(1, 3), F(1, 3)
+    edges = [V.major, V.co_major] + [
+        Chord((V.a + V._apply(w, u0)) % 1, (V.a + V._apply(w, u1)) % 1)
+        for words in levels[1:] for w in words]
+    return sorted(pts), edges
+
+
+@pytest.mark.parametrize("critical", [Chord(F(1, 12), F(5, 12)), PERIOD3_CRITICAL])
+def test_vassal_levels_match_per_word_oracle(critical):
+    V = vassal(build_gap(critical, depth=0)[0])
+    for depth in range(9):
+        assert (V.vertices(depth), V.edge_chords(depth)) == _per_word_oracle(V, depth), depth
+
+
 def test_vassal_requires_periodic_type():
     gap, _ = build_gap(Chord(F(1, 3), F(2, 3)), depth=0)
     with pytest.raises(ValueError):
