@@ -152,7 +152,7 @@ class Leaves(MutableMapping):
     def chord(self, pair: Tuple[int, int]) -> Chord:
         return Chord(Fraction(pair[0], self.N), Fraction(pair[1], self.N))
 
-    def _key(self, c: Chord) -> Optional[Tuple[int, int]]:
+    def key(self, c: Chord) -> Optional[Tuple[int, int]]:
         """The numerators of c over N, or None if c is not a chord or its
         endpoints are not multiples of 1/N (then it is not a leaf)."""
         if not isinstance(c, Chord):
@@ -169,29 +169,29 @@ class Leaves(MutableMapping):
         return map(self.chord, self.pairs)
 
     def __contains__(self, c) -> bool:
-        return self._key(c) in self.pairs
+        return self.key(c) in self.pairs
 
     def __getitem__(self, c: Chord) -> int:
         try:
-            return self.pairs[self._key(c)]
+            return self.pairs[self.key(c)]
         except KeyError:
             raise KeyError(c) from None
 
     def __setitem__(self, c: Chord, level: int) -> None:
         if not isinstance(c, Chord):
             raise TypeError(f"leaves are Chords, got {c!r}")
-        key = self._key(c)
+        key = self.key(c)
         if key is None:  # refine the common denominator
             M = lcm(self.N, c.a.denominator, c.b.denominator)
             f = M // self.N
             self.N, self.pairs = M, {(a * f, b * f): lvl
                                      for (a, b), lvl in self.pairs.items()}
-            key = self._key(c)
+            key = self.key(c)
         self.pairs[key] = level
 
     def __delitem__(self, c: Chord) -> None:
         try:
-            del self.pairs[self._key(c)]
+            del self.pairs[self.key(c)]
         except KeyError:
             raise KeyError(c) from None
 

@@ -19,6 +19,7 @@ All enumeration here is exact; depth bounds the number of pullback levels.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -470,9 +471,12 @@ class VassalGap:
             level = [self._g0(x) for x in level] + [self._g1(x) for x in level]
 
     def vertices(self, depth: int) -> List[Fraction]:
+        # lo[0], hi[0], lo[1], ... rise in [0, h]: the sort is one rotation where a + x passes 1
         lo, hi = (next(islice(self._word_levels(u), depth, None))
                   for u in (Fraction(0), self._h()))
-        return sorted({self.a, self.b, *((self.a + x) % 1 for x in lo + hi)})
+        xs = [self.a + x for pair in zip(lo, hi) for x in pair]
+        k = bisect_left(xs, 1)
+        return [x - 1 for x in xs[k:]] + xs[:k]
 
     def edge_chords(self, depth: int) -> List[Chord]:
         u0, u1 = self._h() - THIRD, THIRD  # parameters of the co-major endpoints

@@ -2,9 +2,11 @@
 
 Chords are drawn as geodesics of the Poincaré disk: circular arcs meeting
 the unit circle at right angles, falling back to a straight segment for
-antipodal endpoints.  This is the one module allowed floating point — the
-pictures carry no mathematical contract — but output is still byte-stable:
-fixed 6-decimal formatting and canonically sorted drawing order.
+antipodal endpoints.  Every input is drawn from integer endpoint pairs over
+one denominator N (a lamination's leaf store as it stands); floats enter
+only at the drawing step, as the angle x/N.  This is the one module allowed
+floating point — the pictures carry no mathematical contract — but output
+is still byte-stable: fixed 6-decimal formatting and sorted drawing order.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from .chords import Chord
 from .circle import format_angle
+from .lamination import Leaves
 from .lamsets import LamSet, holes
 
 DEFAULT_PALETTE = ("#1f3a63", "#b03a2e", "#1e8449", "#7d3c98", "#b7950b")
@@ -34,10 +37,10 @@ class RenderSpec:
     highlight_stroke: float = 2.5
 
 
-def _pt(theta: Fraction, cx: float, cy: float, r: float) -> Tuple[float, float]:
-    a = 2 * math.pi * float(theta)
-    # SVG y grows downward; negate sin so positive angles run counterclockwise
-    return cx + r * math.cos(a), cy - r * math.sin(a)
+def _unit(x: int, N: int) -> Tuple[float, float]:
+    """cos and sin of x/N turns; x / N rounds correctly, so it is float(Fraction(x, N))."""
+    t = 2 * math.pi * (x / N)
+    return math.cos(t), math.sin(t)
 
 
 def _fmt(v: float) -> str:
@@ -45,39 +48,20 @@ def _fmt(v: float) -> str:
     return "0.000000" if out == "-0.000000" else out
 
 
-def _chord_path(c: Chord, cx: float, cy: float, r: float) -> str:
-    x1, y1 = _pt(c.a, cx, cy, r)
-    x2, y2 = _pt(c.b, cx, cy, r)
-    if (c.b - c.a) % 1 == Fraction(1, 2):
-        return f"M {_fmt(x1)} {_fmt(y1)} L {_fmt(x2)} {_fmt(y2)}"
-    # unit-disk coordinates (y up) for the geodesic construction
-    ux1, uy1 = math.cos(2 * math.pi * float(c.a)), math.sin(2 * math.pi * float(c.a))
-    ux2, uy2 = math.cos(2 * math.pi * float(c.b)), math.sin(2 * math.pi * float(c.b))
-    dot = ux1 * ux2 + uy1 * uy2
-    ox, oy = (ux1 + ux2) / (1 + dot), (uy1 + uy2) / (1 + dot)
-    rad = math.sqrt(ox * ox + oy * oy - 1)
-    # the geodesic is the minor arc; sweep by orientation around the center
-    cross = (ux1 - ox) * (uy2 - oy) - (uy1 - oy) * (ux2 - ox)
-    sweep = 0 if cross > 0 else 1  # y-flip inverts handedness
-    rr = rad * r
-    return (f"M {_fmt(x1)} {_fmt(y1)} "
-            f"A {_fmt(rr)} {_fmt(rr)} 0 0 {sweep} {_fmt(x2)} {_fmt(y2)}")
-
-
-def _collect_chords(obj) -> Iterable[Chord]:
-    """The chords to draw, in sorted order."""
+def _collect_pairs(obj) -> Tuple[int, List[Tuple[int, int]]]:
+    """The chords to draw as (N, sorted numerator pairs a <= b over N): Chord order."""
     if isinstance(obj, Chord):
-        return [obj]
-    if isinstance(obj, LamSet):
-        return sorted({e for e, _ in holes(obj)})
-    if hasattr(obj, "leaves"):  # Lamination: sort the integer store, one Chord at a time
-        leaves = obj.leaves
-        return map(leaves.chord, sorted(leaves.pairs))
-    if hasattr(obj, "edge_chords"):  # any gap generator
-        return sorted(set(obj.edge_chords(6)))
-    if isinstance(obj, Iterable):
-        return sorted(set(obj))
-    raise TypeError(f"cannot render {type(obj).__name__}")
+        obj = [obj]
+    elif isinstance(obj, LamSet):
+        obj = [e for e, _ in holes(obj)]
+    elif hasattr(obj, "leaves"):  # Lamination: its integer store
+        return obj.leaves.N, sorted(obj.leaves.pairs)
+    elif hasattr(obj, "edge_chords"):  # any gap generator
+        obj = obj.edge_chords(6)
+    elif not isinstance(obj, Iterable):
+        raise TypeError(f"cannot render {type(obj).__name__}")
+    store = Leaves.from_chords(dict.fromkeys(obj, 0))
+    return store.N, sorted(store.pairs)
 
 
 def render(obj, spec: Optional[RenderSpec] = None) -> str:
@@ -87,7 +71,8 @@ def render(obj, spec: Optional[RenderSpec] = None) -> str:
     w, h = spec.width, spec.height
     cx, cy = w / 2.0, h / 2.0
     r = 0.45 * min(w, h)
-    chords = _collect_chords(obj)
+    N, pairs = _collect_pairs(obj)
+    highlight = set(map(Leaves(N).key, spec.highlight))  # None: off the 1/N grid
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
@@ -96,24 +81,35 @@ def render(obj, spec: Optional[RenderSpec] = None) -> str:
         f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
         f'fill="none" stroke="black" stroke-width="{spec.circle_stroke}"/>',
     ]
-    labels = {}  # label points in first-seen order
-    for i, c in enumerate(chords):
+    labels = {}  # label numerators in first-seen order
+    for i, (a, b) in enumerate(pairs):
         if spec.label_angles:
-            labels.update(dict.fromkeys((c.a, c.b)))
-        if c.degenerate:
+            labels.update(dict.fromkeys((a, b)))
+        if a == b:
             continue
-        hl = c in spec.highlight
+        # unit-disk coordinates (y up); SVG y grows down, so negate sin (counterclockwise)
+        ux1, uy1 = _unit(a, N)
+        ux2, uy2 = _unit(b, N)
+        p1 = f"{_fmt(cx + r * ux1)} {_fmt(cy - r * uy1)}"
+        p2 = f"{_fmt(cx + r * ux2)} {_fmt(cy - r * uy2)}"
+        if 2 * (b - a) == N:  # antipodal: a straight diameter
+            path = f"M {p1} L {p2}"
+        else:
+            dot = ux1 * ux2 + uy1 * uy2
+            ox, oy = (ux1 + ux2) / (1 + dot), (uy1 + uy2) / (1 + dot)
+            # the geodesic is the minor arc; sweep by orientation around the center
+            cross = (ux1 - ox) * (uy2 - oy) - (uy1 - oy) * (ux2 - ox)
+            sweep = 0 if cross > 0 else 1  # y-flip inverts handedness
+            rr = _fmt(math.sqrt(ox * ox + oy * oy - 1) * r)
+            path = f"M {p1} A {rr} {rr} 0 0 {sweep} {p2}"
+        hl = (a, b) in highlight
         color = spec.highlight_color if hl else spec.palette[i % len(spec.palette)]
         width = spec.highlight_stroke if hl else spec.stroke
-        out.append(
-            f'  <path d="{_chord_path(c, cx, cy, r)}" fill="none" '
-            f'stroke="{color}" stroke-width="{width}"/>'
-        )
-    for v in labels:
-        x, y = _pt(v, cx, cy, r * 1.06)
-        out.append(
-            f'  <text x="{_fmt(x)}" y="{_fmt(y)}" font-size="10" '
-            f'text-anchor="middle">{format_angle(v)}</text>'
-        )
+        out.append(f'  <path d="{path}" fill="none" stroke="{color}" '
+                   f'stroke-width="{width}"/>')
+    for x in labels:
+        ux, uy = _unit(x, N)
+        out.append(f'  <text x="{_fmt(cx + r * 1.06 * ux)}" y="{_fmt(cy - r * 1.06 * uy)}" '
+                   f'font-size="10" text-anchor="middle">{format_angle(Fraction(x, N))}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

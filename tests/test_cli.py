@@ -1,7 +1,24 @@
-import pytest
+import contextlib
+import io
+import os
+import tempfile
+from fractions import Fraction as F
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from trilam.chords import Chord
 from trilam.cli import main
-from trilam.lamination import read_lamination
+from trilam.lamination import (
+    canonical_diameter,
+    canonical_of_quadratic_gap,
+    canonical_of_rotational,
+    dumps,
+    quadratic_canonical,
+    read_lamination,
+)
+from trilam.lamsets import parse_lamset
+from trilam.quadgap import build_gap
 
 
 def run(capsys, *argv):
@@ -264,3 +281,73 @@ def test_render_rejects_degree_below_two(capsys, tmp_path, d):
     assert out == ""
     assert err == f"usage error: --d must be >= 2, got {d}\n"
     assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# input-contract fuzzing: mutated .lam files through every reading command
+
+_FUZZ_BASES = [dumps(L).splitlines() for L in (
+    canonical_of_quadratic_gap(build_gap(Chord(F(145, 156), F(41, 156)), depth=0)[0], 2),
+    canonical_of_rotational(parse_lamset("7/26,11/26,21/26"), 2),
+    canonical_diameter(2),
+    quadratic_canonical(parse_lamset("1/7,2/7,4/7", 2), 2),
+)]
+_MALFORMED = [
+    # headers and section markers
+    "d=3 depth=2", "d=2 depth=2 recipe=x", "d=3 depth=-1 recipe=x", "d=x depth=2 recipe=x",
+    "d=3 depth=7 recipe=x", "d=4 depth=2 recipe=x", "d=3 d=3 depth=2 recipe=x",
+    "registry=complete", "registry=partial", "registry=", "[leaves]", "[gaps]", "[other]",
+    "", "garbage", "=", "d=", "depth=2",
+    # leaves and levels
+    "0-1/2 0", "1/3-2/3 1", "1/3-2/3", "1/3 2/3 0", "1/0-1/2 0", "a-b 0", "0-0 0",
+    "1/2-1/2 1", "-1/3-1/3 0", "5/4-1/3 0", "1/3-2/3 x", "1/3-2/3 2 extra", "1/7-2/7 2",
+    "1/9-4/9 2", "0-1/3 -1", "1/3-2/3 3", "1/3-2/3 99999999999999999999", "1/3--2/3 0",
+    "1/3-2/3-1/2 0", "0.5-1/3 0", "1/3-2/3 1.5",
+    # gap specs
+    "G0", "G0 kind=", "G0 kind=bogus", "G0 kind=finite degree=3 vertices=",
+    "G0 kind=finite degree=3 vertices=1/3", "G0 kind=finite degree=3 vertices=1/3,1/3",
+    "G0 kind=finite degree=2 vertices=1/3,2/3", "G0 kind=finite degree=x vertices=1/3,2/3",
+    "G0 kind=attached set=7/26,11/26", "G0 kind=attached set=1/0",
+    "G0 kind=periodic-type major=1/3-2/3 hole=1/3,2/3 period=1 critical=1/3-2/3",
+    "G0 kind=periodic-type major=0-1/2 hole=0,1/2 period=0 critical=-",
+    "G0 kind=periodic-type major=7/26-12/13 hole=12/13,7/26 period=x critical=-",
+    "G0 kind=vassal major=0-1/2 hole=0,1/2 period=1 critical=1/6-1/3",
+    "G0 kind=vassal major=0-1/2 hole=1/2,0 period=2 critical=-",
+    "G0 kind=vassal-image power=-1 major=0-1/2 hole=0,1/2 period=1 critical=1/6-1/3",
+    "G0 kind=vassal-image power=x major=0-1/2 hole=0,1/2 period=1 critical=1/6-1/3",
+    "G0 kind=regular-critical major=1/3-2/3 hole=2/3,1/3 period=- critical=1/3-2/3",
+    "G0 kind=regular-critical major=1/3-2/3",
+]
+_FUZZ_POOL = _MALFORMED + sorted({ln for base in _FUZZ_BASES for ln in base})
+
+
+@st.composite
+def _mutated_lam(draw):
+    """A depth-2 .lam file with 1-4 lines replaced, inserted or deleted."""
+    lines = list(draw(st.sampled_from(_FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        i = draw(st.integers(0, len(lines)))
+        if op == "insert":
+            lines.insert(i, draw(st.sampled_from(_FUZZ_POOL)))
+        elif i < len(lines):
+            if op == "replace":
+                lines[i] = draw(st.sampled_from(_FUZZ_POOL))
+            else:
+                del lines[i]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mutated_lam())
+def test_mutated_lam_files_exit_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.lam")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for argv in (["check-invariance"], ["core-report"], ["classify-smp"], ["project"],
+                     ["render", "--out", os.path.join(tmp, "fuzz.svg")]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv + ["--in", path])
+            assert code in (0, 1, 2), (argv, code)

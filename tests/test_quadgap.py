@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -299,6 +300,30 @@ def test_vassal_levels_match_per_word_oracle(critical):
         assert (V.vertices(depth), V.edge_chords(depth)) == _per_word_oracle(V, depth), depth
 
 
+def _periodic_gaps(max_period):
+    """The periodic-type gaps with a period-k major, k <= max_period, as
+    acceptance 2 finds them (2, 4, 12 and 24 for k = 1, ..., 4)."""
+    gaps = []
+    for k, u, c in _census_candidates(max_period):
+        cls = classify_critical(c)
+        hole = F(3 ** (k - 1), 3 ** k - 1)
+        if (cls.tag, cls.n_c, cls.major) == ("PeriodicType", k, Chord(u, (u + hole) % 1)):
+            gaps.append(build_gap(c, depth=0)[0])
+    return gaps
+
+
+def test_vassal_vertices_match_sorted_set_oracle():
+    # the old vertices: both word levels shifted by a into a set, then sorted
+    gaps = _periodic_gaps(4)
+    assert len(gaps) == 2 + 4 + 12 + 24
+    for gap in [build_gap(Chord(F(1, 12), F(5, 12)), depth=0)[0]] + gaps:
+        V = vassal(gap)
+        levels = zip(V._word_levels(F(0)), V._word_levels(V._h()))
+        for depth, (lo, hi) in enumerate(islice(levels, 11)):
+            want = sorted({V.a, V.b, *((V.a + x) % 1 for x in lo + hi)})
+            assert V.vertices(depth) == want, (gap.major, depth)
+
+
 def test_vassal_requires_periodic_type():
     gap, _ = build_gap(Chord(F(1, 3), F(2, 3)), depth=0)
     with pytest.raises(ValueError):
@@ -469,17 +494,19 @@ def _oracle_vertices(U, depth):
     return sorted(pts)
 
 
-def _census_candidates():
-    for k in range(1, 7):
+def _census_candidates(max_period=6):
+    """(k, u, c): the critical chord c centred in the hole of the period-k
+    candidate major at u, for k <= max_period."""
+    for k in range(1, max_period + 1):
         h = F(3 ** (k - 1), 3 ** k - 1)
         for u in fixed_points(3, k):
             m = (u + (h - F(1, 3)) / 2) % 1
-            yield Chord(m, (m + F(1, 3)) % 1)
+            yield k, u, Chord(m, (m + F(1, 3)) % 1)
 
 
 def test_classify_and_vertices_match_fraction_oracles_on_census():
     kinds = {}
-    for c in _census_candidates():
+    for _, _, c in _census_candidates():
         escape, hits = _oracle_scan(c)
         cls = classify_critical(c)
         kinds[cls.tag] = kinds.get(cls.tag, 0) + 1
