@@ -2,24 +2,21 @@
 under angle tripling (and doubling), built around invariant quadratic gaps,
 rotational sets, and their canonical laminations."""
 
-from .chords import Chord, format_chord, image, is_critical, linked, parse_chord, siblings
+from .chords import Chord, format_chord, image, is_critical, linked, parse_chord
 from .circle import (
     Arc,
     angle,
     arc_length,
     contains,
     contains_closed,
-    cyclic_order,
     fixed_points,
     format_angle,
     orbit,
-    orbit_preperiod_period,
     parse_angle,
     preimages,
     sigma,
-    sigma_iter,
 )
-from .core import CoreReport, derive_classes, periodic_rotational_classes, separates
+from .core import CoreReport, periodic_rotational_classes, separates
 from .lamination import (
     AttachedGap,
     CleanReport,
@@ -46,13 +43,11 @@ from .lamsets import (
     RotationalReport,
     classify_rotational,
     enumerate_rotational,
-    fixed_point_major_check,
     format_lamset,
     holes,
     is_invariant,
     majors,
     parse_lamset,
-    remap,
 )
 from .quadgap import (
     CaterpillarGap,

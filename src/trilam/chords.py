@@ -4,10 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from typing import List
 
-from .circle import Arc, angle, contains, format_angle, parse_angle, preimages, sigma
+from .circle import Arc, angle, contains, format_angle, parse_angle, sigma
 
 
 @dataclass(frozen=True, order=True)
@@ -28,9 +26,6 @@ class Chord:
     @property
     def degenerate(self) -> bool:
         return self.a == self.b
-
-    def endpoints(self):
-        return (self.a, self.b)
 
     def has_endpoint(self, x: Fraction) -> bool:
         x = x % 1
@@ -83,32 +78,3 @@ def linked(c1: Chord, c2: Chord) -> bool:
     span = Arc(c1.a, c1.b)
     return contains(span, c2.a) != contains(span, c2.b)
 
-
-def siblings(d: int, c: Chord) -> List[Chord]:
-    """The unique collection of d pairwise-unlinked chords containing `c`
-    that all map onto image(d, c).
-
-    Requires the image to be non-degenerate (so `c` is neither degenerate
-    nor critical).
-    """
-    img = image(d, c)
-    if img.degenerate:
-        raise ValueError("sibling collections require a non-degenerate image")
-    pre_a = preimages(d, img.a)
-    pre_b = preimages(d, img.b)
-    found = None
-    for perm in permutations(range(d)):
-        family = [Chord(pre_a[i], pre_b[perm[i]]) for i in range(d)]
-        if c not in family:
-            continue
-        if any(linked(x, y) for x in family for y in family if x < y):
-            continue
-        if found is not None:
-            raise AssertionError(
-                f"sibling collection not unique for {c} under sigma_{d}"
-            )
-        found = family
-    if found is None:
-        raise AssertionError(f"no unlinked sibling collection for {c} under sigma_{d}")
-    found.remove(c)
-    return [c] + sorted(found)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Union
+from typing import List, Union
 
 Rational = Union[Fraction, int, str]
 
@@ -51,10 +51,6 @@ def sigma(d: int, a: Fraction) -> Fraction:
     return (d * a) % 1
 
 
-def sigma_iter(d: int, a: Fraction, n: int) -> Fraction:
-    return (d ** n * a) % 1
-
-
 def preimages(d: int, a: Fraction) -> List[Fraction]:
     """The d preimages of `a` under sigma_d, sorted from 0 around the circle."""
     if d < 2:
@@ -73,18 +69,6 @@ def orbit(d: int, a: Fraction) -> List[Fraction]:
         out.append(x)
         x = sigma(d, x)
     return out
-
-
-def orbit_preperiod_period(d: int, a: Fraction) -> tuple[int, int]:
-    """(preperiod, period) of the eventually periodic orbit of `a`."""
-    seen = {}
-    x = a % 1
-    i = 0
-    while x not in seen:
-        seen[x] = i
-        x = sigma(d, x)
-        i += 1
-    return seen[x], i - seen[x]
 
 
 def fixed_points(d: int, power: int = 1) -> List[Fraction]:
@@ -133,16 +117,3 @@ def contains_closed(A: Arc, x: Fraction) -> bool:
     t = (x - A.start) % 1
     return t <= arc_length(A) or A.degenerate and t == 0
 
-
-def cyclic_order(a: Fraction, b: Fraction, c: Fraction) -> str:
-    """Orientation of the triple (a, b, c): 'positive', 'negative' or
-    'degenerate' (repeated angle)."""
-    a, b, c = a % 1, b % 1, c % 1
-    if a == b or b == c or a == c:
-        return "degenerate"
-    return "positive" if (b - a) % 1 < (c - a) % 1 else "negative"
-
-
-def sort_circular(points: Iterable[Fraction]) -> List[Fraction]:
-    """Sort angles by circular position starting from 0."""
-    return sorted(p % 1 for p in points)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
-from .chords import Chord
 from .circle import format_angle
 from .lamsets import LamSet, RotationalReport, classify_rotational, format_lamset
 
@@ -37,12 +36,6 @@ class CoreReport:
                 f" type={rep.type_tag}"
             )
         return out
-
-
-def derive_classes(leaves: Sequence[Chord]) -> List[Tuple[Fraction, ...]]:
-    """Connected components of leaves sharing endpoints: the finite classes
-    of the equivalence relation the leaf set generates."""
-    return endpoint_classes((c.a, c.b) for c in leaves)
 
 
 def endpoint_classes(pairs: Iterable[Tuple[T, T]]) -> List[Tuple[T, ...]]:

@@ -643,20 +643,16 @@ def check_invariance(L: Lamination) -> InvarianceReport:
 
 @dataclass
 class CleanReport:
-    stages: List[Lamination]
+    final: Lamination
     removed_per_stage: List[int]
     super_gap_count: int
     whole_disk: bool
 
-    @property
-    def final(self) -> Lamination:
-        return self.stages[-1] if self.stages else None
-
     def lines(self) -> List[str]:
-        out = [f"stages: {len(self.stages)}"]
+        out = [f"stages: {len(self.removed_per_stage)}"]
         for i, r in enumerate(self.removed_per_stage, 1):
             out.append(f"  stage {i}: removed {r} leaves")
-        out.append(f"final_leaves: {len(self.final.leaves) if self.final else 0}")
+        out.append(f"final_leaves: {len(self.final.leaves)}")
         out.append(f"super_gaps: {self.super_gap_count}")
         out.append(f"whole_disk: {str(self.whole_disk).lower()}")
         return out
@@ -682,7 +678,7 @@ def clean(L: Lamination) -> CleanReport:
     empty = Lamination(d=L.d, depth=L.depth, recipe=L.recipe,
                        leaves={}, fatou_gaps=list(L.fatou_gaps),
                        finite_gaps=list(L.finite_gaps), registry_complete=True)
-    return CleanReport(stages=[empty], removed_per_stage=[removed],
+    return CleanReport(final=empty, removed_per_stage=[removed],
                        super_gap_count=1, whole_disk=True)
 
 

@@ -9,15 +9,7 @@ from math import gcd
 from typing import List, Optional, Tuple
 
 from .chords import Chord, format_chord
-from .circle import (
-    Arc,
-    arc_length,
-    contains_closed,
-    fixed_points,
-    format_angle,
-    parse_angle,
-    sigma,
-)
+from .circle import Arc, arc_length, format_angle, parse_angle, sigma
 
 
 @dataclass(frozen=True)
@@ -81,23 +73,6 @@ def majors(G: LamSet) -> List[Chord]:
 def is_invariant(G: LamSet) -> bool:
     img = {sigma(G.degree_d, v) for v in G.vertices}
     return img == set(G.vertices)
-
-
-def fixed_point_major_check(G: LamSet) -> bool:
-    """An edge of an invariant set is a major iff the closure of its hole
-    contains a sigma_d-fixed point; verify the two characterizations agree."""
-    if not is_invariant(G):
-        raise ValueError("fixed-point major criterion requires an invariant set")
-    fixed = fixed_points(G.degree_d)
-    thresh = Fraction(1, G.degree_d)
-    for _, h in holes(G):
-        by_length = arc_length(h) >= thresh
-        by_fixed = any(
-            contains_closed(h, f) or f == h.start for f in fixed
-        )
-        if by_length != by_fixed:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -208,27 +183,6 @@ def classify_rotational(G: LamSet) -> RotationalReport:
         majors=tuple(majs),
         orbit_count=_orbit_count(G),
     )
-
-
-def remap(G: LamSet) -> Tuple[int, Tuple[int, ...]]:
-    """Minimal n >= 1 with sigma_d^n(vertices) = vertices as a set, plus the
-    induced permutation (as the image index of each vertex position)."""
-    d = G.degree_d
-    vs = G.vertices
-    vset = set(vs)
-    seen = {frozenset(vset)}
-    current = list(vs)
-    n = 0
-    while True:
-        current = [sigma(d, v) for v in current]
-        n += 1
-        now = frozenset(current)
-        if now == vset:
-            index = {v: i for i, v in enumerate(vs)}
-            return n, tuple(index[v] for v in current)
-        if now in seen:
-            raise ValueError("vertex set is not periodic under sigma_d")
-        seen.add(now)
 
 
 def _cycles_with_rotation(d: int, rho: Fraction) -> List[LamSet]:

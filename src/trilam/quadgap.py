@@ -214,7 +214,6 @@ class GapGen:
     hole: Arc
     period: Optional[int] = None  # leaf period of the major; None if critical
     critical: Optional[Chord] = None
-    degree: int = 3
 
     @property
     def hole_length(self) -> Fraction:
@@ -230,7 +229,7 @@ class GapGen:
         the index where its cycle starts and M; None when the orbit enters
         the open hole."""
         M = lcm(3, N, self.hole.start.denominator, self.hole.end.denominator)
-        orb, start = _orbit_walk(self.degree, x % N * (M // N), M)
+        orb, start = _orbit_walk(3, x % N * (M // N), M)
         return None if any(self._hits(orb, M)) else (orb, start, M)
 
     def _bits(self, orb: List[int], M: int) -> List[int]:
@@ -296,7 +295,7 @@ class GapGen:
             # iff no point from index min(i, start) on lies in the hole
             c, hole = self.critical.a, self.hole
             M = lcm(c.denominator, hole.start.denominator, hole.end.denominator)
-            orb, start = _orbit_walk(self.degree, self.degree * _over(M, c) % M, M)
+            orb, start = _orbit_walk(3, 3 * _over(M, c) % M, M)
             last_hit = max((i for i, hit in enumerate(self._hits(orb, M)) if hit),
                            default=-1)
             if start > last_hit:
@@ -423,7 +422,6 @@ class VassalGap:
     hole: Arc  # the parent's major hole (a, b); the vassal lives inside it
     period: int
     kind: str = "vassal"
-    degree: int = 3
 
     @property
     def a(self) -> Fraction:
@@ -539,7 +537,6 @@ class CaterpillarGap:
     period: int
     direction: int
     kind: str = "caterpillar"
-    degree: int = 3
 
     def chain(self, depth: int) -> List[Fraction]:
         """Chain vertices p_1, p_2, ... (p_1 is the non-periodic endpoint of

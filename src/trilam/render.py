@@ -21,20 +21,19 @@ from .circle import format_angle
 from .lamination import Leaves
 from .lamsets import LamSet, holes
 
-DEFAULT_PALETTE = ("#1f3a63", "#b03a2e", "#1e8449", "#7d3c98", "#b7950b")
+PALETTE = ("#1f3a63", "#b03a2e", "#1e8449", "#7d3c98", "#b7950b")
+STROKE = 1.2
+CIRCLE_STROKE = 1.5
+HIGHLIGHT_COLOR = "#d35400"
+HIGHLIGHT_STROKE = 2.5
 
 
 @dataclass
 class RenderSpec:
     width: int = 600
     height: int = 600
-    stroke: float = 1.2
-    circle_stroke: float = 1.5
-    palette: Tuple[str, ...] = DEFAULT_PALETTE
     label_angles: bool = False
     highlight: Set[Chord] = field(default_factory=set)
-    highlight_color: str = "#d35400"
-    highlight_stroke: float = 2.5
 
 
 def _unit(x: int, N: int) -> Tuple[float, float]:
@@ -79,7 +78,7 @@ def render(obj, spec: Optional[RenderSpec] = None) -> str:
         f'viewBox="0 0 {w} {h}">',
         f'  <rect width="{w}" height="{h}" fill="white"/>',
         f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
-        f'fill="none" stroke="black" stroke-width="{spec.circle_stroke}"/>',
+        f'fill="none" stroke="black" stroke-width="{CIRCLE_STROKE}"/>',
     ]
     labels = {}  # label numerators in first-seen order
     for i, (a, b) in enumerate(pairs):
@@ -92,19 +91,20 @@ def render(obj, spec: Optional[RenderSpec] = None) -> str:
         ux2, uy2 = _unit(b, N)
         p1 = f"{_fmt(cx + r * ux1)} {_fmt(cy - r * uy1)}"
         p2 = f"{_fmt(cx + r * ux2)} {_fmt(cy - r * uy2)}"
-        if 2 * (b - a) == N:  # antipodal: a straight diameter
+        dot = ux1 * ux2 + uy1 * uy2
+        if 2 * (b - a) == N or dot == -1:  # antipodal, or too close in floats: a diameter
             path = f"M {p1} L {p2}"
         else:
-            dot = ux1 * ux2 + uy1 * uy2
             ox, oy = (ux1 + ux2) / (1 + dot), (uy1 + uy2) / (1 + dot)
             # the geodesic is the minor arc; sweep by orientation around the center
             cross = (ux1 - ox) * (uy2 - oy) - (uy1 - oy) * (ux2 - ox)
             sweep = 0 if cross > 0 else 1  # y-flip inverts handedness
-            rr = _fmt(math.sqrt(ox * ox + oy * oy - 1) * r)
+            # the radicand rounds below 0 only on chords far thinner than a pixel
+            rr = _fmt(math.sqrt(max(0.0, ox * ox + oy * oy - 1)) * r)
             path = f"M {p1} A {rr} {rr} 0 0 {sweep} {p2}"
         hl = (a, b) in highlight
-        color = spec.highlight_color if hl else spec.palette[i % len(spec.palette)]
-        width = spec.highlight_stroke if hl else spec.stroke
+        color = HIGHLIGHT_COLOR if hl else PALETTE[i % len(PALETTE)]
+        width = HIGHLIGHT_STROKE if hl else STROKE
         out.append(f'  <path d="{path}" fill="none" stroke="{color}" '
                    f'stroke-width="{width}"/>')
     for x in labels:

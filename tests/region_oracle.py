@@ -16,7 +16,7 @@ from math import lcm
 from typing import Dict, List, Tuple
 
 from trilam.chords import Chord, format_chord
-from trilam.circle import arc_length, sigma_iter
+from trilam.circle import arc_length
 from trilam.lamination import (
     AttachedGap,
     FiniteRegion,
@@ -109,7 +109,7 @@ def region_edges(obj, depth: int) -> List[Chord]:
     if isinstance(obj, FiniteRegion):
         return sorted({e for e, _ in holes(obj.base)})
     if isinstance(obj, ImageGap):
-        return [Chord(sigma_iter(3, e.a, obj.power), sigma_iter(3, e.b, obj.power))
+        return [Chord((3 ** obj.power * e.a) % 1, (3 ** obj.power * e.b) % 1)
                 for e in obj.base.edge_chords(depth)]
     if isinstance(obj, AttachedGap):
         v = obj.base.vertices[obj.index]

@@ -13,7 +13,9 @@ from typing import Iterable, Optional, Tuple
 from trilam.chords import Chord
 from trilam.circle import format_angle
 from trilam.lamsets import LamSet, holes
-from trilam.render import RenderSpec
+from trilam.render import (
+    CIRCLE_STROKE, HIGHLIGHT_COLOR, HIGHLIGHT_STROKE, PALETTE, STROKE, RenderSpec,
+)
 
 
 def _pt(theta: Fraction, cx: float, cy: float, r: float) -> Tuple[float, float]:
@@ -76,7 +78,7 @@ def render(obj, spec: Optional[RenderSpec] = None) -> str:
         f'viewBox="0 0 {w} {h}">',
         f'  <rect width="{w}" height="{h}" fill="white"/>',
         f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
-        f'fill="none" stroke="black" stroke-width="{spec.circle_stroke}"/>',
+        f'fill="none" stroke="black" stroke-width="{CIRCLE_STROKE}"/>',
     ]
     labels = {}  # label points in first-seen order
     for i, c in enumerate(chords):
@@ -85,8 +87,8 @@ def render(obj, spec: Optional[RenderSpec] = None) -> str:
         if c.degenerate:
             continue
         hl = c in spec.highlight
-        color = spec.highlight_color if hl else spec.palette[i % len(spec.palette)]
-        width = spec.highlight_stroke if hl else spec.stroke
+        color = HIGHLIGHT_COLOR if hl else PALETTE[i % len(PALETTE)]
+        width = HIGHLIGHT_STROKE if hl else STROKE
         out.append(
             f'  <path d="{_chord_path(c, cx, cy, r)}" fill="none" '
             f'stroke="{color}" stroke-width="{width}"/>'

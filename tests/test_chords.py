@@ -1,5 +1,4 @@
 from fractions import Fraction as F
-from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,9 +10,9 @@ from trilam.chords import (
     is_critical,
     linked,
     parse_chord,
-    siblings,
 )
 from trilam.circle import preimages, sigma
+from trilam.lamination import canonical_diameter
 
 angles = st.fractions(min_value=0, max_value=1, max_denominator=500).map(lambda x: x % 1)
 
@@ -65,39 +64,14 @@ def test_linked_symmetric(a, b, c, d):
 
 
 def test_sibling_collection_of_diameter():
-    # the unique unlinked triple over the diameter: the two short chords,
-    # never the linking chord 1/3-5/6
-    fam = siblings(3, Chord(F(0), F(1, 2)))
-    assert set(fam) == {
-        Chord(F(0), F(1, 2)),
-        Chord(F(1, 6), F(1, 3)),
-        Chord(F(2, 3), F(5, 6)),
+    # the pullback's sector rule picks the unique unlinked triple over the
+    # diameter: the two short chords, never the linking chord 1/3-5/6
+    L = canonical_diameter(depth=1)
+    assert dict(L.leaves.items()) == {
+        Chord(F(0), F(1, 2)): 0,
+        Chord(F(1, 6), F(1, 3)): 1,
+        Chord(F(2, 3), F(5, 6)): 1,
     }
-    assert fam[0] == Chord(F(0), F(1, 2))
-
-
-def test_siblings_reject_critical():
-    with pytest.raises(ValueError):
-        siblings(3, Chord(F(0), F(1, 3)))
-
-
-@given(st.integers(min_value=2, max_value=3), angles, angles)
-def test_sibling_collection_properties(d, a, b):
-    c = Chord(a, b)
-    if c.degenerate or image(d, c).degenerate:
-        return
-    try:
-        fam = siblings(d, c)
-    except AssertionError:
-        # genuinely ambiguous configurations are reported, not guessed
-        return
-    assert len(fam) == d
-    assert c in fam
-    img = image(d, c)
-    for m in fam:
-        assert image(d, m) == img
-    for x, y in combinations(fam, 2):
-        assert not linked(x, y)
 
 
 def test_preimages_example():

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import tempfile
 from fractions import Fraction as F
 
@@ -351,3 +352,126 @@ def test_mutated_lam_files_exit_cleanly(text):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv + ["--in", path])
             assert code in (0, 1, 2), (argv, code)
+
+
+@pytest.mark.parametrize("chord, segment", [
+    # 3^-20 wide: the float geodesic's radicand rounds below 0
+    ("1/3-1162261468/3486784401", " A 0.000000 0.000000 0 0 1 "),
+    # 3^-20 off a diameter: the endpoints' float dot product is exactly -1
+    ("0-3486784403/6973568802", " L "),
+], ids=["thin", "near-diameter"])
+def test_render_chords_floats_cannot_resolve(capsys, tmp_path, chord, segment):
+    path = tmp_path / "x.svg"
+    code, out, err = run(capsys, "render", "--chord", chord, "--out", str(path))
+    assert (code, out, err) == (0, f"wrote {path}\n", "")
+    (p,) = re.findall(r'<path d="([^"]+)"', path.read_text())
+    assert segment in p
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: every subcommand with drawn flags, values and stray tokens
+
+# denominators whose sigma_3-orbits stay short: small ones, and 3-powers up
+# to 3^20 for angles far closer together than a pixel
+_DENS = [1, 2, 3, 4, 6, 7, 12, 26, 156, 3 ** 10, 2 * 3 ** 10, 3 ** 20, 2 * 3 ** 20]
+_THIN = F(1, 3 ** 30)
+# offsets b - a: critical chords of sigma_3 (so gap commands get past their
+# check), and chords 3^-30 wide or 3^-30 off a diameter, which floats blur
+_OFFSETS = [F(1, 3), F(2, 3), _THIN, F(1, 2) + _THIN]
+_STRAY = ["", "-", "--", "--bogus", "x", "1/0", "-1", "0-1/2-1", "--depth", "--out", "-h"]
+
+
+@st.composite
+def _angle(draw):
+    q = draw(st.sampled_from(_DENS))
+    return F(draw(st.integers(-1, q + 1)), q)
+
+
+def _fmt_angle(x):
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _token(made, fixed):
+    """Mostly a made-up value, else a known-good one or a stray token."""
+    return st.one_of(made, made, st.sampled_from(fixed), st.sampled_from(_STRAY))
+
+
+@st.composite
+def _made_chord(draw):
+    a = draw(_angle())
+    b = a + draw(st.sampled_from(_OFFSETS)) if draw(st.booleans()) else draw(_angle())
+    return f"{_fmt_angle(a)}-{_fmt_angle(b)}"
+
+
+@st.composite
+def _made_set(draw):
+    pts = draw(st.lists(_angle(), min_size=1, max_size=4))
+    pts += [pts[0] + off for off in draw(st.lists(st.sampled_from(_OFFSETS), max_size=2))]
+    return ",".join(map(_fmt_angle, pts))
+
+
+_CHORD = _token(_made_chord(), ["1/3-2/3", "145/156-41/156", "1/12-5/12", "0-1/2"])
+_SET = _token(_made_set(), ["1/26,3/26,9/26", "7/26,11/26,21/26", "1/7,2/7,4/7", "1/3,2/3"])
+
+
+def _ints(*values):
+    return st.sampled_from([str(v) for v in values] + ["x"])
+
+
+@st.composite
+def _argv(draw, tmp):
+    """A command line for `trilam`: a subcommand, its required flags, some of
+    its other flags, bounded values and at times a stray token.  Files are
+    only under `tmp`; render gets one of its three sources."""
+    path = st.sampled_from([os.path.join(tmp, name) for name in ("in.lam", "none.lam")])
+    out = st.sampled_from([os.path.join(tmp, name) for name in ("out.lam", "out.svg", "")])
+    depth = _ints(-1, 0, 1, 2)
+    rho = st.builds(lambda p, q: f"{p}/{q}", st.integers(-1, 7), st.integers(0, 6))
+    period_bound = _ints(-1, 0, 1, 6)
+    source = draw(st.sampled_from([{"--in": path}, {"--set": _SET}, {"--chord": _CHORD}]))
+    # subcommand -> (flags always given, flags given at random)
+    commands = {
+        "classify-critical-leaf": ({}, {}),
+        "build-gap": ({}, {"--depth": depth}),
+        "vassal": ({}, {"--depth": depth}),
+        "build-canonical": ({}, {"--critical": _CHORD, "--set": _SET, "--depth": depth,
+                                 "--out": out}),
+        "find-rotational": ({"--rho": rho}, {"--d": _ints(-1, 1, 2, 3, 4),
+                                             "--orbits": _ints(0, 1, 2)}),
+        "check-invariance": ({"--in": path}, {}),
+        "clean": ({"--in": path}, {}),
+        "classify-smp": ({"--in": path}, {"--period-bound": period_bound}),
+        "core-report": ({"--in": path}, {"--period-bound": period_bound}),
+        "project": ({"--in": path}, {"--critical": _CHORD, "--gap-index": _ints(-1, 0, 1, 5),
+                                     "--out": out}),
+        "render": ({"--out": out, **source}, {"--d": _ints(1, 2, 3), "--size": _ints(-1, 1, 64),
+                                              "--labels": st.none()}),
+    }
+    command = draw(st.sampled_from(sorted(commands)))
+    argv = [command]
+    if command in ("classify-critical-leaf", "build-gap", "vassal"):
+        argv.append(draw(_CHORD))
+    elif command == "build-canonical":
+        argv.append(draw(st.sampled_from(["quadratic-gap", "diameter", "rotational",
+                                          "quadratic-d2", "bogus"])))
+    always, sometimes = commands[command]
+    for flag, values in [*always.items(), *sometimes.items()]:
+        if flag in always or draw(st.booleans()):
+            value = draw(values)
+            argv += [flag] if value is None else [flag, value]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_STRAY)))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fuzzed_argv_exits_cleanly(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "in.lam"), "w") as fh:
+            fh.write("\n".join(data.draw(st.sampled_from(_FUZZ_BASES))) + "\n")
+        argv = data.draw(_argv(tmp))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, code)

@@ -3,8 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from trilam.chords import Chord
-from trilam.circle import sigma_iter
-from trilam.core import CoreReport, derive_classes, periodic_rotational_classes, separates
+from trilam.core import CoreReport, endpoint_classes, periodic_rotational_classes, separates
 from trilam.lamination import (
     canonical_diameter,
     canonical_of_quadratic_gap,
@@ -19,7 +18,7 @@ FINGAP3 = parse_lamset("1/26,3/26,9/26")
 
 
 def test_derive_classes_merges_shared_endpoints():
-    classes = derive_classes([
+    classes = endpoint_classes((c.a, c.b) for c in [
         Chord(F(0), F(1, 4)),
         Chord(F(1, 4), F(1, 2)),
         Chord(F(2, 3), F(3, 4)),
@@ -29,7 +28,7 @@ def test_derive_classes_merges_shared_endpoints():
 
 def test_derive_classes_of_rotational_canonical():
     L = canonical_of_rotational(FINGAP1, depth=3)
-    classes = derive_classes(sorted(L.leaves))
+    classes = endpoint_classes((c.a, c.b) for c in sorted(L.leaves))
     assert FINGAP1.vertices in classes
 
 
@@ -66,12 +65,12 @@ def test_census_report_lines():
 def _fraction_census(L, period_bound):
     """Oracle: the census in Fraction arithmetic, with each class period
     found by iterating sigma_d on its angles."""
-    cut = [c for c in derive_classes(L.leaves) if len(c) >= 2]
+    cut = [c for c in endpoint_classes((e.a, e.b) for e in L.leaves) if len(c) >= 2]
     rotational = []
     for cls in cut:
         period = next((j for j in range(1, period_bound + 1)
-                       if sigma_iter(L.d, cls[0], j) in cls
-                       and {sigma_iter(L.d, v, j) for v in cls} == set(cls)), None)
+                       if (L.d ** j * cls[0]) % 1 in cls
+                       and {(L.d ** j * v) % 1 for v in cls} == set(cls)), None)
         if period is None:
             continue
         G = LamSet(cls, degree_d=L.d ** period)

@@ -4,18 +4,16 @@ from math import comb
 import pytest
 
 from trilam.chords import Chord
-from trilam.circle import arc_length, orbit
+from trilam.circle import arc_length, contains_closed, fixed_points, orbit
 from trilam.lamsets import (
     LamSet,
     classify_rotational,
     enumerate_rotational,
-    fixed_point_major_check,
     format_lamset,
     holes,
     is_invariant,
     majors,
     parse_lamset,
-    remap,
 )
 
 FINGAP1 = parse_lamset("7/26,4/13,11/26,10/13,21/26,12/13")
@@ -71,11 +69,18 @@ def test_invariance():
     assert not is_invariant(LamSet([F(1, 4), F(1, 3)]))
 
 
+def _assert_majors_hold_fixed_points(G):
+    # an edge of an invariant set is a major iff its closed hole holds a
+    # sigma_d-fixed point (hole by hole: a 2-point set has its edge twice)
+    assert is_invariant(G)
+    fixed = fixed_points(G.degree_d)
+    assert majors(G) == [e for e, h in holes(G)
+                         if any(contains_closed(h, f) for f in fixed)], G
+
+
 def test_fixed_point_major_criterion_on_examples():
     for G in (FINGAP1, FINGAP2, FINGAP3):
-        assert fixed_point_major_check(G)
-    with pytest.raises(ValueError):
-        fixed_point_major_check(LamSet([F(1, 4)]))
+        _assert_majors_hold_fixed_points(G)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -83,7 +88,7 @@ def test_fixed_point_major_criterion_on_examples():
                                  F(3, 4), F(2, 5), F(3, 5)])
 def test_fixed_point_major_criterion_on_rotational_census(d, rho):
     for G in enumerate_rotational(d, rho, 2):
-        assert fixed_point_major_check(G)
+        _assert_majors_hold_fixed_points(G)
 
 
 def test_classify_fingap1_type_d():
@@ -132,17 +137,6 @@ def test_classify_two_cycle_type_a():
     assert rep.is_rotational
     assert rep.rotation_number == F(1, 2)
     assert rep.type_tag == "A"
-
-
-def test_remap():
-    n, perm = remap(FINGAP1)
-    assert n == 1
-    assert sorted(perm) == list(range(6))
-    # a set that moves off itself before returning
-    n2, _ = remap(LamSet([F(1, 8)]))  # {1/8} -> {3/8} -> {1/8}
-    assert n2 == 2
-    with pytest.raises(ValueError):
-        remap(LamSet([F(1, 4), F(1, 3)]))
 
 
 def test_enumerate_rotational_d2():

@@ -12,7 +12,6 @@ from trilam.circle import (
     contains,
     fixed_points,
     orbit,
-    orbit_preperiod_period,
     sigma,
 )
 from trilam.lamination import canonical_of_quadratic_gap, project_through_gap
@@ -465,8 +464,10 @@ def _oracle_psi(U, x):
 
         def bit(p):
             return 0 if (p - U.hole.end) % 1 < F(1, 3) else 1
-    pre, per = orbit_preperiod_period(d, x)
-    bits = [bit(p) for p in orbit(d, x)]
+    orb = orbit(d, x)
+    pre = orb.index(sigma(d, orb[-1]))
+    per = len(orb) - pre
+    bits = [bit(p) for p in orb]
     val = sum(F(b, 2 ** (j + 1)) for j, b in enumerate(bits[:pre]))
     tail = int("".join(map(str, bits[pre:])), 2)
     return (val + F(tail, (2 ** per - 1) * 2 ** pre)) % 1

@@ -10,7 +10,7 @@ import render_oracle
 from trilam.chords import Chord
 from trilam.lamination import Lamination, Leaves, canonical_diameter, canonical_of_rotational
 from trilam.lamsets import LamSet, parse_lamset
-from trilam.render import RenderSpec, render
+from trilam.render import HIGHLIGHT_COLOR, RenderSpec, render
 
 GALLERY = runpy.run_path(str(Path(__file__).resolve().parent.parent
                              / "scripts" / "gap_gallery.py"))["GALLERY"]
@@ -79,7 +79,7 @@ def test_render_lamset_and_highlight():
     spec = RenderSpec(highlight={Chord(F(7, 26), F(11, 26))})
     svg = render(G, spec)
     assert len(_paths(svg)) == 3
-    assert spec.highlight_color in svg
+    assert HIGHLIGHT_COLOR in svg
 
 
 def test_render_labels():
@@ -112,17 +112,16 @@ def test_render_matches_chord_oracle_on_gallery(name, make):
     gaps = [g for g in L.fatou_gaps if hasattr(g, "edge_chords")] + L.finite_gaps
     for obj in [L] + gaps:
         for spec in specs:
-            assert _outcome(render, obj, spec) == _outcome(render_oracle.render, obj, spec), \
-                (name, obj, spec)
-
-
-def _outcome(draw, obj, spec):
-    """The SVG, or the error: both renderers fail alike on the period-3
-    vassal, whose deepest edges are too short for the float geodesic."""
-    try:
-        return draw(obj, spec)
-    except ValueError as exc:
-        return repr(exc)
+            svg = render(obj, spec)
+            try:
+                expected = render_oracle.render(obj, spec)
+            except ValueError:
+                # the oracle's float radicand drops below 0 on the period-3
+                # vassal's deepest edges, about 3^-18 wide; render clamps it
+                edges = obj.edge_chords(6)
+                assert len(_paths(svg)) == len({e for e in edges if not e.degenerate})
+                continue
+            assert svg == expected, (name, obj, spec)
 
 
 @st.composite
