@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import List, Optional
 
 from . import core, lamination, lamsets, quadgap
@@ -227,7 +228,10 @@ def cmd_render(args) -> int:
 # parser
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first `main` call and reused by the
+    calls after it; parsing keeps no state in it."""
     ap = argparse.ArgumentParser(
         prog="trilam",
         description="exact-arithmetic toolkit for invariant laminations of "

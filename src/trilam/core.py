@@ -8,9 +8,11 @@ classes.  That census is exactly what the SMP classifier consumes.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from math import gcd
+from typing import Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from .circle import format_angle
 from .lamsets import LamSet, RotationalReport, classify_rotational, format_lamset
@@ -18,11 +20,31 @@ from .lamsets import LamSet, RotationalReport, classify_rotational, format_lamse
 T = TypeVar("T")
 
 
+class _CutClasses(Sequence):
+    """The classes of numerators over N, read as tuples of angles: the
+    Fractions of a class are built only when it is read.  It compares equal
+    to a list of the same tuples."""
+
+    def __init__(self, classes: List[Tuple[int, ...]], N: int):
+        self._classes, self._N = classes, N
+
+    def __len__(self) -> int:
+        return len(self._classes)
+
+    def __getitem__(self, i: int) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(v, self._N) for v in self._classes[i])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, _CutClasses)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 @dataclass
 class CoreReport:
     period_bound: int
     rotational_classes: List[Tuple[LamSet, RotationalReport]]
-    cut_classes: List[Tuple[Fraction, ...]]
+    cut_classes: Sequence[Tuple[Fraction, ...]]
     summary: str  # EmptyCore | SinglePoint | MultipleRotational
 
     def lines(self) -> List[str]:
@@ -64,7 +86,9 @@ def endpoint_classes(pairs: Iterable[Tuple[T, T]]) -> List[Tuple[T, ...]]:
 
 def _class_period(d: int, N: int, cls: Tuple[int, ...], bound: int) -> Optional[int]:
     """Minimal j <= bound with sigma_d^j(cls) = cls as a set, for a class
-    of numerators over N."""
+    of numerators over N whose points are all periodic.  sigma_d^j fixes
+    every such point once j is a multiple of their periods, so the walk
+    stops by the class's period whatever the bound."""
     cset = set(cls)
     m = 1
     for j in range(1, bound + 1):
@@ -79,17 +103,21 @@ def periodic_rotational_classes(L, period_bound: int = 6) -> CoreReport:
     rotation.  The return map of a period-j class is sigma_d^j = sigma_{d^j},
     so the rotational test reuses the plain classifier at degree d^j.  The
     classes are found on the lamination's numerators over N, where sigma_d
-    is d*x mod N."""
+    is d*x mod N.  Only classes of periodic points are walked."""
     d = L.d
     N = L.leaves.N
     classes = [c for c in endpoint_classes(L.leaves.pairs) if len(c) >= 2]
-    cut_classes = [tuple(Fraction(v, N) for v in c) for c in classes]
+    # v/N is periodic iff its reduced denominator is prime to d, that is iff
+    # P, the part of N made of d's primes, divides v
+    P = gcd(N, d ** N.bit_length())
     rotational: List[Tuple[LamSet, RotationalReport]] = []
-    for cls, angles in zip(classes, cut_classes):
+    for cls in classes:
+        if any(v % P for v in cls):  # a point that is not periodic
+            continue
         j = _class_period(d, N, cls, period_bound)
         if j is None:
             continue
-        G = LamSet(angles, degree_d=d ** j)
+        G = LamSet([Fraction(v, N) for v in cls], degree_d=d ** j)
         rep = classify_rotational(G)
         if rep.is_rotational:
             rotational.append((G, rep))
@@ -102,7 +130,7 @@ def periodic_rotational_classes(L, period_bound: int = 6) -> CoreReport:
     return CoreReport(
         period_bound=period_bound,
         rotational_classes=rotational,
-        cut_classes=cut_classes,
+        cut_classes=_CutClasses(classes, N),
         summary=summary,
     )
 

@@ -887,16 +887,14 @@ class LamFormatError(ValueError):
 
 
 def _angle_parts(text: str) -> Tuple[int, int]:
-    """Numerator and denominator of the angle `parse_angle(text)`, reduced;
-    plain "p/q" and "p" are read without building a Fraction."""
+    """The angle `parse_angle(text)` as (p, q) with 0 <= p < q, not always
+    reduced; plain "p/q" and "p" are read without building a Fraction."""
     num, slash, den = text.partition("/")
     if num.isascii() and num.isdigit() and (
             not slash or den.isascii() and den.isdigit()):
         q = int(den) if slash else 1
         if q:
-            p = int(num) % q
-            g = gcd(p, q)
-            return p // g, q // g
+            return int(num) % q, q
     x = parse_angle(text)
     return x.numerator, x.denominator
 
@@ -910,8 +908,10 @@ def _integer(text: str, name: str) -> int:
 
 def loads(text: str) -> Lamination:
     """Read the .lam format that `dumps` writes.  Malformed text raises
-    LamFormatError.  The leaves are read as integers: each angle reduced,
-    then scaled to the lcm of the file's denominators."""
+    LamFormatError.  The leaves are read as integers over N, the lcm of the
+    reduced denominators: each distinct angle is read once as p/q, not
+    reduced; after the last leaf, N = M // gcd(M, each numerator over M),
+    where M is the lcm of the q."""
     numbered = ((no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)
                 if ln.strip())
     no, line = next(numbered, (1, ""))
@@ -931,8 +931,8 @@ def loads(text: str) -> Lamination:
             no, line = next(numbered, (no + 1, ""))
         if line != "[leaves]":
             raise ValueError("missing [leaves] section")
-        angles: Dict[str, Tuple[int, int]] = {}
-        rows = []
+        angles: Dict[str, Tuple[int, int]] = {}  # text -> (p, q)
+        rows = []  # (text, text, level)
         for no, line in numbered:
             if line == "[gaps]":
                 break
@@ -941,12 +941,14 @@ def loads(text: str) -> Lamination:
             if len(ends) != 2:
                 raise ValueError(f"bad chord syntax: {parts[0]!r}")
             ta, tb = ends
-            a = angles.get(ta) or angles.setdefault(ta, _angle_parts(ta))
-            b = angles.get(tb) or angles.setdefault(tb, _angle_parts(tb))
+            if ta not in angles:
+                angles[ta] = _angle_parts(ta)
+            if tb not in angles:
+                angles[tb] = _angle_parts(tb)
             level = _integer(parts[1], "level") if len(parts) > 1 else 0
             if not 0 <= level <= depth:
                 raise ValueError(f"level {level} is outside 0..{depth}")
-            rows.append((a, b, level))
+            rows.append((ta, tb, level))
         fatou: List[object] = []
         finite: List[LamSet] = []
         for no, line in numbered:
@@ -960,13 +962,16 @@ def loads(text: str) -> Lamination:
                 fatou.append(obj)
     except ValueError as exc:
         raise LamFormatError(f"line {no}: {exc}") from None
-    N = lcm(*(q for _, q in angles.values()))
+    M = lcm(*(q for _, q in angles.values()))
+    over_m = [p * (M // q) for p, q in angles.values()]
+    g = gcd(M, *over_m)
+    num = {t: x // g for t, x in zip(angles, over_m)}
     pairs: Dict[Tuple[int, int], int] = {}
-    for (pa, qa), (pb, qb), lvl in rows:
-        a, b = pa * (N // qa), pb * (N // qb)
+    for ta, tb, lvl in rows:
+        a, b = num[ta], num[tb]
         pairs[(a, b) if a <= b else (b, a)] = lvl
     return Lamination(d=d, depth=depth, recipe=header.get("recipe", "file"),
-                      leaves=Leaves(N, pairs), fatou_gaps=fatou, finite_gaps=finite,
+                      leaves=Leaves(M // g, pairs), fatou_gaps=fatou, finite_gaps=finite,
                       registry_complete=registry_complete)
 
 

@@ -17,6 +17,7 @@ from trilam.lamination import (
     dumps,
     quadratic_canonical,
     read_lamination,
+    write_lamination,
 )
 from trilam.lamsets import parse_lamset
 from trilam.quadgap import build_gap
@@ -475,3 +476,63 @@ def test_fuzzed_argv_exits_cleanly(data):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         assert code in (0, 1, 2), (argv, code)
+
+
+def _outcomes(argvs, out_dir):
+    """Exit code, stdout, stderr and the bytes of every file written, for
+    each command line run in turn in this process."""
+    results = {}
+    for argv in argvs:
+        for f in out_dir.iterdir():
+            f.unlink()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        written = {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
+        results[argv] = (code, out.getvalue(), err.getvalue(), written)
+    return results
+
+
+def test_parser_reuse_leaks_nothing_between_calls(tmp_path):
+    """Every subcommand, a usage error, an unknown subcommand and --help
+    give the same outcome whichever command lines ran before them in the
+    process: run forwards, then backwards, so that a flag or default left
+    over from one call would change the next."""
+    rot, gap = str(tmp_path / "rot.lam"), str(tmp_path / "gap.lam")
+    write_lamination(canonical_of_rotational(parse_lamset("1/26,3/26,9/26"), 2), rot)
+    write_lamination(canonical_of_quadratic_gap(
+        build_gap(Chord(F(1, 3), F(2, 3)), depth=0)[0], 2), gap)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = str(out_dir)
+    argvs = [tuple(a) for a in (
+        ["classify-critical-leaf", "145/156-41/156"],
+        ["build-gap", "1/3-2/3", "--depth", "2"],
+        ["vassal", "1/12-5/12", "--depth", "1"],
+        ["build-canonical", "diameter", "--depth", "2", "--out", f"{out}/d.lam"],
+        ["build-canonical", "rotational", "--set", "7/26,11/26,21/26", "--depth", "1"],
+        ["find-rotational", "--rho", "1/3"],
+        ["find-rotational", "--d", "2", "--rho", "2/5", "--orbits", "1"],
+        ["check-invariance", "--in", rot],
+        ["clean", "--in", gap],
+        ["classify-smp", "--in", rot],
+        ["core-report", "--in", rot, "--period-bound", "2"],
+        ["core-report", "--in", rot],
+        ["project", "--in", gap, "--out", f"{out}/p.lam"],
+        ["render", "--set", "1/26,3/26,9/26", "--out", f"{out}/r.svg", "--labels"],
+        ["render", "--set", "1/26,3/26,9/26", "--out", f"{out}/r.svg"],
+        ["render", "--in", gap, "--size", "64", "--out", f"{out}/g.svg"],
+        ["build-gap", "1/3-2/3", "--depth", "x"],
+        ["bogus"],
+        ["--help"],
+        ["core-report", "--help"],
+    )]
+    forwards = _outcomes(argvs, out_dir)
+    assert _outcomes(argvs[::-1], out_dir) == forwards
+    # the pairs that a leak would merge do differ
+    labels, plain = forwards[argvs[13]], forwards[argvs[14]]
+    assert labels[3]["r.svg"] != plain[3]["r.svg"]
+    assert forwards[argvs[10]][1].startswith("period_bound: 2\n")
+    assert forwards[argvs[11]][1].startswith("period_bound: 6\n")
+    assert [forwards[a][0] for a in argvs[-4:]] == [2, 2, 0, 0]
+    assert all(forwards[a][0] == 0 for a in argvs[:-4])

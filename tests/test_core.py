@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -9,12 +13,14 @@ from trilam.lamination import (
     canonical_of_quadratic_gap,
     canonical_of_rotational,
     quadratic_canonical,
+    write_lamination,
 )
 from trilam.lamsets import LamSet, classify_rotational, enumerate_rotational, parse_lamset
 from trilam.quadgap import build_gap
 
 FINGAP1 = parse_lamset("7/26,4/13,11/26,10/13,21/26,12/13")
 FINGAP3 = parse_lamset("1/26,3/26,9/26")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_derive_classes_merges_shared_endpoints():
@@ -110,6 +116,50 @@ def test_census_matches_fraction_oracle():
             assert rep.lines() == want.lines()
             summaries.add(rep.summary)
     assert summaries == {"EmptyCore", "SinglePoint"}
+
+
+@pytest.mark.parametrize("command, make", [
+    ("core-report", lambda: canonical_diameter(depth=5)),
+    ("classify-smp", lambda: canonical_of_rotational(FINGAP3, depth=4)),
+], ids=["diameter", "fingap3"])
+def test_period_walk_ends_whatever_the_bound(tmp_path, command, make):
+    """A class walk ends by the class's period, and a class with a point
+    that is not periodic is not walked, so a bound past every period gives
+    the bound-1000 answer at once."""
+    L = make()
+    path = tmp_path / "in.lam"
+    write_lamination(L, str(path))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = {}
+    for bound in ("1000", "100000000"):
+        # a subprocess with a timeout, so that a walk up to the bound fails
+        # the test in place of hanging it
+        proc = subprocess.run(
+            [sys.executable, "-m", "trilam.cli", command, "--in", str(path),
+             "--period-bound", bound],
+            capture_output=True, text=True, env=env, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        out[bound] = [ln for ln in proc.stdout.splitlines()
+                      if ln != f"period_bound: {bound}"]
+    assert out["1000"] == out["100000000"]
+    want = periodic_rotational_classes(L, 1000)
+    got = periodic_rotational_classes(L, 10 ** 8)
+    assert (got.cut_classes, got.rotational_classes, got.summary) == \
+        (want.cut_classes, want.rotational_classes, want.summary)
+    for bound in (2, 6, 30):
+        rep, oracle = periodic_rotational_classes(L, bound), _fraction_census(L, bound)
+        assert rep.rotational_classes == oracle.rotational_classes
+        assert rep.lines() == oracle.lines()
+
+
+def test_cut_classes_read_as_angle_tuples():
+    L = canonical_of_rotational(FINGAP3, depth=2)
+    cut = periodic_rotational_classes(L).cut_classes
+    want = [c for c in endpoint_classes((e.a, e.b) for e in L.leaves) if len(c) >= 2]
+    assert len(cut) == len(want) and list(cut) == want and cut == want
+    assert [cut[i] for i in range(len(cut))] == want and cut[-1] == want[-1]
+    assert want[0] in cut
+    assert cut != want[:-1]
 
 
 def test_separates_basic():

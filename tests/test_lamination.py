@@ -43,10 +43,12 @@ from trilam.quadgap import (
     GapGen, VassalGap, above_diameter, below_diameter, build_gap, classify_critical,
 )
 
+from loads_oracle import loads as oracle_loads
 from region_oracle import (
     REGION_MARGIN, RegionView, region_boundary, region_closure, region_edges,
     tracks_hole_cycle,
 )
+from test_cli import _mutated_lam
 
 FINGAP1 = parse_lamset("7/26,4/13,11/26,10/13,21/26,12/13")
 FINGAP2 = parse_lamset("7/26,11/26,21/26")
@@ -618,6 +620,19 @@ def test_check_invariance_matches_oracle_on_perturbations():
     assert all(laminar.values()), laminar
 
 
+@lru_cache(maxsize=None)
+def _perturbation_bases(depth):
+    return _golden_suite(depth) + (
+        quadratic_canonical(LamSet([F(1, 7), F(2, 7), F(4, 7)], degree_d=2), depth=depth),)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(0, 6), st.booleans())
+def test_check_invariance_matches_oracle_on_drawn_perturbations(seed, depth, index, foreign):
+    L = _perturbation_bases(depth)[index]
+    _assert_matches_oracle(_perturbed(L, random.Random(seed), foreign))
+
+
 # ---------------------------------------------------------------------------
 # cleaning
 
@@ -924,7 +939,7 @@ def test_integer_angle_parser_matches_parse_chord(ta, tb):
             with pytest.raises(ValueError):
                 _angle_parts(t)
         else:
-            assert _angle_parts(t) == (x.numerator, x.denominator)
+            assert F(*_angle_parts(t)) == x
     if any(ch.isspace() for ch in text):
         return  # a .lam line splits at whitespace
     lam_text = f"d=3 depth=0 recipe=x\n[leaves]\n{text} 0\n[gaps]\n"
@@ -933,3 +948,76 @@ def test_integer_angle_parser_matches_parse_chord(ta, tb):
             loads(lam_text)
     else:
         assert list(loads(lam_text).leaves.items()) == [(want, 0)]
+
+
+def _read_with(reader, text):
+    """What `reader` makes of text: the lamination's fields, its leaf store
+    in insertion order and its serialized gaps, or the error it raised."""
+    try:
+        L = reader(text)
+    except Exception as exc:  # the two readers must fail alike
+        return type(exc).__name__, str(exc)
+    return (L.d, L.depth, L.recipe, L.registry_complete, L.leaves.N,
+            list(L.leaves.pairs.items()), [g.serialize() for g in L.fatou_gaps],
+            [FiniteRegion(G).serialize() for G in L.finite_gaps])
+
+
+_GAP_LINES = {
+    3: [f"G{i} {g}" for i, g in enumerate([
+        "kind=finite degree=3 vertices=7/26,11/26,21/26",
+        "kind=attached degree=3 set=7/26,11/26,21/26 index=1",
+        "kind=periodic-type major=7/26-12/13 hole=12/13,7/26 period=3 critical=41/156-145/156",
+        "kind=vassal-image power=2 major=7/26-12/13 hole=12/13,7/26 period=3 "
+        "critical=10/39-73/78",
+        "kind=regular-critical major=1/3-2/3 hole=1/3,2/3 period=- critical=1/3-2/3",
+        "kind=below-diameter major=0-1/2 hole=0,1/2 period=1 critical=1/12-5/12",
+    ])],
+    2: ["G0 kind=finite degree=2 vertices=1/7,2/7,4/7",
+        "G1 kind=attached degree=2 set=1/7,2/7,4/7 index=2"],
+}
+_BLANK = st.sampled_from(["", " ", "\t", "  \t "])
+
+
+@st.composite
+def _lam_texts(draw):
+    """Well-formed .lam text in the spellings that loads accepts: unreduced
+    p/q, p >= q, bare integers, decimals, blank lines, tabs, trailing
+    fields, duplicate leaves, omitted levels, and at times no leaves."""
+    d, depth = draw(st.sampled_from([2, 3])), draw(st.integers(0, 4))
+    angle = st.one_of(
+        st.builds(lambda p, q: f"{p}/{q}", st.integers(0, 100),
+                  st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 18, 26, 27, 52])),
+        st.builds(str, st.integers(0, 5)),
+        st.sampled_from(["0.25", "0.5", "0.125", "1.75", "0.0", "2.5"]))
+    rows = draw(st.lists(st.tuples(angle, angle, st.none() | st.integers(0, depth)),
+                         max_size=12))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
+    leaf_lines = []
+    for ta, tb, level in rows:
+        line = f"{ta}-{tb}"
+        if level is not None:
+            line += draw(st.sampled_from([" ", "\t", "  "])) + str(level)
+            line += draw(st.sampled_from(["", " extra", "\tx y"]))
+        leaf_lines.append(draw(_BLANK) + line + draw(_BLANK))
+    lines = [f"d={d} depth={depth} recipe={draw(st.sampled_from(['x', 'file', 'manual']))}"]
+    lines += draw(st.sampled_from([[], ["registry=complete"], ["registry=partial"]]))
+    lines += ["[leaves]", *leaf_lines]
+    if draw(st.booleans()):
+        lines += ["[gaps]", *draw(st.lists(st.sampled_from(_GAP_LINES[d]), max_size=3))]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_BLANK))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lam_texts())
+def test_loads_matches_one_pass_oracle_on_well_formed_texts(text):
+    got = _read_with(loads, text)
+    assert got == _read_with(oracle_loads, text)
+    assert len(got) == 8, got  # a lamination, not an error
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_lam())
+def test_loads_matches_one_pass_oracle_on_mutated_texts(text):
+    assert _read_with(loads, text) == _read_with(oracle_loads, text)
