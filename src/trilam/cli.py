@@ -43,6 +43,12 @@ def _depth(args) -> int:
     return args.depth
 
 
+def _period_bound(args) -> int:
+    if args.period_bound < 1:
+        raise UsageError(f"--period-bound must be >= 1, got {args.period_bound}")
+    return args.period_bound
+
+
 def _rho(text: str) -> Fraction:
     """A rotation number p/q in (0, 1), never reduced mod 1."""
     text = text.strip()
@@ -167,15 +173,17 @@ def cmd_clean(args) -> int:
 
 
 def cmd_classify_smp(args) -> int:
+    bound = _period_bound(args)
     L = lamination.read_lamination(args.infile)
-    verdict = lamination.classify_smp(L, period_bound=args.period_bound)
+    verdict = lamination.classify_smp(L, period_bound=bound)
     _emit(verdict.lines())
     return 0
 
 
 def cmd_core_report(args) -> int:
+    bound = _period_bound(args)
     L = lamination.read_lamination(args.infile)
-    rep = core.periodic_rotational_classes(L, period_bound=args.period_bound)
+    rep = core.periodic_rotational_classes(L, period_bound=bound)
     _emit(rep.lines())
     return 0
 

@@ -104,6 +104,8 @@ def periodic_rotational_classes(L, period_bound: int = 6) -> CoreReport:
     so the rotational test reuses the plain classifier at degree d^j.  The
     classes are found on the lamination's numerators over N, where sigma_d
     is d*x mod N.  Only classes of periodic points are walked."""
+    if period_bound < 1:
+        raise ValueError(f"period_bound must be >= 1, got {period_bound}")
     d = L.d
     N = L.leaves.N
     classes = [c for c in endpoint_classes(L.leaves.pairs) if len(c) >= 2]

@@ -33,7 +33,7 @@ from .circle import (
     preimages,
     sigma,
 )
-from .core import endpoint_classes, periodic_rotational_classes
+from .core import periodic_rotational_classes
 from .lamsets import (
     LamSet,
     RotationalReport,
@@ -331,16 +331,22 @@ def _pullback_closure(d: int, seeds: Sequence[Chord],
     The preimages of x are x // d + k * (N // d), exact above the last
     level.  The leaves are returned as they were found, in insertion order.
 
-    The crossing test is one table lookup per preimage.  A point x that is
-    no polygon vertex lies in the sector (bisect_right(P, x) % |P| for each
-    polygon P) of the portrait's complement, and that tuple is constant
-    between consecutive vertices, so one bisection into the sorted vertex
-    list finds it.  A pair (a, b) of such points crosses no polygon iff a
-    and b share a sector: with i = bisect_right(P, a) <= j =
-    bisect_right(P, b), it crosses P iff i < j and (i > 0 or j < |P|), that
-    is, iff i and j differ mod |P|.  A leaf with a preimage on a vertex is
-    tested pair by pair against every polygon.  A pair that is already a
-    leaf is a sibling whether or not it crosses."""
+    The crossing test is planned once per pair of critical-value arcs.  A
+    point that is no polygon vertex lies in the sector (bisect_right(P, x) %
+    |P| for each polygon P) of the portrait's complement, and that tuple is
+    constant between consecutive vertices.  A pair (p, q) of such points
+    crosses no polygon iff p and q share a sector: with i = bisect_right(P,
+    p) <= j = bisect_right(P, q), it crosses P iff i < j and (i > 0 or j <
+    |P|), that is, iff i and j differ mod |P|.  The critical values d*v mod
+    N of the vertices v cut the circle into arcs.  The preimage x // d + k *
+    (N // d) of x is a vertex iff x is a critical value, and it stays between
+    the same two vertices while x stays inside one arc.  So the d * d
+    candidate pairs of a leaf (a, b), as offsets from (a // d, b // d), and
+    which of them share a sector depend only on the arcs of a and b.  Each
+    such plan is built on first use from the sector table, and a leaf costs
+    two bisections into the critical values.  A leaf with an endpoint on a
+    critical value is tested pair by pair against every polygon.  A pair
+    that is already a leaf is a sibling whether or not it crosses."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if sum(len(P) - 1 for P in portrait) != d - 1 or any(
@@ -358,27 +364,41 @@ def _pullback_closure(d: int, seeds: Sequence[Chord],
 
     polys = [sorted(map(num, P)) for P in portrait]
     vertices = sorted({x for P in polys for x in P})
-    vertex_set = set(vertices)
     # sector[i]: the sector of the points strictly between vertices[i - 1]
     # and vertices[i], numbered by first appearance
     ids: Dict[Tuple[int, ...], int] = {}
     sector = [ids.setdefault(tuple(bisect_right(P, v) % len(P) for P in polys), len(ids))
               for v in [-1] + vertices]
+    # the critical values, and the arcs between them by bisect_left
+    values = sorted({d * v % N for v in vertices})
+    value_set = set(values)
     leaves: Dict[Tuple[int, int], int] = {(num(s.a), num(s.b)): 0 for s in seeds}
     frontier = list(leaves)
     step = N // d
+    offsets = [k * step for k in range(d)]
+    # plans[i, j]: (u, v, same) for each candidate (a // d + u, b // d + v)
+    # of a leaf (a, b) whose endpoints lie in the arcs i and j, in the
+    # order of the preimages of a, then of b
+    plans: Dict[Tuple[int, int], List[Tuple[int, int, bool]]] = {}
     for level in range(1, depth + 1):
         fresh = []
         for leaf in frontier:
-            pa = [leaf[0] // d + k * step for k in range(d)]
-            pb = [leaf[1] // d + k * step for k in range(d)]
-            if vertex_set.isdisjoint(pa + pb):
-                sa = [sector[bisect_right(vertices, p)] for p in pa]
-                sb = [sector[bisect_right(vertices, q)] for q in pb]
-                valid = [c for p, s in zip(pa, sa) for q, t in zip(pb, sb)
-                         for c in [(p, q) if p <= q else (q, p)]
-                         if s == t or c in leaves]
+            a, b = leaf
+            x, y = a // d, b // d
+            if a not in value_set and b not in value_set:
+                i, j = bisect_left(values, a), bisect_left(values, b)
+                plan = plans.get((i, j))
+                if plan is None:
+                    sa = [sector[bisect_right(vertices, x + u)] for u in offsets]
+                    sb = [sector[bisect_right(vertices, y + v)] for v in offsets]
+                    plan = plans[i, j] = [(u, v, s == t) for u, s in zip(offsets, sa)
+                                          for v, t in zip(offsets, sb)]
+                valid = [c for u, v, same in plan
+                         for c in [(x + u, y + v) if u <= v else (y + v, x + u)]
+                         if same or c in leaves]
             else:
+                pa = [x + u for u in offsets]
+                pb = [y + v for v in offsets]
                 valid = []
                 for p in pa:
                     for q in pb:
@@ -554,6 +574,46 @@ def _crosses(x: Tuple[int, int], y: Tuple[int, int]) -> bool:
     return x[0] < y[0] < x[1] < y[1] or y[0] < x[0] < y[1] < x[1]
 
 
+def _gap_polygons(level: Mapping[Tuple[int, int], int],
+                  leaf_list: List[Tuple[int, int]]) -> Iterator[List[int]]:
+    """The vertices c0 < ... < c(n-1), n >= 3, of each connected component
+    of the endpoint graph whose sides (ci, ci+1) and (c0, c(n-1)) are all
+    leaves, in sorted order, for the leaves `level` given as pairs a <= b
+    and sorted in `leaf_list`.
+
+    In such a component the smallest b among the leaves (ci, b) is ci+1, the
+    largest b among the leaves (c0, b) is c(n-1), and c0 ends no
+    non-degenerate leaf.  So a walk along the smallest b starts at each such
+    a with two different b, and is dropped unless it reaches the largest.
+    A walk is a component iff it is closed: the degrees of its vertices sum
+    to twice the number of leaves among them, self-loops included."""
+    sides = [c for c in leaf_list if c[0] != c[1]]
+    first, last = dict(reversed(sides)), dict(sides)
+    left = Counter(map(itemgetter(0), leaf_list))
+    right = Counter(map(itemgetter(1), leaf_list))
+    for a, end in last.items():
+        if first[a] == end or right[a] != ((a, a) in level):
+            continue
+        walk = [a]
+        v = first[a]
+        while v is not None and v < end:
+            walk.append(v)
+            v = first.get(v)
+        if v != end:
+            continue
+        walk.append(end)
+        degrees = sum(left[v] + right[v] for v in walk)
+        if degrees != 2 * len(walk):
+            members = set(walk)
+            inside = 0
+            for v in walk:
+                i = bisect_left(leaf_list, (v,))
+                inside += sum(b in members for _, b in leaf_list[i:i + left[v]])
+            if degrees != 2 * inside:
+                continue
+        yield walk
+
+
 def check_invariance(L: Lamination) -> InvarianceReport:
     """Leaf-by-leaf invariance check: linked pairs, forward images, sibling
     collections of leaves below the truncation depth, and holes of the
@@ -564,11 +624,15 @@ def check_invariance(L: Lamination) -> InvarianceReport:
     Chords and angles are built only for the report.  The crossing pairs
     are counted only when the scan for examples has found one.
 
-    The images are computed once, in one pass over the sorted leaves.  When
-    the scan finds no crossing the family is laminar, so any d leaves with
-    one image are pairwise unlinked: a leaf has a sibling collection iff at
-    least d leaves share its image.  Only a family with a crossing is
-    searched for pairwise unlinked collections."""
+    The images are computed once, in one pass over the sorted leaves, and
+    counted once: the forward and sibling checks first find the distinct
+    non-degenerate images that fail, and pass over the leaves only when
+    there are some.  An image fails the forward check when it is no leaf.
+    When the scan finds no crossing the family is laminar, so any d leaves
+    with one image are pairwise unlinked: an image fails the sibling check
+    when fewer than d leaves share it.  Only a family with a crossing is
+    searched for pairwise unlinked collections.  The gap polygons are found
+    by `_gap_polygons`."""
     d = L.d
     N, level = L.leaves.N, L.leaves.pairs
     chord = L.leaves.chord
@@ -579,8 +643,10 @@ def check_invariance(L: Lamination) -> InvarianceReport:
 
     images = [(u, v) if (u := d * a % N) < (v := d * b % N) else (v, u)
               for a, b in leaf_list]
+    share = Counter(images)
+    missing = {img for img in share.keys() - level.keys() if img[0] != img[1]}
     forward_missing = [chord(c) for c, img in zip(leaf_list, images)
-                       if img[0] != img[1] and img not in level]
+                       if img in missing] if missing else []
 
     if linked:
         by_image: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
@@ -592,25 +658,18 @@ def check_invariance(L: Lamination) -> InvarianceReport:
             return any(
                 not any(_crosses(x, y) for x, y in combinations((c,) + combo, 2))
                 for combo in combinations(others, d - 1))
+
+        sibling_missing = [chord(c) for c, img in zip(leaf_list, images)
+                           if img[0] != img[1] and level[c] < L.depth
+                           and not has_collection(c, img)]
     else:
-        share = Counter(images)
-
-        def has_collection(c, img) -> bool:
-            return share[img] >= d
-
-    sibling_missing = [chord(c) for c, img in zip(leaf_list, images)
-                       if img[0] != img[1] and level[c] < L.depth
-                       and not has_collection(c, img)]
+        short = {img for img, k in share.items() if k < d and img[0] != img[1]}
+        sibling_missing = [chord(c) for c, img in zip(leaf_list, images)
+                           if img in short and level[c] < L.depth] if short else []
 
     gap_violations = []
-    for cls in endpoint_classes(leaf_list):
+    for cls in _gap_polygons(level, leaf_list):
         n = len(cls)
-        if n < 3:
-            continue
-        # only treat full polygons (every consecutive chord a leaf) as gaps
-        if (cls[0], cls[-1]) not in level or not all(
-                (cls[i], cls[i + 1]) in level for i in range(n - 1)):
-            continue
         imgs = [d * v % N for v in cls]
         img_pts = sorted(set(imgs))
         m = len(img_pts)

@@ -182,6 +182,22 @@ def test_negative_depth_is_usage_error(capsys, tmp_path, argv):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("command", ["core-report", "classify-smp"])
+@pytest.mark.parametrize("bound", ["-5", "-1", "0"])
+def test_period_bound_below_one_is_usage_error(capsys, tmp_path, command, bound):
+    # a quadratic-gap file, which classify-smp would otherwise call in_smp
+    path = str(tmp_path / "reg.lam")
+    run(capsys, "build-canonical", "quadratic-gap", "--critical", "1/3-2/3",
+        "--depth", "1", "--out", path)
+    code, out, err = run(capsys, command, "--in", path, "--period-bound", bound)
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: --period-bound must be >= 1, got {bound}\n"
+    code, out, _ = run(capsys, command, "--in", path, "--period-bound", "1")
+    assert code == 0
+    assert "period_bound: 1\n" in out
+
+
 @pytest.mark.parametrize("index", ["-5", "-1", "1"])
 def test_project_gap_index_out_of_range(capsys, tmp_path, index):
     path = str(tmp_path / "p3.lam")

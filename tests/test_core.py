@@ -183,3 +183,11 @@ def test_separates_validates_input():
         separates(L, g, [F(1, 4)], [F(1, 4)])  # A meets B
     with pytest.raises(ValueError):
         separates(L, g, [F(1, 4), F(3, 4)], [F(7, 8)])  # A spans two arcs
+
+
+@pytest.mark.parametrize("bound", [-1, 0])
+def test_census_rejects_period_bound_below_one(bound):
+    L = canonical_of_rotational(FINGAP1, depth=2)
+    assert periodic_rotational_classes(L, 1).period_bound == 1
+    with pytest.raises(ValueError, match=f"period_bound must be >= 1, got {bound}"):
+        periodic_rotational_classes(L, bound)

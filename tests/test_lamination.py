@@ -43,7 +43,9 @@ from trilam.quadgap import (
     GapGen, VassalGap, above_diameter, below_diameter, build_gap, classify_critical,
 )
 
+from check_oracle import check_invariance as oracle_check_invariance
 from loads_oracle import loads as oracle_loads
+from pullback_oracle import _pullback_closure as oracle_pullback_closure
 from region_oracle import (
     REGION_MARGIN, RegionView, region_boundary, region_closure, region_edges,
     tracks_hole_cycle,
@@ -440,6 +442,47 @@ def test_pullback_vertex_and_leaf_candidates_match_region_oracle(d, seeds, polyg
     assert got == f"{want}: candidates {candidates}; portrait {{{','.join(map(format_angle, polygon))}}}"
 
 
+def _pullback_outcome(closure, *args):
+    """N and the (pair, level) items in insertion order, or the
+    PullbackAmbiguityError message."""
+    try:
+        leaves = closure(*args)
+    except PullbackAmbiguityError as exc:
+        return str(exc)
+    return leaves.N, list(leaves.pairs.items())
+
+
+def test_pullback_closure_matches_vertex_list_oracle():
+    # golden recipes at depths 0-6 and the rotational census at depths 0-5
+    cases = [(GOLDEN_BUILDS[name](0), range(7)) for name in sorted(GOLDEN_BUILDS)]
+    cases += [(canonical_of_rotational(G, 0), range(6)) for G in _rotational_census()]
+    compared = 0
+    for L0, depths in cases:
+        seeds = _seeds(L0)
+        portrait = _critical_portrait(L0.d, seeds, _regions(L0))
+        for n in depths:
+            want = _pullback_outcome(oracle_pullback_closure, L0.d, seeds, portrait, n)
+            assert _pullback_outcome(_pullback_closure, L0.d, seeds, portrait, n) == want, \
+                (L0.recipe, n)
+            compared += 1
+    assert compared == 7 * 7 + 6 * len(_rotational_census())
+
+
+@pytest.mark.parametrize("d, seeds, portrait", [
+    # a critical value on a seed endpoint, so that seed takes the vertex path
+    (3, [Chord(F(1, 13), F(1, 2))], [(F(1, 6), F(1, 2), F(5, 6))]),
+    # a candidate of 1/3-2/3 that crosses the portrait but is already a
+    # leaf, the seed 1/6-1/3, counts as a sibling
+    (2, [Chord(F(1, 3), F(2, 3)), Chord(F(1, 6), F(1, 3))], [(F(1, 4), F(3, 4))]),
+    # critical values on both endpoints of the seed
+    (3, [Chord(F(0), F(1, 2))], [(F(0), F(1, 3)), (F(1, 2), F(5, 6))]),
+])
+def test_pullback_vertex_and_leaf_candidates_match_vertex_list_oracle(d, seeds, portrait):
+    want = _pullback_outcome(oracle_pullback_closure, d, seeds, portrait, 2)
+    assert isinstance(want, str)
+    assert _pullback_outcome(_pullback_closure, d, seeds, portrait, 2) == want
+
+
 # ---------------------------------------------------------------------------
 # invariance checking
 
@@ -631,6 +674,74 @@ def _perturbation_bases(depth):
 def test_check_invariance_matches_oracle_on_drawn_perturbations(seed, depth, index, foreign):
     L = _perturbation_bases(depth)[index]
     _assert_matches_oracle(_perturbed(L, random.Random(seed), foreign))
+
+
+def _assert_check_matches_union_find_oracle(L):
+    """Every field of the report, its lists in order, and its lines are
+    those of the union-find check in tests/check_oracle.py."""
+    got, want = check_invariance(L), oracle_check_invariance(L)
+    assert vars(got) == vars(want)
+    assert got.lines() == want.lines()
+    return got
+
+
+def test_check_invariance_matches_union_find_oracle_on_constructions():
+    # golden recipes at depths 0-5 and the rotational census at depth 4
+    lams = [GOLDEN_BUILDS[name](n) for name in sorted(GOLDEN_BUILDS) for n in range(6)]
+    lams += [canonical_of_rotational(G, 4) for G in _rotational_census()]
+    for L in lams:
+        assert _assert_check_matches_union_find_oracle(L).ok, (L.recipe, L.depth)
+
+
+def test_check_invariance_matches_union_find_oracle_on_perturbations():
+    bases = _perturbation_bases(3)
+    failures = {"linked": 0, "forward": 0, "sibling": 0, "gap": 0}
+    for seed in range(84):
+        for foreign in (True, False):
+            L = _perturbed(bases[seed % len(bases)], random.Random(seed), foreign)
+            rep = _assert_check_matches_union_find_oracle(L)
+            failures["linked"] += bool(rep.linked_pairs)
+            failures["forward"] += bool(rep.forward_missing)
+            failures["sibling"] += bool(rep.sibling_missing)
+            failures["gap"] += bool(rep.gap_violations)
+    assert all(failures.values()), failures
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 4), st.integers(0, 6), st.booleans())
+def test_check_invariance_matches_union_find_oracle_on_drawn_perturbations(
+        seed, depth, index, foreign):
+    L = _perturbation_bases(depth)[index]
+    if len(L.leaves) > 3:  # the generator drops up to three leaves
+        L = _perturbed(L, random.Random(seed), foreign)
+    _assert_check_matches_union_find_oracle(L)
+
+
+@st.composite
+def _leaf_families(draw):
+    """Leaf families on a few points mod N: polygons that share vertices,
+    with diagonals, degenerate leaves a-a and leaves that may cross them."""
+    d = draw(st.sampled_from([2, 3]))
+    N = d * draw(st.sampled_from([4, 6, 9, 13, 27]))
+    depth = draw(st.integers(0, 3))
+    pool = draw(st.lists(st.integers(0, N - 1), min_size=3, max_size=12, unique=True))
+    point = st.sampled_from(pool)
+    chords = []
+    for _ in range(draw(st.integers(0, 4))):
+        poly = sorted(draw(st.lists(point, min_size=3, max_size=6, unique=True)))
+        chords += zip(poly, poly[1:] + poly[:1])
+        if draw(st.booleans()):
+            chords.append((poly[0], draw(st.sampled_from(poly[2:]))))
+    chords += [(a, a) for a in draw(st.lists(point, max_size=3))]
+    chords += draw(st.lists(st.tuples(point, point), max_size=4))
+    pairs = {(min(c), max(c)): draw(st.integers(0, depth)) for c in chords}
+    return Lamination(d=d, depth=depth, recipe="manual", leaves=Leaves(N, pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_leaf_families())
+def test_check_invariance_matches_union_find_oracle_on_leaf_families(L):
+    _assert_check_matches_union_find_oracle(L)
 
 
 # ---------------------------------------------------------------------------

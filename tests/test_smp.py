@@ -85,3 +85,11 @@ def test_rejects_degree_two():
     L = Lamination(d=2, depth=0, recipe="manual", leaves={})
     with pytest.raises(ValueError):
         classify_smp(L)
+
+
+@pytest.mark.parametrize("bound", [-5, 0])
+def test_rejects_period_bound_below_one(bound):
+    L = canonical_of_quadratic_gap(build_gap(Chord(F(1, 3), F(2, 3)), 0)[0], 2)
+    assert classify_smp(L, 1).in_smp
+    with pytest.raises(ValueError, match=f"period_bound must be >= 1, got {bound}"):
+        classify_smp(L, bound)
