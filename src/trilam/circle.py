@@ -14,12 +14,10 @@ from typing import List, Union
 Rational = Union[Fraction, int, str]
 
 
-def angle(x: Rational, den: int | None = None) -> Fraction:
+def angle(x: Rational) -> Fraction:
     """Normalize a rational to the canonical representative in [0, 1).
     A Fraction already in [0, 1) is returned as it is."""
-    if den is not None:
-        x = Fraction(x, den)
-    elif type(x) is not Fraction:
+    if type(x) is not Fraction:
         x = Fraction(x)
     return x if 0 <= x.numerator < x.denominator else x % 1
 

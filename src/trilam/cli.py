@@ -74,6 +74,18 @@ def _degree(d: int) -> int:
     return d
 
 
+def _write_lam(L: lamination.Lamination, out: Optional[str]) -> int:
+    """Write L as a .lam file to `out` and say so, or to stdout without it."""
+    text = lamination.dumps(L)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+        print(f"{len(L.leaves)} leaves -> {out}")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def _emit(lines) -> None:
     for ln in lines:
         print(ln)
@@ -140,14 +152,7 @@ def cmd_build_canonical(args) -> int:
         if not args.set:
             raise UsageError("variant quadratic-d2 needs --set ANGLES")
         L = lamination.quadratic_canonical(_lamset(args.set, 2), depth=depth)
-    text = lamination.dumps(L)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"{len(L.leaves)} leaves -> {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_lam(L, args.out)
 
 
 def cmd_find_rotational(args) -> int:
@@ -201,14 +206,7 @@ def cmd_project(args) -> int:
         raise UsageError(f"--gap-index must be in 0..{len(gaps) - 1}, "
                          f"got {args.gap_index}")
     P = lamination.project_through_gap(U, L)
-    text = lamination.dumps(P)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"{len(P.leaves)} leaves -> {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_lam(P, args.out)
 
 
 def cmd_render(args) -> int:
@@ -326,11 +324,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (UsageError, lamination.LamFormatError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, AssertionError,
+    except (ValueError, AssertionError, OSError,
             lamination.PullbackAmbiguityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

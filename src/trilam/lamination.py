@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations, count
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .chords import Chord, format_chord, parse_chord
 from .circle import (
@@ -331,22 +331,19 @@ def _pullback_closure(d: int, seeds: Sequence[Chord],
     The preimages of x are x // d + k * (N // d), exact above the last
     level.  The leaves are returned as they were found, in insertion order.
 
-    The crossing test is planned once per pair of critical-value arcs.  A
-    point that is no polygon vertex lies in the sector (bisect_right(P, x) %
-    |P| for each polygon P) of the portrait's complement, and that tuple is
-    constant between consecutive vertices.  A pair (p, q) of such points
-    crosses no polygon iff p and q share a sector: with i = bisect_right(P,
-    p) <= j = bisect_right(P, q), it crosses P iff i < j and (i > 0 or j <
-    |P|), that is, iff i and j differ mod |P|.  The critical values d*v mod
-    N of the vertices v cut the circle into arcs.  The preimage x // d + k *
-    (N // d) of x is a vertex iff x is a critical value, and it stays between
-    the same two vertices while x stays inside one arc.  So the d * d
-    candidate pairs of a leaf (a, b), as offsets from (a // d, b // d), and
-    which of them share a sector depend only on the arcs of a and b.  Each
-    such plan is built on first use from the sector table, and a leaf costs
-    two bisections into the critical values.  A leaf with an endpoint on a
-    critical value is tested pair by pair against every polygon.  A pair
-    that is already a leaf is a sibling whether or not it crosses."""
+    The siblings of a leaf are planned once per pair of endpoint places.
+    The critical values d*v mod N of the portrait vertices v cut the circle
+    into open arcs, and the place of a point is the value it sits on or the
+    arc it lies in: one bisect_right into the list of c and c + 1 for each
+    value c, odd on a value and even on an arc.  A pair (p, q), p <= q,
+    crosses a polygon P iff bisect_right(P, p) < bisect_left(P, q) and
+    (P[0] < p or P[-1] > q).  That depends only on where p and q sit among
+    the vertices of P, and the preimage x // d + k * (N // d) of x stays
+    between the same two vertices while x stays inside one arc.  So which
+    of the d * d candidate pairs of a leaf (a, b), as offsets from (a // d,
+    b // d), cross no polygon depends only on the places of a and b, and
+    each plan is built on first use from the first leaf with those places.
+    A pair that is already a leaf is a sibling whether or not it crosses."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if sum(len(P) - 1 for P in portrait) != d - 1 or any(
@@ -363,50 +360,31 @@ def _pullback_closure(d: int, seeds: Sequence[Chord],
         return format_chord(Chord(Fraction(c[0], N), Fraction(c[1], N)))
 
     polys = [sorted(map(num, P)) for P in portrait]
-    vertices = sorted({x for P in polys for x in P})
-    # sector[i]: the sector of the points strictly between vertices[i - 1]
-    # and vertices[i], numbered by first appearance
-    ids: Dict[Tuple[int, ...], int] = {}
-    sector = [ids.setdefault(tuple(bisect_right(P, v) % len(P) for P in polys), len(ids))
-              for v in [-1] + vertices]
-    # the critical values, and the arcs between them by bisect_left
-    values = sorted({d * v % N for v in vertices})
-    value_set = set(values)
+    cuts = sorted(c + e for c in {d * v % N for P in polys for v in P} for e in (0, 1))
     leaves: Dict[Tuple[int, int], int] = {(num(s.a), num(s.b)): 0 for s in seeds}
     frontier = list(leaves)
     step = N // d
     offsets = [k * step for k in range(d)]
-    # plans[i, j]: (u, v, same) for each candidate (a // d + u, b // d + v)
-    # of a leaf (a, b) whose endpoints lie in the arcs i and j, in the
-    # order of the preimages of a, then of b
+    # plans[i, j]: (u, v, free) for each candidate (a // d + u, b // d + v)
+    # of a leaf (a, b) whose endpoints have the places i and j, in the order
+    # of the preimages of a, then of b; free if it crosses no polygon
     plans: Dict[Tuple[int, int], List[Tuple[int, int, bool]]] = {}
     for level in range(1, depth + 1):
         fresh = []
         for leaf in frontier:
             a, b = leaf
             x, y = a // d, b // d
-            if a not in value_set and b not in value_set:
-                i, j = bisect_left(values, a), bisect_left(values, b)
-                plan = plans.get((i, j))
-                if plan is None:
-                    sa = [sector[bisect_right(vertices, x + u)] for u in offsets]
-                    sb = [sector[bisect_right(vertices, y + v)] for v in offsets]
-                    plan = plans[i, j] = [(u, v, s == t) for u, s in zip(offsets, sa)
-                                          for v, t in zip(offsets, sb)]
-                valid = [c for u, v, same in plan
-                         for c in [(x + u, y + v) if u <= v else (y + v, x + u)]
-                         if same or c in leaves]
-            else:
-                pa = [x + u for u in offsets]
-                pb = [y + v for v in offsets]
-                valid = []
-                for p in pa:
-                    for q in pb:
-                        a, b = (p, q) if p <= q else (q, p)
-                        if (a, b) in leaves or not any(
-                                bisect_right(P, a) < bisect_left(P, b)
-                                and (P[0] < a or P[-1] > b) for P in polys):
-                            valid.append((a, b))
+            key = bisect_right(cuts, a), bisect_right(cuts, b)
+            plan = plans.get(key)
+            if plan is None:
+                plan = plans[key] = [
+                    (u, v, not any(bisect_right(P, p) < bisect_left(P, q)
+                                   and (P[0] < p or P[-1] > q) for P in polys))
+                    for u in offsets for v in offsets
+                    for p, q in [(x + u, y + v) if u <= v else (y + v, x + u)]]
+            valid = [c for u, v, free in plan
+                     for c in [(x + u, y + v) if u <= v else (y + v, x + u)]
+                     if free or c in leaves]
             if len(valid) != d:
                 raise PullbackAmbiguityError(
                     f"pullback of {fmt(leaf)} admits {len(valid)} siblings where "
@@ -814,15 +792,12 @@ class SmpVerdict:
         return out
 
 
-def _witness_quadratic_gap(vertices: Sequence[Fraction],
+def _witness_quadratic_gap(points: Set[Fraction],
                            max_period: int = 6) -> Optional[GapGen]:
     """A periodic-type invariant quadratic gap whose basis contains every
-    given vertex: scan periodic majors by increasing period, using the exact
+    given point: scan periodic majors by increasing period, using the exact
     hole-length formula, and keep the first whose open hole misses all the
-    vertices (and their orbits, which the vertices' invariance makes
-    redundant but we check anyway)."""
-    pts = sorted({v % 1 for v in vertices})
-    full = sorted({x for v in pts for x in orbit(3, v)})
+    points."""
     for k in range(1, max_period + 1):
         h = Fraction(3 ** (k - 1), 3 ** k - 1)
         for a in fixed_points(3, k):
@@ -831,7 +806,7 @@ def _witness_quadratic_gap(vertices: Sequence[Fraction],
             if _leaf_period(3, M) != k:
                 continue
             hole = Arc(a, b)
-            if any(0 < (x - a) % 1 < h for x in full):
+            if any(0 < (x - a) % 1 < h for x in points):
                 continue
             # validate: a critical chord centered in the hole must classify
             # as periodic type with exactly this major
@@ -884,8 +859,7 @@ def classify_smp(L: Lamination, period_bound: int = 6) -> SmpVerdict:
             witness_rotational=G, witness_type="D",
         )
     # types A and B live inside an invariant quadratic gap (co-existence)
-    full_orbit = [x for v in G.vertices for x in orbit(3, v)]
-    U = _witness_quadratic_gap(full_orbit)
+    U = _witness_quadratic_gap({x for v in G.vertices for x in orbit(3, v)})
     if U is None:
         return SmpVerdict(
             in_smp=False, case_tag="NotSMP", period_bound=period_bound,

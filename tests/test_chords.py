@@ -64,7 +64,7 @@ def test_linked_symmetric(a, b, c, d):
 
 
 def test_sibling_collection_of_diameter():
-    # the pullback's sector rule picks the unique unlinked triple over the
+    # the pullback's crossing rule picks the unique unlinked triple over the
     # diameter: the two short chords, never the linking chord 1/3-5/6
     L = canonical_diameter(depth=1)
     assert dict(L.leaves.items()) == {

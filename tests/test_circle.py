@@ -23,7 +23,7 @@ degrees = st.integers(min_value=2, max_value=5)
 
 def test_angle_normalizes():
     assert angle(F(5, 4)) == F(1, 4)
-    assert angle(-1, 4) == F(3, 4)
+    assert angle(F(-1, 4)) == F(3, 4)
     assert angle("7/3") == F(1, 3)
 
 

@@ -483,6 +483,21 @@ def test_pullback_vertex_and_leaf_candidates_match_vertex_list_oracle(d, seeds, 
     assert _pullback_outcome(_pullback_closure, d, seeds, portrait, 2) == want
 
 
+def test_pullback_plans_tell_a_critical_value_from_its_arc():
+    # The critical values are 0 and 1/2.  The seed 1/5-3/5 plans its places
+    # first, the open arcs (0, 1/2) and (1/2, 1); 1/2-4/5 then starts on the
+    # value 1/2 itself, whose preimages are vertices, so it needs a plan of
+    # its own.  Sharing the arc's plan would find 3 siblings and go on.
+    seeds = [Chord(F(1, 5), F(3, 5)), Chord(F(1, 2), F(4, 5))]
+    portrait = [(F(0), F(1, 3)), (F(1, 2), F(5, 6))]
+    regions = [FiniteRegion(LamSet(list(P), degree_d=3)) for P in portrait]
+    want = _pullback_outcome(oracle_pullback_closure, 3, seeds, portrait, 2)
+    assert want == _closure_or_error(region_closure, 3, seeds, regions, 2) + (
+        ": candidates 1/6-4/15, 1/2-3/5, 1/2-14/15, 3/5-5/6, 5/6-14/15; "
+        "portrait {0,1/3} {1/2,5/6}")
+    assert _pullback_outcome(_pullback_closure, 3, seeds, portrait, 2) == want
+
+
 # ---------------------------------------------------------------------------
 # invariance checking
 
