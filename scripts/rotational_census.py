@@ -14,7 +14,8 @@ from trilam.lamsets import classify_rotational, enumerate_rotational, format_lam
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--d", type=int, default=3, help="degree of the angle map")
+    ap.add_argument("--d", type=int, default=3, choices=[2, 3],
+                    help="degree of the angle map")
     ap.add_argument("--max-q", type=int, default=5,
                     help="largest rotation-number denominator")
     ap.add_argument("--orbits", type=int, default=2, choices=[1, 2])

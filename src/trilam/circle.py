@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Union
+from itertools import count
+from math import gcd
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 Rational = Union[Fraction, int, str]
 
@@ -57,16 +59,43 @@ def preimages(d: int, a: Fraction) -> List[Fraction]:
     return sorted((a + k) / d for k in range(d))
 
 
+def _orbit_walk(d: int, x: int, M: int) -> Tuple[List[int], int]:
+    """The sigma_d-orbit of x/M as numerators over M, listed up to the first
+    repeat, and the index where its cycle starts."""
+    seen: Dict[int, int] = {}
+    while x not in seen:
+        seen[x] = len(seen)
+        x = d * x % M
+    return list(seen), seen[x]
+
+
+def _set_period(d: int, N: int, pts: Sequence[int],
+                bound: Optional[int] = None) -> Optional[int]:
+    """Minimal j (at most `bound`, when given) with sigma_d^j(S) = S as a
+    set, for the nonempty set S of numerators over N in `pts`; None when a
+    point of S is not periodic or no j up to the bound works.  v/N is
+    periodic iff P, the part of N made of d's primes, divides v; then
+    sigma_d^j fixes every point once j is a multiple of their periods, so
+    the walk stops by the period of S whatever the bound."""
+    P = gcd(N, d ** N.bit_length())
+    if any(v % P for v in pts):
+        return None
+    pset = set(pts)
+    m = 1
+    for j in count(1) if bound is None else range(1, bound + 1):
+        m = m * d % N
+        if m * pts[0] % N in pset and {m * v % N for v in pts} == pset:
+            return j
+    return None
+
+
 def orbit(d: int, a: Fraction) -> List[Fraction]:
     """Forward orbit of a rational angle: finite, listed up to first repeat."""
-    seen = {}
-    out: List[Fraction] = []
-    x = a % 1
-    while x not in seen:
-        seen[x] = len(out)
-        out.append(x)
-        x = sigma(d, x)
-    return out
+    if d < 2:
+        raise ValueError(f"degree must be >= 2, got {d}")
+    a = a % 1
+    return [Fraction(v, a.denominator)
+            for v in _orbit_walk(d, a.numerator, a.denominator)[0]]
 
 
 def fixed_points(d: int, power: int = 1) -> List[Fraction]:

@@ -156,8 +156,10 @@ def cmd_build_canonical(args) -> int:
 
 
 def cmd_find_rotational(args) -> int:
-    rho = _rho(args.rho)
-    for G in enumerate_rotational(_degree(args.d), rho, args.orbits):
+    rho, d = _rho(args.rho), _degree(args.d)
+    if d > 3:
+        raise UsageError(f"--d must be 2 or 3, got {d}")
+    for G in enumerate_rotational(d, rho, args.orbits):
         rep = classify_rotational(G)
         print(f"{format_lamset(G)} type={rep.type_tag}")
     return 0

@@ -11,10 +11,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Dict, Iterable, List, Optional, Tuple, TypeVar
+from typing import Dict, Iterable, List, Tuple, TypeVar
 
-from .circle import format_angle
+from .circle import _set_period, format_angle
 from .lamsets import LamSet, RotationalReport, classify_rotational, format_lamset
 
 T = TypeVar("T")
@@ -84,20 +83,6 @@ def endpoint_classes(pairs: Iterable[Tuple[T, T]]) -> List[Tuple[T, ...]]:
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 
-def _class_period(d: int, N: int, cls: Tuple[int, ...], bound: int) -> Optional[int]:
-    """Minimal j <= bound with sigma_d^j(cls) = cls as a set, for a class
-    of numerators over N whose points are all periodic.  sigma_d^j fixes
-    every such point once j is a multiple of their periods, so the walk
-    stops by the class's period whatever the bound."""
-    cset = set(cls)
-    m = 1
-    for j in range(1, bound + 1):
-        m = m * d % N
-        if m * cls[0] % N in cset and {m * v % N for v in cls} == cset:
-            return j
-    return None
-
-
 def periodic_rotational_classes(L, period_bound: int = 6) -> CoreReport:
     """Census of periodic classes whose return map acts as a nontrivial
     rotation.  The return map of a period-j class is sigma_d^j = sigma_{d^j},
@@ -109,14 +94,9 @@ def periodic_rotational_classes(L, period_bound: int = 6) -> CoreReport:
     d = L.d
     N = L.leaves.N
     classes = [c for c in endpoint_classes(L.leaves.pairs) if len(c) >= 2]
-    # v/N is periodic iff its reduced denominator is prime to d, that is iff
-    # P, the part of N made of d's primes, divides v
-    P = gcd(N, d ** N.bit_length())
     rotational: List[Tuple[LamSet, RotationalReport]] = []
     for cls in classes:
-        if any(v % P for v in cls):  # a point that is not periodic
-            continue
-        j = _class_period(d, N, cls, period_bound)
+        j = _set_period(d, N, cls, period_bound)
         if j is None:
             continue
         G = LamSet([Fraction(v, N) for v in cls], degree_d=d ** j)

@@ -36,8 +36,6 @@ from .circle import (
 from .core import periodic_rotational_classes
 from .lamsets import (
     LamSet,
-    RotationalReport,
-    _displacement,
     classify_rotational,
     format_lamset,
     holes,
@@ -279,7 +277,7 @@ def _attached_polygon(g: AttachedGap) -> Polygon:
     """The critical polygon of a critical attached gap i of G: the delta
     preimages x + k/d (k < delta) of sigma(x) in hole i, where
     delta = 1 + d*l_i - l_{i+p} is the gap's degree, l the hole lengths and
-    p the edge displacement of G.
+    p/n the rotation number of G, so that edge i maps to edge i + p.
 
     In local coordinates u on a hole the inverse branches are
     u -> (u + k)/d, k < delta.  x is the fixed point of the word that goes
@@ -288,10 +286,10 @@ def _attached_polygon(g: AttachedGap) -> Polygon:
     u = d^(c-1) / (d^(2c) - 1).  That is a basis point strictly inside the
     hole and off the cycle of G."""
     G, i = g.base, g.index
-    d, n, p = G.degree_d, len(G), _displacement(G)
+    d, n, rho = G.degree_d, len(G), classify_rotational(G).rotation_number
     ell = [arc_length(h) for _, h in holes(G)]
-    delta = 1 + d * ell[i] - ell[(i + p) % n]
-    c = n // gcd(n, p)
+    delta = 1 + d * ell[i] - ell[(i + int(rho * n)) % n]
+    c = rho.denominator
     x = G.vertices[i] + Fraction(d ** (c - 1), d ** (2 * c) - 1)
     return tuple((x + Fraction(k, d)) % 1 for k in range(int(delta)))
 
@@ -491,15 +489,18 @@ class InvarianceReport:
         return out
 
 
-def _find_linked_pairs(chords: List[Tuple[int, int]],
-                       limit: int = 20) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
-    """Crossing pairs in a family of distinct chords given as endpoint pairs
-    a <= b in sorted order, O(n log n) when the family is laminar (intervals
-    [a, b] pairwise nested or disjoint).  The chords are scanned in the
-    order (a, -b): a stable sort by a of the reversed list.  Every pair
-    returned crosses, and the result is empty only for a laminar family;
-    past the first crossing the stack is no longer a nested chain, so not
-    every crossing pair is found."""
+_LINKED_LIMIT = 20  # the crossing pairs an invariance report lists
+
+
+def _find_linked_pairs(chords: List[Tuple[int, int]]
+                       ) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
+    """At most _LINKED_LIMIT crossing pairs in a family of distinct chords
+    given as endpoint pairs a <= b in sorted order, O(n log n) when the
+    family is laminar (intervals [a, b] pairwise nested or disjoint).  The
+    chords are scanned in the order (a, -b): a stable sort by a of the
+    reversed list.  Every pair returned crosses, and the result is empty
+    only for a laminar family; past the first crossing the stack is no
+    longer a nested chain, so not every crossing pair is found."""
     out = []
     stack: List[Tuple[int, int]] = []
     for c in sorted(reversed(chords), key=itemgetter(0)):
@@ -510,7 +511,7 @@ def _find_linked_pairs(chords: List[Tuple[int, int]],
             # below the top the stack may hold chords ending before a
             if anc[0] < a < anc[1] < b:
                 out.append((anc, c))
-                if len(out) >= limit:
+                if len(out) >= _LINKED_LIMIT:
                     return out
             else:
                 break
@@ -792,13 +793,15 @@ class SmpVerdict:
         return out
 
 
-def _witness_quadratic_gap(points: Set[Fraction],
-                           max_period: int = 6) -> Optional[GapGen]:
+_WITNESS_MAX_PERIOD = 6
+
+
+def _witness_quadratic_gap(points: Set[Fraction]) -> Optional[GapGen]:
     """A periodic-type invariant quadratic gap whose basis contains every
-    given point: scan periodic majors by increasing period, using the exact
-    hole-length formula, and keep the first whose open hole misses all the
-    points."""
-    for k in range(1, max_period + 1):
+    given point: scan periodic majors by increasing period, up to
+    _WITNESS_MAX_PERIOD, using the exact hole-length formula, and keep the
+    first whose open hole misses all the points."""
+    for k in range(1, _WITNESS_MAX_PERIOD + 1):
         h = Fraction(3 ** (k - 1), 3 ** k - 1)
         for a in fixed_points(3, k):
             b = (a + h) % 1

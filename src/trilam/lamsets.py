@@ -5,11 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Optional, Tuple
 
 from .chords import Chord, format_chord
-from .circle import Arc, arc_length, format_angle, parse_angle, sigma
+from .circle import Arc, _orbit_walk, arc_length, format_angle, parse_angle
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,7 @@ def majors(G: LamSet) -> List[Chord]:
 
 
 def is_invariant(G: LamSet) -> bool:
-    img = {sigma(G.degree_d, v) for v in G.vertices}
-    return img == set(G.vertices)
+    return classify_rotational(G).is_invariant
 
 
 @dataclass(frozen=True)
@@ -102,124 +101,94 @@ class RotationalReport:
         return out
 
 
-def _displacement(G: LamSet) -> Optional[int]:
-    """If sigma_d acts on the ordered vertices as the rigid shift i -> i + p,
-    return p; otherwise None."""
-    vs = G.vertices
-    n = len(vs)
-    index = {v: i for i, v in enumerate(vs)}
-    p = None
-    for i, v in enumerate(vs):
-        w = sigma(G.degree_d, v)
-        if w not in index:
-            return None
-        shift = (index[w] - i) % n
-        if p is None:
-            p = shift
-        elif shift != p:
-            return None
-    return p
-
-
-def _orbit_count(G: LamSet) -> int:
-    vs = set(G.vertices)
-    remaining = set(vs)
-    count = 0
-    while remaining:
-        x = next(iter(remaining))
-        count += 1
-        while x in remaining:
-            remaining.discard(x)
-            x = sigma(G.degree_d, x)
-    return count
-
-
 def classify_rotational(G: LamSet) -> RotationalReport:
     """Recognize invariant rotational sets and assign type A/B/D.
 
     The diameter {0, 1/2} under sigma_3 gets rotation number 0 and
     is_rotational = False, but carries the `diameter_special` flag since it
     plays the role of a type-D set downstream.
-    """
-    d = G.degree_d
-    if not is_invariant(G):
-        return RotationalReport(is_invariant=False, is_rotational=False)
 
-    if d == 3 and G.vertices == (Fraction(0), Fraction(1, 2)):
+    One table decides the rest: the vertices as numerators over M, the lcm
+    of their denominators, and the index of each vertex's image.  Edge i is
+    a major iff d times its hole, over M, is at least M.  When every vertex
+    moves i -> i + p, so does every edge, and both the vertex orbits and the
+    edge cycles are the classes of i mod gcd(n, p).
+    """
+    d, vs, n = G.degree_d, G.vertices, len(G)
+    M = lcm(*(v.denominator for v in vs))
+    nums = [v.numerator * (M // v.denominator) for v in vs]
+    index = {x: i for i, x in enumerate(nums)}
+    image = [index.get(d * x % M) for x in nums]
+    if set(image) != set(range(n)):
+        return RotationalReport(is_invariant=False, is_rotational=False)
+    big = [i for i in range(n) if d * ((nums[(i + 1) % n] - nums[i]) % M) >= M]
+    majs = tuple(Chord(vs[i], vs[(i + 1) % n]) for i in big)
+
+    if d == 3 and vs == (Fraction(0), Fraction(1, 2)):
         return RotationalReport(
             is_invariant=True,
             is_rotational=False,
             rotation_number=Fraction(0),
             type_tag="D",
-            majors=tuple(majors(G)),
+            majors=majs,
             orbit_count=2,
             diameter_special=True,
         )
 
-    p = _displacement(G)
-    if p is None or p == 0:
+    p = image[0]
+    if p == 0 or any(image[i] != (i + p) % n for i in range(n)):
         # circular order not preserved as a rigid rotation, or refixed points
         return RotationalReport(is_invariant=True, is_rotational=False)
-
-    n = len(G)
-    rho = Fraction(p, n)
-    majs = majors(G)
-    # Edge i maps to edge i + p (mod n); edge cycles are the cosets mod gcd.
     g = gcd(n, p)
-    edge_list = [e for e, _ in holes(G)]
-    major_cycles = { edge_list.index(m) % g for m in majs }
-    if len(majs) == 1:
+    if len(big) == 1:
         tag = "A"
-    elif len(majs) == 2:
-        tag = "B" if len(major_cycles) == 1 else "D"
+    elif len(big) == 2:
+        tag = "B" if big[0] % g == big[1] % g else "D"
     else:
-        # cannot happen for a genuine rotational set; report honestly
+        # from d = 4 on a rotational set may have more majors than the
+        # A/B/D types name; report it as not rotational
         return RotationalReport(is_invariant=True, is_rotational=False)
     return RotationalReport(
         is_invariant=True,
         is_rotational=True,
-        rotation_number=rho,
+        rotation_number=Fraction(p, n),
         type_tag=tag,
-        majors=tuple(majs),
-        orbit_count=_orbit_count(G),
+        majors=majs,
+        orbit_count=g,
     )
 
 
 def _cycles_with_rotation(d: int, rho: Fraction) -> List[LamSet]:
     """All single sigma_d-cycles of exact length q whose circular dynamics is
     the rigid rotation by rho = p/q, walked on numerators over d^q - 1: the
-    sorted points of such a cycle all shift by p places under x -> d*x."""
+    sorted points of such a cycle all shift by p places under x -> d*x.
+    Every such cycle has at least one major, and for d <= 3 at most two, so
+    each is a rotational set of type A, B or D."""
     p, q = rho.numerator, rho.denominator
     den = d ** q - 1
-    seen = bytearray(den)
+    seen = set()
     out = []
     for x in range(den):
-        if seen[x]:
+        if x in seen:
             continue
-        cyc = []
-        y = x
-        while not seen[y]:
-            seen[y] = 1
-            cyc.append(y)
-            y = d * y % den
-        if len(cyc) != q:
-            continue
+        cyc, _ = _orbit_walk(d, x, den)
+        seen.update(cyc)
         pts = sorted(cyc)
-        if any(d * pts[i] % den != pts[(i + p) % q] for i in range(q)):
-            continue
-        G = LamSet([Fraction(v, den) for v in cyc], d)
-        rep = classify_rotational(G)
-        if rep.is_rotational and rep.rotation_number == rho:
-            out.append(G)
+        if len(cyc) == q and all(d * pts[i] % den == pts[(i + p) % q] for i in range(q)):
+            out.append(LamSet([Fraction(v, den) for v in cyc], d))
     return out
 
 
 def enumerate_rotational(d: int, rho: Fraction, max_orbits: int = 2) -> List[LamSet]:
     """All invariant rotational sets of sigma_d with rotation number rho and
     at most max_orbits vertex orbits.  Brute force over angles of denominator
-    d^q - 1 (which necessarily carries every period-q point)."""
+    d^q - 1 (which necessarily carries every period-q point).  Only d = 2
+    and d = 3 are covered: from d = 4 on a rotational set may have more than
+    two majors, which the A/B/D types do not name."""
     if d < 2:
         raise ValueError(f"degree must be >= 2, got {d}")
+    if d > 3:
+        raise ValueError(f"rotational sets are enumerated for d = 2 and 3 only, got {d}")
     rho = Fraction(rho)
     if not (0 < rho < 1):
         raise ValueError("rotation number must lie in (0, 1)")

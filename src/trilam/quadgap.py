@@ -24,11 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .chords import Chord, format_chord, is_critical, parse_chord
 from .circle import (
     Arc,
+    _orbit_walk,
+    _set_period,
     arc_length,
     contains,
     format_angle,
@@ -86,16 +88,6 @@ def _arc_over(M: int, arc: Arc) -> Tuple[int, int]:
     return a, (_over(M, arc.end) - a) % M
 
 
-def _orbit_walk(d: int, x: int, M: int) -> Tuple[List[int], int]:
-    """The sigma_d-orbit of x/M as numerators over M, listed up to the first
-    repeat, and the index where its cycle starts."""
-    seen: Dict[int, int] = {}
-    while x not in seen:
-        seen[x] = len(seen)
-        x = d * x % M
-    return list(seen), seen[x]
-
-
 def _nearest_fixed(point: Fraction, n: int, direction: int) -> Fraction:
     """The sigma_3^n-fixed point closest to `point` in the given direction
     (+1 positive, -1 negative), excluding `point` itself: the next multiple
@@ -106,26 +98,11 @@ def _nearest_fixed(point: Fraction, n: int, direction: int) -> Fraction:
     return Fraction(j % q, q)
 
 
-def _point_period(d: int, x: Fraction) -> Optional[int]:
-    nums, start = _orbit_walk(d, x.numerator % x.denominator, x.denominator)
-    return len(nums) if start == 0 else None
-
-
 def _leaf_period(d: int, c: Chord) -> Optional[int]:
     """Minimal n with sigma_d^n(c) = c, or None when an endpoint of c is
-    not periodic.  The endpoint periods bound n by their lcm; both endpoints
-    step together on numerators over the lcm of their denominators."""
-    per_a, per_b = _point_period(d, c.a), _point_period(d, c.b)
-    if per_a is None or per_b is None:
-        return None
+    not periodic."""
     M = lcm(c.a.denominator, c.b.denominator)
-    a, b = _over(M, c.a), _over(M, c.b)
-    x, y = a, b
-    for n in range(1, lcm(per_a, per_b) + 1):
-        x, y = d * x % M, d * y % M
-        if (x, y) in ((a, b), (b, a)):
-            return n
-    return None
+    return _set_period(d, M, (_over(M, c.a), _over(M, c.b)))
 
 
 def caterpillar_head(c: Chord) -> Tuple[Chord, Fraction, int, int]:
@@ -137,8 +114,7 @@ def caterpillar_head(c: Chord) -> Tuple[Chord, Fraction, int, int]:
     +1 if the chain walks positively from the non-periodic endpoint.
     """
     s, t = _short_side(c)
-    k_s = _point_period(3, s)
-    k_t = _point_period(3, t)
+    k_s, k_t = (_set_period(3, x.denominator, (x.numerator,)) for x in (s, t))
     if k_s is None and k_t is None:
         raise ValueError("caterpillar construction needs a periodic endpoint")
     if k_s is not None:
@@ -463,10 +439,11 @@ class VassalGap:
         """Level k = 0, 1, ...: `_apply(w, u)` for the 2^k words w of length
         k, in lexicographic word order.  _apply((bit,) + w, u) is
         g_bit(_apply(w, u)), so level k is g0, then g1, of level k - 1."""
+        h, k = self._h(), 3 ** self.period
         level = [u]
         while True:
             yield level
-            level = [self._g0(x) for x in level] + [self._g1(x) for x in level]
+            level = [x / k for x in level] + [h - (h - x) / k for x in level]
 
     def vertices(self, depth: int) -> List[Fraction]:
         # lo[0], hi[0], lo[1], ... rise in [0, h]: the sort is one rotation where a + x passes 1

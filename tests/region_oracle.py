@@ -24,7 +24,9 @@ from trilam.lamination import (
     Leaves,
     PullbackAmbiguityError,
 )
-from trilam.lamsets import LamSet, _displacement, holes
+from trilam.lamsets import LamSet, holes
+
+from lamsets_oracle import _displacement
 
 REGION_MARGIN = 2  # extra enumeration depth for crossing tests
 

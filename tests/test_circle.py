@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from trilam.circle import (
     Arc,
+    _set_period,
     angle,
     arc_length,
     contains,
@@ -67,6 +68,30 @@ def test_orbit_is_eventually_periodic(d, a):
     pre = orb.index(sigma(d, orb[-1]))
     per = len(orb) - pre
     assert (d ** per * orb[pre]) % 1 == orb[pre]
+
+
+def test_orbit_rejects_degree_below_two():
+    for d in (1, 0, -2):
+        with pytest.raises(ValueError, match="degree must be >= 2"):
+            orbit(d, F(1, 2))
+
+
+@given(degrees, st.integers(1, 200), st.lists(st.integers(0, 10 ** 4), min_size=1, max_size=4),
+       st.integers(1, 6))
+def test_set_period_matches_fraction_walk(d, N, nums, bound):
+    # sigma_d^j(S) = S as a set makes sigma_d^j a permutation of S, so the
+    # images of S recur at S exactly when every point is periodic
+    pts = sorted({v % N for v in nums})
+    S = frozenset(F(v, N) for v in pts)
+    seen, cur, want = set(), S, None
+    while cur not in seen:
+        seen.add(cur)
+        cur = frozenset(sigma(d, x) for x in cur)
+        if cur == S:
+            want = len(seen)
+            break
+    assert _set_period(d, N, pts) == want
+    assert _set_period(d, N, pts, bound) == (want if want is not None and want <= bound else None)
 
 
 def test_fixed_points():

@@ -234,6 +234,17 @@ def test_find_rotational_rejects_degree_below_two(capsys, d):
     assert err == f"usage error: --d must be >= 2, got {d}\n"
 
 
+@pytest.mark.parametrize("d", ["4", "5"])
+def test_find_rotational_rejects_degree_above_three(capsys, d):
+    # at d >= 4 a rotational cycle can have up to d - 1 majors, and the
+    # classifier would drop some of Goldberg's C(d + 1, 3) cycles for 1/3
+    code, out, err = run(capsys, "find-rotational", "--rho", "1/3", "--d", d,
+                         "--orbits", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: --d must be 2 or 3, got {d}\n"
+
+
 @pytest.mark.parametrize("text, err", [
     ("depth=1 recipe=x\n[leaves]\n0-1/2 0\n[gaps]\n", "line 1: missing field d="),
     ("", "line 1: empty lamination file"),

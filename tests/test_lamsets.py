@@ -2,7 +2,9 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lamsets_oracle as oracle
 from trilam.chords import Chord
 from trilam.circle import arc_length, contains_closed, fixed_points, orbit
 from trilam.lamsets import (
@@ -166,6 +168,11 @@ def test_enumerate_rotational_validates_input():
     for d in (1, 0, -2):
         with pytest.raises(ValueError, match="degree must be >= 2"):
             enumerate_rotational(d, F(1, 3), 1)
+    # Goldberg gives C(5, 3) = 10 cycles at d = 4 and C(6, 3) = 20 at d = 5,
+    # but a set with three or more majors has no A/B/D type
+    for d in (4, 5):
+        with pytest.raises(ValueError, match="d = 2 and 3 only"):
+            enumerate_rotational(d, F(1, 3), 1)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -179,3 +186,50 @@ def test_enumerate_rotational_goldberg_count(d):
             sets = enumerate_rotational(d, F(p, q), max_orbits=1)
             assert len(sets) == comb(q + d - 2, q), (d, p, q)
             assert all(len(G) == q for G in sets)
+
+
+# ---------------------------------------------------------------------------
+# the one-table classifier against the Fraction oracle
+
+
+def _assert_matches_oracle(G):
+    rep, want = classify_rotational(G), oracle.classify_rotational(G)
+    assert rep == want and rep.lines() == want.lines(), G
+    assert is_invariant(G) == oracle.is_invariant(G), G
+    assert majors(G) == oracle.majors(G), G
+
+
+def test_classifier_matches_oracle_on_enumerated_sets():
+    # every set found for d = 2 (q <= 8) and d = 3 (q <= 6), also read at the
+    # degrees d^j whose return maps the core census classifies
+    count = 0
+    for d, max_q in ((2, 8), (3, 6)):
+        for q in range(2, max_q + 1):
+            for p in range(1, q):
+                if F(p, q).denominator != q:
+                    continue
+                for G in enumerate_rotational(d, F(p, q), 2):
+                    for D in sorted({d, d * d, 9, 27}):
+                        _assert_matches_oracle(LamSet(G.vertices, D))
+                    count += 1
+    assert count > 100
+    for D in (2, 3, 9):
+        _assert_matches_oracle(LamSet([F(0), F(1, 2)], D))
+
+
+_DEGREES = st.sampled_from([2, 3, 4, 5, 9, 27])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DEGREES, st.lists(st.fractions(0, 1, max_denominator=120), min_size=1, max_size=8))
+def test_classifier_matches_oracle_on_drawn_sets(d, vertices):
+    _assert_matches_oracle(LamSet(vertices, d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DEGREES, st.integers(1, 4), st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3))
+def test_classifier_matches_oracle_on_orbit_closures(d, k, nums):
+    # points j / (d^k - 1) are periodic, so the union of their orbits is
+    # invariant; k = 1 at d = 2 gives the fixed point 0 alone
+    q = d ** k - 1
+    _assert_matches_oracle(LamSet({y for j in nums for y in orbit(d, F(j % q, q))}, d))

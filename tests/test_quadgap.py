@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from trilam.chords import Chord, image, linked
 from trilam.circle import (
     Arc,
+    _set_period,
     arc_length,
     contains,
     fixed_points,
@@ -144,7 +145,13 @@ def test_leaf_period_matches_bounded_iteration(den):
     for i in range(den):
         for j in range(i, den):
             c = Chord(F(i, den), F(j, den))
-            assert _leaf_period(3, c) == _bounded_leaf_period(c, 2 * den ** 2), c
+            want = _bounded_leaf_period(c, 2 * den ** 2)
+            assert _leaf_period(3, c) == want, c
+            # the set period of the endpoints, unreduced over den, with and
+            # without a bound
+            assert _set_period(3, den, (i, j)) == want, c
+            for bound in (1, 2, 3, 5):
+                assert _set_period(3, den, (i, j), bound) == _bounded_leaf_period(c, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +586,10 @@ def test_integer_walks_match_fraction_oracles_on_random_rationals(x, U, y, z):
         assert psi(U, x) == _oracle_psi(U, x)
     c = Chord(y, z)
     assert _leaf_period(3, c) == _oracle_leaf_period(c), c
+    N = y.denominator * z.denominator
+    pts = (y.numerator * z.denominator, z.numerator * y.denominator)
+    assert _set_period(3, N, pts) == _oracle_leaf_period(c), c
+    assert _set_period(3, N, pts, 4) == _bounded_leaf_period(c, 4), c
     critical = Chord(x, (x + F(1, 3)) % 1)
     escape, hits = _oracle_scan(critical)
     cls = classify_critical(critical)
