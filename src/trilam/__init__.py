@@ -16,7 +16,7 @@ from .circle import (
     preimages,
     sigma,
 )
-from .core import CoreReport, periodic_rotational_classes, separates
+from .core import CoreReport, periodic_rotational_classes
 from .lamination import (
     AttachedGap,
     CleanReport,
@@ -50,13 +50,11 @@ from .lamsets import (
     parse_lamset,
 )
 from .quadgap import (
-    CaterpillarGap,
     CriticalClass,
     GapGen,
     VassalGap,
     above_diameter,
     below_diameter,
-    build_caterpillar,
     build_gap,
     classify_critical,
     gap_from_major,

@@ -31,14 +31,6 @@ class Chord:
         x = x % 1
         return x == self.a or x == self.b
 
-    def other_endpoint(self, x: Fraction) -> Fraction:
-        x = x % 1
-        if x == self.a:
-            return self.b
-        if x == self.b:
-            return self.a
-        raise ValueError(f"{format_angle(x)} is not an endpoint of {self}")
-
     def __repr__(self):
         return f"Chord({format_angle(self.a)}, {format_angle(self.b)})"
 

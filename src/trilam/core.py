@@ -2,8 +2,8 @@
 
 Infinite invariants (limit sets, full cores) are out of reach for a finite
 truncation; what IS finitely checkable is the census of periodic rotational
-classes up to a period bound and the separation predicate for finite
-classes.  That census is exactly what the SMP classifier consumes.
+classes up to a period bound.  That census is exactly what the SMP
+classifier consumes.
 """
 
 from __future__ import annotations
@@ -116,31 +116,3 @@ def periodic_rotational_classes(L, period_bound: int = 6) -> CoreReport:
         summary=summary,
     )
 
-
-def separates(L, g: Sequence[Fraction], A: Sequence[Fraction],
-              B: Sequence[Fraction]) -> bool:
-    """True iff the convex hull of class g separates point sets A and B in
-    the disk: they fall into different complementary arcs of g's vertices."""
-    gs = sorted(x % 1 for x in g)
-    aset = {x % 1 for x in A}
-    bset = {x % 1 for x in B}
-    if (aset | bset) & set(gs):
-        raise ValueError("A and B must be disjoint from g")
-    if aset & bset:
-        raise ValueError("A and B must be disjoint from each other")
-    if len(gs) < 2:
-        return False
-
-    def arc_index(x: Fraction) -> int:
-        # index i: x lies in the open arc (gs[i], gs[i+1])
-        for i in range(len(gs)):
-            lo, hi = gs[i], gs[(i + 1) % len(gs)]
-            if 0 < (x - lo) % 1 < (hi - lo) % 1:
-                return i
-        raise ValueError(f"{format_angle(x)} not in any complementary arc")
-
-    arcs_a = {arc_index(x) for x in aset}
-    arcs_b = {arc_index(x) for x in bset}
-    if len(arcs_a) > 1 or len(arcs_b) > 1:
-        raise ValueError("each point set must lie in a single complementary arc")
-    return arcs_a != arcs_b

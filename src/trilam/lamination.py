@@ -102,11 +102,6 @@ class AttachedGap:
     kind: str = "attached"
 
     @property
-    def outer_edge(self) -> Chord:
-        vs = self.base.vertices
-        return Chord(vs[self.index], vs[(self.index + 1) % len(vs)])
-
-    @property
     def is_critical(self) -> bool:
         """The gap's hole is a major hole, at least 1/d long."""
         return arc_length(holes(self.base)[self.index][1]) >= Fraction(1, self.base.degree_d)
@@ -266,10 +261,10 @@ def _gap_polygon(U: GapGen, seeds: Sequence[Chord]) -> Polygon:
 
 def _vassal_chord(V: VassalGap) -> Polygon:
     """The critical chord of the vassal gap V, from a + u* to a + u* + 1/3.
-    u* is the fixed point of the return-map branches composed as the word
-    (0, 1); that composition f is affine, so u* = f(0) / (1 - (f(1) - f(0)))."""
-    f0 = V._apply((0, 1), Fraction(0))
-    u = f0 / (1 - (V._apply((0, 1), Fraction(1)) - f0))
+    u* is the fixed point of g0(g1(u)) = h/K - h/K^2 + u/K^2, the return
+    map's inverse branches g0(u) = u/K and g1(u) = h - (h - u)/K composed
+    (h the hole length, K = 3^period): u* = h / (K + 1)."""
+    u = V._h() / (3 ** V.period + 1)
     return (V.a + u) % 1, (V.a + u + Fraction(1, 3)) % 1
 
 

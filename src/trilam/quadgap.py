@@ -8,8 +8,8 @@ of c sorts these gaps into three kinds:
 * regular critical  -- the orbit of sigma(c) stays in the open arc; c itself
   is the major and its hole has length exactly 1/3;
 * caterpillar       -- the orbit stays in the closed arc and hits an endpoint
-  of c (which is then periodic); the associated chain gap is built by
-  `build_caterpillar`;
+  of c (which is then periodic); such a chord spans no invariant quadratic
+  gap, and its class records the head of its chain instead;
 * periodic type     -- the orbit escapes the closed arc after n_c steps; the
   major is a periodic leaf joining two sigma^{n_c}-fixed points, with hole
   length 3^(k-1)/(3^k-1) for k = n_c.
@@ -346,10 +346,7 @@ def build_gap(c: Chord, depth: int = 6) -> Tuple[GapGen, List[Fraction]]:
     of the critical chord `c`, together with its enumerated vertices."""
     cls = classify_critical(c)
     if cls.tag == "Caterpillar":
-        raise ValueError(
-            "caterpillar critical chords do not span a plain quadratic gap; "
-            "use build_caterpillar"
-        )
+        raise ValueError("caterpillar critical chords do not span a plain quadratic gap")
     s, t = _short_side(c)
     if cls.tag == "RegularCritical":
         gap = GapGen(kind="regular-critical", major=c, hole=Arc(s, t), critical=c)
@@ -423,22 +420,12 @@ class VassalGap:
     def _h(self) -> Fraction:
         return arc_length(self.hole)
 
-    def _g0(self, u: Fraction) -> Fraction:
-        return u / 3 ** self.period
-
-    def _g1(self, u: Fraction) -> Fraction:
-        h = self._h()
-        return h - (h - u) / 3 ** self.period
-
-    def _apply(self, w, u: Fraction) -> Fraction:
-        for bit in reversed(w):
-            u = self._g0(u) if bit == 0 else self._g1(u)
-        return u
-
     def _word_levels(self, u: Fraction) -> Iterator[List[Fraction]]:
-        """Level k = 0, 1, ...: `_apply(w, u)` for the 2^k words w of length
-        k, in lexicographic word order.  _apply((bit,) + w, u) is
-        g_bit(_apply(w, u)), so level k is g0, then g1, of level k - 1."""
+        """Level k = 0, 1, ...: the images of u under the 2^k words of length
+        k in the return map's inverse branches g0(u) = u / 3^period and
+        g1(u) = h - (h - u) / 3^period (h the hole length, u measured from
+        a), in lexicographic word order: the word (bit,) + w acts as g_bit
+        after w, so level k is g0, then g1, of level k - 1."""
         h, k = self._h(), 3 ** self.period
         level = [u]
         while True:
@@ -496,63 +483,6 @@ def vassal(U: GapGen) -> VassalGap:
     if U.period is None:
         raise ValueError("only periodic-type gaps have a vassal")
     return VassalGap(major=U.major, hole=U.hole, period=U.period)
-
-
-# ---------------------------------------------------------------------------
-# caterpillar gaps
-
-
-@dataclass(frozen=True)
-class CaterpillarGap:
-    """Chain gap: a periodic head leaf, a critical leaf hanging off its
-    periodic endpoint, and a chain of preimage leaves accumulating on the
-    other endpoint of the head.  Never part of an invariant lamination."""
-
-    head: Chord
-    critical: Chord
-    periodic_endpoint: Fraction
-    period: int
-    direction: int
-    kind: str = "caterpillar"
-
-    def chain(self, depth: int) -> List[Fraction]:
-        """Chain vertices p_1, p_2, ... (p_1 is the non-periodic endpoint of
-        the critical leaf); hole lengths shrink by 3^-period per step."""
-        p = self.critical.other_endpoint(self.periodic_endpoint)
-        out = [p]
-        for m in range(1, depth):
-            p = (p + self.direction * Fraction(1, 3 ** (m * self.period + 1))) % 1
-            out.append(p)
-        return out
-
-    def vertices(self, depth: int) -> List[Fraction]:
-        pts = {self.head.a, self.head.b, *self.chain(depth)}
-        return sorted(pts)
-
-    def edge_chords(self, depth: int) -> List[Chord]:
-        ch = self.chain(depth)
-        out = [self.head, self.critical]
-        out.extend(Chord(ch[i], ch[i + 1]) for i in range(len(ch) - 1))
-        return out
-
-    def serialize(self) -> str:
-        return (
-            f"kind=caterpillar head={format_chord(self.head)} "
-            f"critical={format_chord(self.critical)} period={self.period} "
-            f"direction={self.direction}"
-        )
-
-
-def build_caterpillar(c: Chord, side: Optional[Fraction] = None) -> CaterpillarGap:
-    """The canonical chain gap of a critical chord with a periodic endpoint."""
-    head, y, k, direction = caterpillar_head(c)
-    if side is not None and (side % 1) != y:
-        raise ValueError(
-            f"{format_angle(side)} is not the periodic endpoint of {c}"
-        )
-    return CaterpillarGap(
-        head=head, critical=c, periodic_endpoint=y, period=k, direction=direction
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -114,12 +114,13 @@ def region_edges(obj, depth: int) -> List[Chord]:
         return [Chord((3 ** obj.power * e.a) % 1, (3 ** obj.power * e.b) % 1)
                 for e in obj.base.edge_chords(depth)]
     if isinstance(obj, AttachedGap):
-        v = obj.base.vertices[obj.index]
-        segs = [((v + lo) % 1, (v + hi) % 1)
-                for lo, hi in tracked(obj.base, depth)[obj.index]]
-        return [obj.outer_edge] + [Chord(segs[j][1], segs[j + 1][0])
-                                   for j in range(len(segs) - 1)
-                                   if segs[j][1] != segs[j + 1][0]]
+        vs, i = obj.base.vertices, obj.index
+        segs = [((vs[i] + lo) % 1, (vs[i] + hi) % 1)
+                for lo, hi in tracked(obj.base, depth)[i]]
+        outer = Chord(vs[i], vs[(i + 1) % len(vs)])
+        return [outer] + [Chord(segs[j][1], segs[j + 1][0])
+                          for j in range(len(segs) - 1)
+                          if segs[j][1] != segs[j + 1][0]]
     return obj.edge_chords(depth)  # GapGen, VassalGap
 
 

@@ -34,9 +34,8 @@ def test_parse_format():
 def test_endpoint_helpers():
     c = Chord(F(1, 6), F(2, 3))
     assert c.has_endpoint(F(1, 6))
-    assert c.other_endpoint(F(2, 3)) == F(1, 6)
-    with pytest.raises(ValueError):
-        c.other_endpoint(F(1, 2))
+    assert c.has_endpoint(F(5, 3))
+    assert not c.has_endpoint(F(1, 2))
 
 
 def test_image_and_critical():

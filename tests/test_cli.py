@@ -64,7 +64,7 @@ def test_build_gap(capsys):
 def test_build_gap_rejects_caterpillar(capsys):
     code, _, err = run(capsys, "build-gap", "0-1/3")
     assert code == 1
-    assert "build_caterpillar" in err or "caterpillar" in err
+    assert err == "error: caterpillar critical chords do not span a plain quadratic gap\n"
 
 
 def test_vassal(capsys):

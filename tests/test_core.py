@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from trilam.chords import Chord
-from trilam.core import CoreReport, endpoint_classes, periodic_rotational_classes, separates
+from trilam.core import CoreReport, endpoint_classes, periodic_rotational_classes
 from trilam.lamination import (
     canonical_diameter,
     canonical_of_quadratic_gap,
@@ -160,29 +160,6 @@ def test_cut_classes_read_as_angle_tuples():
     assert [cut[i] for i in range(len(cut))] == want and cut[-1] == want[-1]
     assert want[0] in cut
     assert cut != want[:-1]
-
-
-def test_separates_basic():
-    L = canonical_of_rotational(FINGAP3, depth=3)
-    g = FINGAP3.vertices
-    assert separates(L, g, [F(1, 13)], [F(1, 2)])
-    assert not separates(L, g, [F(1, 13)], [F(5, 52)])  # same hole
-
-
-def test_separates_singleton_never_separates():
-    L = canonical_diameter(depth=2)
-    assert not separates(L, [F(1, 4)], [F(0)], [F(1, 2)])
-
-
-def test_separates_validates_input():
-    L = canonical_diameter(depth=2)
-    g = [F(0), F(1, 2)]
-    with pytest.raises(ValueError):
-        separates(L, g, [F(0)], [F(3, 4)])  # A meets g
-    with pytest.raises(ValueError):
-        separates(L, g, [F(1, 4)], [F(1, 4)])  # A meets B
-    with pytest.raises(ValueError):
-        separates(L, g, [F(1, 4), F(3, 4)], [F(7, 8)])  # A spans two arcs
 
 
 @pytest.mark.parametrize("bound", [-1, 0])

@@ -135,9 +135,10 @@ def test_attached_cycle_of_fingap1():
     assert len(cycle) == 6
     crit = [i for i, g in enumerate(cycle) if g.is_critical]
     assert len(crit) == 2
-    for g in cycle:
+    vs = FINGAP1.vertices
+    for i, g in enumerate(cycle):
         assert isinstance(g, AttachedGap)
-        assert g.outer_edge in region_edges(g, 2)
+        assert Chord(vs[i], vs[(i + 1) % len(vs)]) in region_edges(g, 2)
 
 
 def test_quadratic_canonical_basilica():

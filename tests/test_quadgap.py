@@ -15,9 +15,8 @@ from trilam.circle import (
     orbit,
     sigma,
 )
-from trilam.lamination import canonical_of_quadratic_gap, project_through_gap
+from trilam.lamination import _vassal_chord, canonical_of_quadratic_gap, project_through_gap
 from trilam.quadgap import (
-    CaterpillarGap,
     GapGen,
     VassalGap,
     _leaf_period,
@@ -26,7 +25,6 @@ from trilam.quadgap import (
     above_diameter,
     below_diameter,
     big_arc,
-    build_caterpillar,
     build_gap,
     caterpillar_head,
     classify_critical,
@@ -81,6 +79,20 @@ def test_classify_caterpillar():
     assert cls.periodic_endpoint == F(0)
     assert cls.major == Chord(F(0), F(1, 2))
     assert cls.image_in_pi
+
+
+@pytest.mark.parametrize("c, head, y, k, direction", [
+    (Chord(F(0), F(1, 3)), Chord(F(0), F(1, 2)), F(0), 1, +1),
+    # 1/4 -> 3/4 -> 1/4; the chain from 7/12 accumulates on 5/8
+    (Chord(F(1, 4), F(7, 12)), Chord(F(1, 4), F(5, 8)), F(1, 4), 2, +1),
+    # the head is the period-3 major 7/26-12/13
+    (Chord(F(12, 13), F(10, 39)), Chord(F(7, 26), F(12, 13)), F(12, 13), 3, +1),
+], ids=["0-1/3", "1/4-7/12", "12/13-10/39"])
+def test_caterpillar_head(c, head, y, k, direction):
+    assert caterpillar_head(c) == (head, y, k, direction)
+    cls = classify_critical(c)
+    assert (cls.tag, cls.major, cls.major_period, cls.periodic_endpoint) == \
+        ("Caterpillar", head, k, y)
 
 
 def test_classify_rejects_non_critical():
@@ -283,6 +295,16 @@ def test_vassal_horseshoe_containment():
         assert not linked(e, V.major)
 
 
+def _apply(V, w, u):
+    """The word w in V's return-map inverse branches, applied to the local
+    coordinate u: g0(u) = u / 3^k and g1(u) = h - (h - u) / 3^k, the last
+    bit first."""
+    h, K = arc_length(V.hole), 3 ** V.period
+    for bit in reversed(w):
+        u = u / K if bit == 0 else h - (h - u) / K
+    return u
+
+
 def _per_word_oracle(V, depth):
     """V's vertices and edge chords with every word of length <= depth
     applied from scratch by `_apply`, the words of each length in
@@ -291,10 +313,10 @@ def _per_word_oracle(V, depth):
     for _ in range(depth):
         levels.append([w + (bit,) for w in levels[-1] for bit in (0, 1)])
     h = arc_length(V.hole)
-    pts = {V.a, V.b} | {(V.a + V._apply(w, u)) % 1 for w in levels[-1] for u in (F(0), h)}
+    pts = {V.a, V.b} | {(V.a + _apply(V, w, u)) % 1 for w in levels[-1] for u in (F(0), h)}
     u0, u1 = h - F(1, 3), F(1, 3)
     edges = [V.major, V.co_major] + [
-        Chord((V.a + V._apply(w, u0)) % 1, (V.a + V._apply(w, u1)) % 1)
+        Chord((V.a + _apply(V, w, u0)) % 1, (V.a + _apply(V, w, u1)) % 1)
         for words in levels[1:] for w in words]
     return sorted(pts), edges
 
@@ -330,6 +352,18 @@ def test_vassal_vertices_match_sorted_set_oracle():
             assert V.vertices(depth) == want, (gap.major, depth)
 
 
+def test_vassal_chord_matches_word_fixed_point():
+    # the old form: u* = f(0) / (1 - (f(1) - f(0))), the fixed point of the
+    # affine word f = _apply(V, (0, 1), .)
+    gaps = _periodic_gaps(6) + [FGA, FGB, build_gap(PERIOD3_CRITICAL, depth=0)[0]]
+    assert len(gaps) == 210 + 3
+    for gap in gaps:
+        V = vassal(gap)
+        f0 = _apply(V, (0, 1), F(0))
+        u = f0 / (1 - (_apply(V, (0, 1), F(1)) - f0))
+        assert _vassal_chord(V) == ((V.a + u) % 1, (V.a + u + F(1, 3)) % 1), gap.major
+
+
 def test_vassal_requires_periodic_type():
     gap, _ = build_gap(Chord(F(1, 3), F(2, 3)), depth=0)
     with pytest.raises(ValueError):
@@ -341,58 +375,6 @@ def test_vassal_serialize_roundtrip():
     W = parse_gapgen(V.serialize())
     assert isinstance(W, VassalGap)
     assert W == V
-
-
-# ---------------------------------------------------------------------------
-# caterpillar gaps
-
-
-def test_caterpillar_from_fixed_endpoint():
-    cat = build_caterpillar(Chord(F(0), F(1, 3)))
-    assert cat.head == Chord(F(0), F(1, 2))
-    assert cat.period == 1
-    assert cat.chain(4) == [F(1, 3), F(4, 9), F(13, 27), F(40, 81)]
-
-
-def test_caterpillar_from_period_two_endpoint():
-    # 1/4 -> 3/4 -> 1/4; the chain from 7/12 accumulates on 5/8
-    head, y, k, direction = caterpillar_head(Chord(F(1, 4), F(7, 12)))
-    assert head == Chord(F(1, 4), F(5, 8))
-    assert (y, k, direction) == (F(1, 4), 2, +1)
-    cat = build_caterpillar(Chord(F(1, 4), F(7, 12)))
-    assert cat.chain(3) == [F(7, 12), F(67, 108), F(607, 972)]
-    # chain vertices converge monotonically to the head endpoint 5/8
-    ch = cat.chain(8)
-    assert all(ch[i] < ch[i + 1] < F(5, 8) for i in range(len(ch) - 1))
-
-
-def test_caterpillar_head_matches_periodic_gap_major():
-    # a caterpillar whose head is the period-3 major 7/26-12/13
-    cat = build_caterpillar(Chord(F(24, 26), F(10, 39)))
-    assert cat.head == Chord(F(7, 26), F(12, 13))
-    assert cat.period == 3
-
-
-def test_caterpillar_chain_images():
-    cat = build_caterpillar(Chord(F(0), F(1, 3)))
-    ch = cat.chain(5)
-    # each chain leaf maps onto the previous one after `period` steps
-    for i in range(1, len(ch)):
-        leaf = Chord(ch[i - 1], ch[i])
-        img = leaf
-        for _ in range(cat.period):
-            img = image(3, img)
-        if i == 1:
-            assert img == cat.critical
-        else:
-            assert img == Chord(ch[i - 2], ch[i - 1])
-
-
-def test_caterpillar_side_validation():
-    with pytest.raises(ValueError):
-        build_caterpillar(Chord(F(0), F(1, 3)), side=F(1, 3))
-    assert build_caterpillar(Chord(F(0), F(1, 3)), side=F(0)).head == \
-        Chord(F(0), F(1, 2))
 
 
 # ---------------------------------------------------------------------------
