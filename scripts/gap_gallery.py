@@ -45,7 +45,7 @@ def main() -> None:
     args = ap.parse_args()
 
     os.makedirs(args.out_dir, exist_ok=True)
-    spec = RenderSpec(width=args.size, height=args.size)
+    spec = RenderSpec(size=args.size)
     for name, make in GALLERY:
         L = make(args.depth)
         path = os.path.join(args.out_dir, f"{name}.svg")

@@ -45,7 +45,6 @@ from .lamsets import (
     enumerate_rotational,
     format_lamset,
     holes,
-    is_invariant,
     majors,
     parse_lamset,
 )

@@ -197,7 +197,7 @@ def cmd_core_report(args) -> int:
 
 def cmd_project(args) -> int:
     L = lamination.read_lamination(args.infile)
-    gaps = [g for g in L.fatou_gaps if isinstance(g, quadgap.GapGen)]
+    gaps = [g for g in L.gaps if isinstance(g, quadgap.GapGen)]
     if args.critical:
         U, _ = build_gap(_chord(args.critical), depth=0)
     elif not gaps:
@@ -223,8 +223,7 @@ def cmd_render(args) -> int:
         obj = _chord(args.chord)
     else:
         raise UsageError("render needs --in FILE, --set ANGLES, or --chord CHORD")
-    spec = RenderSpec(width=args.size, height=args.size,
-                      label_angles=args.labels)
+    spec = RenderSpec(size=args.size, label_angles=args.labels)
     svg = render_svg(obj, spec)
     with open(args.out, "w") as fh:
         fh.write(svg)

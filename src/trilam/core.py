@@ -8,7 +8,6 @@ classifier consumes.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple, TypeVar
@@ -19,31 +18,11 @@ from .lamsets import LamSet, RotationalReport, classify_rotational, format_lamse
 T = TypeVar("T")
 
 
-class _CutClasses(Sequence):
-    """The classes of numerators over N, read as tuples of angles: the
-    Fractions of a class are built only when it is read.  It compares equal
-    to a list of the same tuples."""
-
-    def __init__(self, classes: List[Tuple[int, ...]], N: int):
-        self._classes, self._N = classes, N
-
-    def __len__(self) -> int:
-        return len(self._classes)
-
-    def __getitem__(self, i: int) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(v, self._N) for v in self._classes[i])
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (list, _CutClasses)):
-            return list(self) == list(other)
-        return NotImplemented
-
-
 @dataclass
 class CoreReport:
     period_bound: int
     rotational_classes: List[Tuple[LamSet, RotationalReport]]
-    cut_classes: Sequence[Tuple[Fraction, ...]]
+    cut_classes: List[Tuple[int, ...]]  # endpoint classes, as numerators over the leaves' N
     summary: str  # EmptyCore | SinglePoint | MultipleRotational
 
     def lines(self) -> List[str]:
@@ -112,7 +91,7 @@ def periodic_rotational_classes(L, period_bound: int = 6) -> CoreReport:
     return CoreReport(
         period_bound=period_bound,
         rotational_classes=rotational,
-        cut_classes=_CutClasses(classes, N),
+        cut_classes=classes,
         summary=summary,
     )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import ItemsView, Mapping, MutableMapping, ValuesView
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, count
@@ -42,6 +42,7 @@ from .lamsets import (
     parse_lamset,
 )
 from .quadgap import (
+    GAP_KINDS,
     GapGen,
     VassalGap,
     _leaf_period,
@@ -50,7 +51,6 @@ from .quadgap import (
     classify_critical,
     gap_from_major,
     parse_fields,
-    parse_gapgen,
     psi,
     vassal,
 )
@@ -120,13 +120,14 @@ def attached_cycle(G: LamSet) -> List[AttachedGap]:
 # the lamination type
 
 
-class Leaves(MutableMapping):
+class Leaves(Mapping):
     """The leaves of a lamination, stored as integers: `pairs` maps each
     leaf's endpoint numerators (a, b), a <= b, over the common denominator
-    `N` to the leaf's level, in insertion order.
+    `N` to the leaf's level, in insertion order.  N is fixed when the store
+    is built.
 
-    As a mapping it is the public Chord -> level view of that store.
-    Length, membership, lookup and writes work on the integers; only
+    As a mapping it is the public, read-only Chord -> level view of that
+    store.  Length, membership and lookup work on the integers; only
     iteration builds Chords, in insertion order."""
 
     def __init__(self, N: int = 1, pairs: Optional[Dict[Tuple[int, int], int]] = None):
@@ -170,24 +171,6 @@ class Leaves(MutableMapping):
         except KeyError:
             raise KeyError(c) from None
 
-    def __setitem__(self, c: Chord, level: int) -> None:
-        if not isinstance(c, Chord):
-            raise TypeError(f"leaves are Chords, got {c!r}")
-        key = self.key(c)
-        if key is None:  # refine the common denominator
-            M = lcm(self.N, c.a.denominator, c.b.denominator)
-            f = M // self.N
-            self.N, self.pairs = M, {(a * f, b * f): lvl
-                                     for (a, b), lvl in self.pairs.items()}
-            key = self.key(c)
-        self.pairs[key] = level
-
-    def __delitem__(self, c: Chord) -> None:
-        try:
-            del self.pairs[self.key(c)]
-        except KeyError:
-            raise KeyError(c) from None
-
     def items(self) -> ItemsView:
         return _LeafItems(self)
 
@@ -222,8 +205,7 @@ class Lamination:
     recipe: str
     # leaf -> level; a Chord -> level mapping passed in is stored as Leaves
     leaves: Leaves = field(default_factory=Leaves)
-    fatou_gaps: List[object] = field(default_factory=list)
-    finite_gaps: List[LamSet] = field(default_factory=list)
+    gaps: List[object] = field(default_factory=list)  # registered regions, in file order
     registry_complete: bool = False
 
     def __post_init__(self):
@@ -410,7 +392,7 @@ def canonical_of_quadratic_gap(U: GapGen, depth: int = 6) -> Lamination:
     leaves = _pullback_closure(3, seeds, portrait, depth)
     return Lamination(
         d=3, depth=depth, recipe=f"quadratic-gap:{format_chord(U.major)}",
-        leaves=leaves, fatou_gaps=region_objs, registry_complete=True,
+        leaves=leaves, gaps=region_objs, registry_complete=True,
     )
 
 
@@ -435,8 +417,7 @@ def canonical_of_rotational(G: LamSet, depth: int = 6) -> Lamination:
     tag = "rotational" if d == 3 else "quadratic-d2"
     return Lamination(
         d=d, depth=depth, recipe=f"{tag}:{format_lamset(G)}",
-        leaves=leaves, fatou_gaps=list(cycle), finite_gaps=[G],
-        registry_complete=True,
+        leaves=leaves, gaps=[FiniteRegion(G), *cycle], registry_complete=True,
     )
 
 
@@ -709,8 +690,7 @@ def clean(L: Lamination) -> CleanReport:
         )
     removed = len(L.leaves)
     empty = Lamination(d=L.d, depth=L.depth, recipe=L.recipe,
-                       leaves={}, fatou_gaps=list(L.fatou_gaps),
-                       finite_gaps=list(L.finite_gaps), registry_complete=True)
+                       leaves={}, gaps=list(L.gaps), registry_complete=True)
     return CleanReport(final=empty, removed_per_stage=[removed],
                        super_gap_count=1, whole_disk=True)
 
@@ -830,7 +810,7 @@ def classify_smp(L: Lamination, period_bound: int = 6) -> SmpVerdict:
 
     if len(rc) == 0:
         if L.recipe.startswith(("quadratic-gap", "diameter")):
-            wq = next((g for g in L.fatou_gaps if isinstance(g, GapGen)), None)
+            wq = next((g for g in L.gaps if isinstance(g, GapGen)), None)
             return SmpVerdict(
                 in_smp=True, case_tag="CanonicalQuadraticGap",
                 period_bound=period_bound, witness_quadratic=wq,
@@ -903,13 +883,7 @@ def dumps(L: Lamination) -> str:
              "[leaves]"]
     lines += _leaf_lines(L)
     lines.append("[gaps]")
-    idx = 0
-    for G in L.finite_gaps:
-        lines.append(f"G{idx} {FiniteRegion(G).serialize()}")
-        idx += 1
-    for g in L.fatou_gaps:
-        lines.append(f"G{idx} {g.serialize()}")
-        idx += 1
+    lines += [f"G{i} {g.serialize()}" for i, g in enumerate(L.gaps)]
     return "\n".join(lines) + "\n"
 
 
@@ -980,17 +954,12 @@ def loads(text: str) -> Lamination:
             if not 0 <= level <= depth:
                 raise ValueError(f"level {level} is outside 0..{depth}")
             rows.append((ta, tb, level))
-        fatou: List[object] = []
-        finite: List[LamSet] = []
+        gaps: List[object] = []
         for no, line in numbered:
             name_spec = line.split(None, 1)
             if len(name_spec) < 2:
                 raise ValueError("gap line without a spec")
-            obj = _parse_region(name_spec[1], d)
-            if isinstance(obj, FiniteRegion):
-                finite.append(obj.base)
-            else:
-                fatou.append(obj)
+            gaps.append(_parse_region(name_spec[1], d))
     except ValueError as exc:
         raise LamFormatError(f"line {no}: {exc}") from None
     M = lcm(*(q for _, q in angles.values()))
@@ -1002,35 +971,41 @@ def loads(text: str) -> Lamination:
         a, b = num[ta], num[tb]
         pairs[(a, b) if a <= b else (b, a)] = lvl
     return Lamination(d=d, depth=depth, recipe=header.get("recipe", "file"),
-                      leaves=Leaves(M // g, pairs), fatou_gaps=fatou, finite_gaps=finite,
+                      leaves=Leaves(M // g, pairs), gaps=gaps,
                       registry_complete=registry_complete)
 
 
 def _parse_region(spec: str, d: int):
+    """The region a `[gaps]` spec serializes, in a degree-d file."""
     fields = parse_fields(spec)
     kind = fields["kind"]
     if kind in ("finite", "attached"):
         deg = _integer(fields.get("degree", d), "degree")
         if deg != d:
             raise ValueError(f"gap degree {deg} does not match d={d}")
-    if kind == "finite":
-        return FiniteRegion(parse_lamset(fields["vertices"], d))
-    if kind == "attached":
+        if kind == "finite":
+            return FiniteRegion(parse_lamset(fields["vertices"], d))
         G = parse_lamset(fields["set"], d)
         index = _integer(fields["index"], "index")
         if not 0 <= index < len(G):
             raise ValueError(f"attached gap index {index} is not an edge of a "
                              f"{len(G)}-vertex set")
         return AttachedGap(G, index)
-    if kind == "vassal-image":
-        base = VassalGap(
+    if kind in ("vassal", "vassal-image"):
+        gap = VassalGap(major=parse_chord(fields["major"]),
+                        hole=_parse_arc(fields["hole"]), period=int(fields["period"]))
+        if kind == "vassal-image":
+            gap = ImageGap(gap, int(fields["power"]))
+    elif kind in GAP_KINDS:
+        gap = GapGen(
+            kind=kind,
             major=parse_chord(fields["major"]),
             hole=_parse_arc(fields["hole"]),
-            period=int(fields["period"]),
+            period=None if fields["period"] == "-" else int(fields["period"]),
+            critical=None if fields["critical"] == "-" else parse_chord(fields["critical"]),
         )
-        gap = ImageGap(base, int(fields["power"]))
     else:
-        gap = parse_gapgen(spec)
+        raise ValueError(f"unknown gap kind {kind!r}")
     if d != 3:
         raise ValueError(f"a {kind} gap needs d=3, got d={d}")
     return gap

@@ -9,7 +9,7 @@ from math import gcd, lcm
 from typing import List, Optional, Tuple
 
 from .chords import Chord, format_chord
-from .circle import Arc, _orbit_walk, arc_length, format_angle, parse_angle
+from .circle import Arc, _orbit_walk, angle, arc_length, format_angle, parse_angle
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class LamSet:
     degree_d: int = 3
 
     def __init__(self, vertices, degree_d: int = 3):
-        vs = sorted({Fraction(v) % 1 for v in vertices})
+        vs = sorted(set(map(angle, vertices)))
         if not vs:
             raise ValueError("a laminational set needs at least one vertex")
         object.__setattr__(self, "vertices", tuple(vs))
@@ -68,10 +68,6 @@ def majors(G: LamSet) -> List[Chord]:
     """Edges whose hole is not shorter than 1/d."""
     thresh = Fraction(1, G.degree_d)
     return [e for e, h in holes(G) if arc_length(h) >= thresh]
-
-
-def is_invariant(G: LamSet) -> bool:
-    return classify_rotational(G).is_invariant
 
 
 @dataclass(frozen=True)
@@ -214,5 +210,6 @@ def enumerate_rotational(d: int, rho: Fraction, max_orbits: int = 2) -> List[Lam
 
 def _alternates(union: LamSet, part: LamSet) -> bool:
     """Vertices of the two constituent orbits alternate around the circle."""
-    marks = [v in set(part.vertices) for v in union.vertices]
+    members = set(part.vertices)
+    marks = [v in members for v in union.vertices]
     return all(marks[i] != marks[(i + 1) % len(marks)] for i in range(len(marks)))

@@ -26,7 +26,7 @@ from itertools import islice
 from math import lcm
 from typing import Iterator, List, Optional, Tuple
 
-from .chords import Chord, format_chord, is_critical, parse_chord
+from .chords import Chord, format_chord, is_critical
 from .circle import (
     Arc,
     _orbit_walk,
@@ -312,26 +312,6 @@ def parse_fields(text: str) -> _Fields:
             raise ValueError(f"expected key=value, got {tok!r}")
         fields[key] = value
     return fields
-
-
-def parse_gapgen(text: str) -> "GapGen":
-    fields = parse_fields(text)
-    kind = fields["kind"]
-    if kind == "vassal":
-        return VassalGap(
-            major=parse_chord(fields["major"]),
-            hole=_parse_arc(fields["hole"]),
-            period=int(fields["period"]),
-        )
-    if kind not in GAP_KINDS:
-        raise ValueError(f"unknown gap kind {kind!r}")
-    return GapGen(
-        kind=kind,
-        major=parse_chord(fields["major"]),
-        hole=_parse_arc(fields["hole"]),
-        period=None if fields["period"] == "-" else int(fields["period"]),
-        critical=None if fields["critical"] == "-" else parse_chord(fields["critical"]),
-    )
 
 
 def _parse_arc(text: str) -> Arc:

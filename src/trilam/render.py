@@ -12,9 +12,9 @@ is still byte-stable: fixed 6-decimal formatting and sorted drawing order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .chords import Chord
 from .circle import format_angle
@@ -24,16 +24,12 @@ from .lamsets import LamSet, holes
 PALETTE = ("#1f3a63", "#b03a2e", "#1e8449", "#7d3c98", "#b7950b")
 STROKE = 1.2
 CIRCLE_STROKE = 1.5
-HIGHLIGHT_COLOR = "#d35400"
-HIGHLIGHT_STROKE = 2.5
 
 
 @dataclass
 class RenderSpec:
-    width: int = 600
-    height: int = 600
+    size: int = 600  # width and height of the square picture
     label_angles: bool = False
-    highlight: Set[Chord] = field(default_factory=set)
 
 
 def _unit(x: int, N: int) -> Tuple[float, float]:
@@ -67,16 +63,15 @@ def render(obj, spec: Optional[RenderSpec] = None) -> str:
     """SVG document for a lamination, laminational set, gap generator,
     chord, or plain iterable of chords."""
     spec = spec or RenderSpec()
-    w, h = spec.width, spec.height
-    cx, cy = w / 2.0, h / 2.0
-    r = 0.45 * min(w, h)
+    s = spec.size
+    cx = cy = s / 2.0
+    r = 0.45 * s
     N, pairs = _collect_pairs(obj)
-    highlight = set(map(Leaves(N).key, spec.highlight))  # None: off the 1/N grid
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-        f'  <rect width="{w}" height="{h}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{s}" height="{s}" '
+        f'viewBox="0 0 {s} {s}">',
+        f'  <rect width="{s}" height="{s}" fill="white"/>',
         f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
         f'fill="none" stroke="black" stroke-width="{CIRCLE_STROKE}"/>',
     ]
@@ -102,11 +97,8 @@ def render(obj, spec: Optional[RenderSpec] = None) -> str:
             # the radicand rounds below 0 only on chords far thinner than a pixel
             rr = _fmt(math.sqrt(max(0.0, ox * ox + oy * oy - 1)) * r)
             path = f"M {p1} A {rr} {rr} 0 0 {sweep} {p2}"
-        hl = (a, b) in highlight
-        color = HIGHLIGHT_COLOR if hl else PALETTE[i % len(PALETTE)]
-        width = HIGHLIGHT_STROKE if hl else STROKE
-        out.append(f'  <path d="{path}" fill="none" stroke="{color}" '
-                   f'stroke-width="{width}"/>')
+        out.append(f'  <path d="{path}" fill="none" stroke="{PALETTE[i % len(PALETTE)]}" '
+                   f'stroke-width="{STROKE}"/>')
     for x in labels:
         ux, uy = _unit(x, N)
         out.append(f'  <text x="{_fmt(cx + r * 1.06 * ux)}" y="{_fmt(cy - r * 1.06 * uy)}" '

@@ -12,14 +12,12 @@ from typing import Dict, List, Tuple
 
 from trilam.circle import parse_angle
 from trilam.lamination import (
-    FiniteRegion,
     LamFormatError,
     Lamination,
     Leaves,
     _integer,
     _parse_region,
 )
-from trilam.lamsets import LamSet
 from trilam.quadgap import parse_fields
 
 
@@ -77,17 +75,12 @@ def loads(text: str) -> Lamination:
             if not 0 <= level <= depth:
                 raise ValueError(f"level {level} is outside 0..{depth}")
             rows.append((a, b, level))
-        fatou: List[object] = []
-        finite: List[LamSet] = []
+        gaps: List[object] = []
         for no, line in numbered:
             name_spec = line.split(None, 1)
             if len(name_spec) < 2:
                 raise ValueError("gap line without a spec")
-            obj = _parse_region(name_spec[1], d)
-            if isinstance(obj, FiniteRegion):
-                finite.append(obj.base)
-            else:
-                fatou.append(obj)
+            gaps.append(_parse_region(name_spec[1], d))
     except ValueError as exc:
         raise LamFormatError(f"line {no}: {exc}") from None
     N = lcm(*(q for _, q in angles.values()))
@@ -96,5 +89,5 @@ def loads(text: str) -> Lamination:
         a, b = pa * (N // qa), pb * (N // qb)
         pairs[(a, b) if a <= b else (b, a)] = lvl
     return Lamination(d=d, depth=depth, recipe=header.get("recipe", "file"),
-                      leaves=Leaves(N, pairs), fatou_gaps=fatou, finite_gaps=finite,
+                      leaves=Leaves(N, pairs), gaps=gaps,
                       registry_complete=registry_complete)

@@ -13,9 +13,7 @@ from typing import Iterable, Optional, Tuple
 from trilam.chords import Chord
 from trilam.circle import format_angle
 from trilam.lamsets import LamSet, holes
-from trilam.render import (
-    CIRCLE_STROKE, HIGHLIGHT_COLOR, HIGHLIGHT_STROKE, PALETTE, STROKE, RenderSpec,
-)
+from trilam.render import CIRCLE_STROKE, PALETTE, STROKE, RenderSpec
 
 
 def _pt(theta: Fraction, cx: float, cy: float, r: float) -> Tuple[float, float]:
@@ -68,7 +66,7 @@ def render(obj, spec: Optional[RenderSpec] = None) -> str:
     """SVG document for a lamination, laminational set, gap generator,
     chord, or plain iterable of chords."""
     spec = spec or RenderSpec()
-    w, h = spec.width, spec.height
+    w = h = spec.size
     cx, cy = w / 2.0, h / 2.0
     r = 0.45 * min(w, h)
     chords = _collect_chords(obj)
@@ -86,12 +84,9 @@ def render(obj, spec: Optional[RenderSpec] = None) -> str:
             labels.update(dict.fromkeys((c.a, c.b)))
         if c.degenerate:
             continue
-        hl = c in spec.highlight
-        color = HIGHLIGHT_COLOR if hl else PALETTE[i % len(PALETTE)]
-        width = HIGHLIGHT_STROKE if hl else STROKE
         out.append(
             f'  <path d="{_chord_path(c, cx, cy, r)}" fill="none" '
-            f'stroke="{color}" stroke-width="{width}"/>'
+            f'stroke="{PALETTE[i % len(PALETTE)]}" stroke-width="{STROKE}"/>'
         )
     for v in labels:
         x, y = _pt(v, cx, cy, r * 1.06)

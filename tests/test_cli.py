@@ -266,8 +266,25 @@ def test_find_rotational_rejects_degree_above_three(capsys, d):
     ("d=3 depth=1 recipe=x\n[leaves]\n0-1/2 0\n[gaps]\n"
      "G0 kind=finite degree=2 vertices=1/3,2/3\n",
      "line 5: gap degree 2 does not match d=3"),
+    ("d=3 depth=1 recipe=x\n[leaves]\n0-1/2 0\n[gaps]\n"
+     "G0 kind=attached degree=3 set=7/26,11/26,21/26 index=3\n",
+     "line 5: attached gap index 3 is not an edge of a 3-vertex set"),
+    ("d=3 depth=1 recipe=x\n[leaves]\n0-1/2 0\n[gaps]\n"
+     "G0 kind=vassal-image major=7/26-12/13 hole=12/13,7/26 period=3\n",
+     "line 5: missing field power="),
+    ("d=3 depth=1 recipe=x\n[leaves]\n0-1/2 0\n[gaps]\n"
+     "G0 kind=periodic-type major=7/26-12/13 hole=12/13,7/26 period=3\n",
+     "line 5: missing field critical="),
+    ("d=2 depth=1 recipe=x\n[leaves]\n0-1/2 0\n[gaps]\n"
+     "G0 kind=vassal major=7/26-12/13 hole=12/13,7/26 period=3 critical=10/39-73/78\n",
+     "line 5: a vassal gap needs d=3, got d=2"),
+    ("d=2 depth=1 recipe=x\n[leaves]\n0-1/2 0\n[gaps]\n"
+     "G0 kind=vassal-image power=1 major=7/26-12/13 hole=12/13,7/26 period=3 "
+     "critical=10/39-73/78\n",
+     "line 5: a vassal-image gap needs d=3, got d=2"),
 ], ids=["no-degree", "empty", "attached-no-fields", "gap-no-spec", "bad-level", "d7",
-        "level-above-depth", "level-negative", "bogus-kind", "degree-mismatch"])
+        "level-above-depth", "level-negative", "bogus-kind", "degree-mismatch",
+        "attached-bad-index", "image-no-power", "gap-no-critical", "d2-vassal", "d2-image"])
 def test_malformed_lam_file_is_usage_error(capsys, tmp_path, text, err):
     path = tmp_path / "bad.lam"
     path.write_text(text)

@@ -116,7 +116,7 @@ def test_canonical_of_rotational_fingap1():
     for v in FINGAP1.vertices:
         assert any(c.has_endpoint(v) for c in L.leaves)
     assert check_invariance(L).ok
-    assert L.finite_gaps == [FINGAP1]
+    assert L.gaps == [FiniteRegion(FINGAP1), *attached_cycle(FINGAP1)]
 
 
 def test_canonical_of_rotational_fingap3():
@@ -183,15 +183,11 @@ GOLDEN_BUILDS = {
 }
 
 
-def _regions(L):
-    """The regions registered by the construction of L, in order."""
-    return [FiniteRegion(G) for G in L.finite_gaps] + list(L.fatou_gaps)
-
-
 def _seeds(L):
-    if L.finite_gaps:
-        return sorted({e for e, _ in holes(L.finite_gaps[0])})
-    return [e for e, _ in L.fatou_gaps[0].base_edges()]
+    first = L.gaps[0]
+    if isinstance(first, FiniteRegion):
+        return sorted({e for e, _ in holes(first.base)})
+    return [e for e, _ in first.base_edges()]
 
 
 @lru_cache(maxsize=None)
@@ -233,7 +229,7 @@ def test_region_view_crosses_matches_fraction_count(name):
     L = GOLDEN_BUILDS[name](0)
     rng = random.Random(name)
     outcomes = set()
-    for obj in _regions(L):
+    for obj in L.gaps:
         pts = region_boundary(obj, 2)
         # room for endpoints one numerator step (under 1e-9) from a boundary point
         N = lcm(*(x.denominator for x in pts)) * 3 ** 20
@@ -302,7 +298,7 @@ def _assert_closure_matches_oracle(d, seeds, regions, depth, portrait=None):
 def test_pullback_closure_matches_fraction_oracle_on_golden_recipes(name):
     L0 = GOLDEN_BUILDS[name](0)
     for n in range(5):
-        got, want = _assert_closure_matches_oracle(L0.d, _seeds(L0), _regions(L0), n)
+        got, want = _assert_closure_matches_oracle(L0.d, _seeds(L0), L0.gaps, n)
     assert not isinstance(want, str)
     assert got[:len(L0.leaves)] == list(L0.leaves.items())
 
@@ -313,7 +309,7 @@ def test_pullback_closure_matches_fraction_oracle_on_rotational_sets():
     assert sets
     for G in sets:
         L0 = canonical_of_rotational(G, 0)
-        _, want = _assert_closure_matches_oracle(3, _seeds(L0), _regions(L0), 4)
+        _, want = _assert_closure_matches_oracle(3, _seeds(L0), L0.gaps, 4)
         assert not isinstance(want, str)
 
 
@@ -338,7 +334,7 @@ def test_portrait_closure_matches_region_oracle():
     cases += [(canonical_of_quadratic_gap(U, 0), 3) for U in _periodic_gaps(4)]
     compared = 0
     for L0, n in cases:
-        seeds, regions = _seeds(L0), _regions(L0)
+        seeds, regions = _seeds(L0), L0.gaps
         want = _closure_or_error(region_closure, L0.d, seeds, regions, n)
         got = _pullback_closure(L0.d, seeds, _critical_portrait(L0.d, seeds, regions), n)
         if not isinstance(want, str):
@@ -368,7 +364,7 @@ def _portrait_constructions():
     builds = [GOLDEN_BUILDS[name](0) for name in sorted(GOLDEN_BUILDS)]
     builds += [canonical_of_rotational(G, 0) for G in _rotational_census()]
     builds += [canonical_of_quadratic_gap(U, 0) for U in _periodic_gaps(5)]
-    return [(L.d, _seeds(L), _regions(L)) for L in builds]
+    return [(L.d, _seeds(L), L.gaps) for L in builds]
 
 
 def test_critical_portraits_are_valid():
@@ -460,7 +456,7 @@ def test_pullback_closure_matches_vertex_list_oracle():
     compared = 0
     for L0, depths in cases:
         seeds = _seeds(L0)
-        portrait = _critical_portrait(L0.d, seeds, _regions(L0))
+        portrait = _critical_portrait(L0.d, seeds, L0.gaps)
         for n in depths:
             want = _pullback_outcome(oracle_pullback_closure, L0.d, seeds, portrait, n)
             assert _pullback_outcome(_pullback_closure, L0.d, seeds, portrait, n) == want, \
@@ -505,7 +501,8 @@ def test_pullback_plans_tell_a_critical_value_from_its_arc():
 
 def test_check_invariance_flags_foreign_leaf():
     L = canonical_diameter(depth=3)
-    L.leaves[Chord(F(0), F(1, 4))] = 0
+    L = Lamination(d=L.d, depth=L.depth, recipe=L.recipe,
+                   leaves={**L.leaves, Chord(F(0), F(1, 4)): 0})
     rep = check_invariance(L)
     assert not rep.ok
     assert rep.linked_pairs or rep.forward_missing or rep.sibling_missing
@@ -841,6 +838,19 @@ def test_dumps_loads_roundtrip(make):
     assert dumps(M) == dumps(L)
 
 
+def test_dumps_keeps_gap_lines_in_file_order():
+    # the finite set is registered first; read last, it is written back last
+    L = canonical_of_rotational(FINGAP3, depth=2)
+    assert isinstance(L.gaps[0], FiniteRegion)
+    head, gap_lines = dumps(L).split("[gaps]\n")
+    specs = [ln.split(None, 1)[1] for ln in gap_lines.splitlines()]
+    specs = specs[1:] + specs[:1]
+    text = head + "[gaps]\n" + "".join(f"G{i} {s}\n" for i, s in enumerate(specs))
+    M = loads(text)
+    assert [g.serialize() for g in M.gaps] == specs
+    assert dumps(M) == text
+
+
 def test_write_read_roundtrip(tmp_path):
     L = canonical_of_rotational(FINGAP3, depth=3)
     path = str(tmp_path / "fingap3.lam")
@@ -960,7 +970,7 @@ def test_count_crossings_matches_brute_force_on_random_families():
 # the integer leaf store
 
 
-def test_leaves_view_reads_and_writes_the_store():
+def test_leaves_view_reads_the_store():
     L = canonical_diameter(depth=3)
     store = L.leaves
     assert isinstance(store, Leaves) and len(store) == len(store.pairs) == 27
@@ -969,13 +979,13 @@ def test_leaves_view_reads_and_writes_the_store():
     assert Chord(F(0), F(1, 4)) not in store and "0-1/2" not in store
     with pytest.raises(KeyError):
         store[Chord(F(0), F(1, 4))]
-    # a write off the grid of 1/N refines N and keeps every leaf and the order
-    before = list(store.items())
-    store[Chord(F(0), F(1, 4))] = 0
-    assert store.N % 4 == 0
-    assert list(store.items()) == before + [(Chord(F(0), F(1, 4)), 0)]
-    del store[Chord(F(0), F(1, 4))]
-    assert list(store.items()) == before
+    # the view is read-only: N is fixed when the store is built
+    before = (store.N, list(store.items()))
+    with pytest.raises(TypeError):
+        store[Chord(F(0), F(1, 4))] = 0
+    with pytest.raises(TypeError):
+        del store[c]
+    assert (store.N, list(store.items())) == before
 
 
 def test_leaves_equality_across_denominators():
@@ -983,12 +993,13 @@ def test_leaves_equality_across_denominators():
     M = Lamination(d=3, depth=2, recipe="copy", leaves=dict(L.leaves))
     assert M.leaves.N != L.leaves.N  # the build's N also covers its regions
     assert M.leaves == L.leaves and L.leaves == dict(L.leaves)
-    M.leaves[next(iter(M.leaves))] = 5
-    assert M.leaves != L.leaves
+    first = next(iter(L.leaves))
+    M = Lamination(d=3, depth=2, recipe="copy", leaves={**L.leaves, first: 5})
+    assert M.leaves.N != L.leaves.N and M.leaves != L.leaves
     K = canonical_of_rotational(FINGAP3, depth=2)
     assert K.leaves.N == L.leaves.N and K.leaves == L.leaves
-    K.leaves[next(iter(K.leaves))] = 5
-    assert K.leaves != L.leaves
+    key = next(iter(K.leaves.pairs))
+    assert Leaves(K.leaves.N, {**K.leaves.pairs, key: 5}) != L.leaves
 
 
 def test_build_check_and_dumps_build_few_chords(monkeypatch):
@@ -1085,8 +1096,7 @@ def _read_with(reader, text):
     except Exception as exc:  # the two readers must fail alike
         return type(exc).__name__, str(exc)
     return (L.d, L.depth, L.recipe, L.registry_complete, L.leaves.N,
-            list(L.leaves.pairs.items()), [g.serialize() for g in L.fatou_gaps],
-            [FiniteRegion(G).serialize() for G in L.finite_gaps])
+            list(L.leaves.pairs.items()), [g.serialize() for g in L.gaps])
 
 
 _GAP_LINES = {
@@ -1141,7 +1151,7 @@ def _lam_texts(draw):
 def test_loads_matches_one_pass_oracle_on_well_formed_texts(text):
     got = _read_with(loads, text)
     assert got == _read_with(oracle_loads, text)
-    assert len(got) == 8, got  # a lamination, not an error
+    assert len(got) == 7, got  # a lamination, not an error
 
 
 @settings(max_examples=300, deadline=None)

@@ -13,7 +13,6 @@ from trilam.lamsets import (
     enumerate_rotational,
     format_lamset,
     holes,
-    is_invariant,
     majors,
     parse_lamset,
 )
@@ -65,16 +64,17 @@ def test_fingap3_major_hole_length():
 
 
 def test_invariance():
-    assert is_invariant(FINGAP1)
-    assert is_invariant(FINGAP2)
-    assert is_invariant(LamSet([F(1, 4), F(3, 4)]))  # 2-cycle under tripling
-    assert not is_invariant(LamSet([F(1, 4), F(1, 3)]))
+    assert classify_rotational(FINGAP1).is_invariant
+    assert classify_rotational(FINGAP2).is_invariant
+    # a 2-cycle under tripling
+    assert classify_rotational(LamSet([F(1, 4), F(3, 4)])).is_invariant
+    assert not classify_rotational(LamSet([F(1, 4), F(1, 3)])).is_invariant
 
 
 def _assert_majors_hold_fixed_points(G):
     # an edge of an invariant set is a major iff its closed hole holds a
     # sigma_d-fixed point (hole by hole: a 2-point set has its edge twice)
-    assert is_invariant(G)
+    assert classify_rotational(G).is_invariant
     fixed = fixed_points(G.degree_d)
     assert majors(G) == [e for e, h in holes(G)
                          if any(contains_closed(h, f) for f in fixed)], G
@@ -195,7 +195,7 @@ def test_enumerate_rotational_goldberg_count(d):
 def _assert_matches_oracle(G):
     rep, want = classify_rotational(G), oracle.classify_rotational(G)
     assert rep == want and rep.lines() == want.lines(), G
-    assert is_invariant(G) == oracle.is_invariant(G), G
+    assert rep.is_invariant == oracle.is_invariant(G), G
     assert majors(G) == oracle.majors(G), G
 
 

@@ -15,7 +15,9 @@ from trilam.circle import (
     orbit,
     sigma,
 )
-from trilam.lamination import _vassal_chord, canonical_of_quadratic_gap, project_through_gap
+from trilam.lamination import (
+    _parse_region, _vassal_chord, canonical_of_quadratic_gap, project_through_gap,
+)
 from trilam.quadgap import (
     GapGen,
     VassalGap,
@@ -28,7 +30,6 @@ from trilam.quadgap import (
     build_gap,
     caterpillar_head,
     classify_critical,
-    parse_gapgen,
     psi,
     vassal,
 )
@@ -254,7 +255,7 @@ def test_build_gap_rejects_caterpillar():
 def test_gapgen_serialize_roundtrip():
     gap, _ = build_gap(PERIOD3_CRITICAL, depth=0)
     for g in (gap, FGB, FGA):
-        assert parse_gapgen(g.serialize()) == GapGen(
+        assert _parse_region(g.serialize(), 3) == GapGen(
             kind=g.kind, major=g.major, hole=g.hole,
             period=g.period, critical=g.critical,
         )
@@ -372,7 +373,7 @@ def test_vassal_requires_periodic_type():
 
 def test_vassal_serialize_roundtrip():
     V = vassal(FGB)
-    W = parse_gapgen(V.serialize())
+    W = _parse_region(V.serialize(), 3)
     assert isinstance(W, VassalGap)
     assert W == V
 

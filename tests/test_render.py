@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import render_oracle
 from trilam.chords import Chord
-from trilam.lamination import Lamination, Leaves, canonical_diameter, canonical_of_rotational
-from trilam.lamsets import LamSet, parse_lamset
-from trilam.render import HIGHLIGHT_COLOR, RenderSpec, render
+from trilam.lamination import (
+    FiniteRegion, Lamination, Leaves, canonical_diameter, canonical_of_rotational,
+)
+from trilam.lamsets import parse_lamset
+from trilam.render import PALETTE, RenderSpec, render
 
 GALLERY = runpy.run_path(str(Path(__file__).resolve().parent.parent
                              / "scripts" / "gap_gallery.py"))["GALLERY"]
@@ -36,7 +38,7 @@ def test_render_empty_input_draws_only_the_circle():
 
 
 def test_diameter_renders_as_straight_segment():
-    svg = render(Chord(F(0), F(1, 2)), RenderSpec(width=600, height=600))
+    svg = render(Chord(F(0), F(1, 2)), RenderSpec(size=600))
     (p,) = _paths(svg)
     assert p == "M 570.000000 300.000000 L 30.000000 300.000000"
     assert "A " not in p
@@ -49,7 +51,7 @@ def test_non_diameter_renders_as_arc():
 
 
 def test_chord_endpoints_on_circle():
-    spec = RenderSpec(width=600, height=600)
+    spec = RenderSpec(size=600)
     svg = render(Chord(F(1, 7), F(3, 7)), spec)
     (p,) = _paths(svg)
     nums = [float(x) for x in re.findall(r"-?\d+\.\d{6}", p)]
@@ -74,12 +76,18 @@ def test_rotating_by_half_reflects_the_picture():
     assert abs(n1[2] - n2[2]) < 1e-6
 
 
-def test_render_lamset_and_highlight():
-    G = parse_lamset("7/26,11/26,21/26")
-    spec = RenderSpec(highlight={Chord(F(7, 26), F(11, 26))})
-    svg = render(G, spec)
+def test_render_lamset():
+    svg = render(parse_lamset("7/26,11/26,21/26"))
     assert len(_paths(svg)) == 3
-    assert HIGHLIGHT_COLOR in svg
+    # one palette colour per edge, in sorted chord order
+    assert re.findall(r'stroke="(#[0-9a-f]{6})"', svg) == list(PALETTE[:3])
+
+
+def test_render_size_sets_both_sides():
+    svg = render(Chord(F(0), F(1, 3)), RenderSpec(size=250))
+    assert svg.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="250" height="250" '
+                          'viewBox="0 0 250 250">\n  <rect width="250" height="250" fill="white"/>\n'
+                          '  <circle cx="125.000000" cy="125.000000" r="112.500000" ')
 
 
 def test_render_labels():
@@ -106,10 +114,10 @@ def test_render_rejects_unknown_objects():
 def test_render_matches_chord_oracle_on_gallery(name, make):
     # the golden suite at depth 5, as the gallery builds it, and its gaps
     L = make(5)
-    specs = [RenderSpec(), RenderSpec(width=700, height=700), RenderSpec(width=1, height=1),
-             RenderSpec(width=300, height=450, label_angles=True,
-                        highlight={*list(L.leaves)[::7], Chord(F(1, 5), F(2, 5))})]
-    gaps = [g for g in L.fatou_gaps if hasattr(g, "edge_chords")] + L.finite_gaps
+    specs = [RenderSpec(), RenderSpec(size=700), RenderSpec(size=1),
+             RenderSpec(size=300, label_angles=True)]
+    gaps = [g.base if isinstance(g, FiniteRegion) else g for g in L.gaps
+            if isinstance(g, FiniteRegion) or hasattr(g, "edge_chords")]
     for obj in [L] + gaps:
         for spec in specs:
             svg = render(obj, spec)
@@ -140,9 +148,7 @@ def _chord_families(draw):
 @settings(max_examples=150, deadline=None)
 @given(_chord_families(), st.booleans(), st.integers(1, 3))
 def test_render_matches_chord_oracle_on_random_families(chords, labels, scale):
-    # highlight a drawn chord and one whose denominator divides no N here
-    off_grid = Chord(F(1, 997), F(2, 997))
-    spec = RenderSpec(label_angles=labels, highlight=set(chords[:1]) | {off_grid})
+    spec = RenderSpec(label_angles=labels)
     # a lamination whose store N is a multiple of the lcm of its denominators
     store = Leaves.from_chords(dict.fromkeys(chords, 0))
     L = Lamination(3, 0, "random", Leaves(store.N * scale, {
