@@ -56,7 +56,6 @@ from .quadgap import (
     below_diameter,
     build_gap,
     classify_critical,
-    gap_from_major,
     psi,
     vassal,
 )

@@ -76,13 +76,11 @@ def _degree(d: int) -> int:
 
 def _write_lam(L: lamination.Lamination, out: Optional[str]) -> int:
     """Write L as a .lam file to `out` and say so, or to stdout without it."""
-    text = lamination.dumps(L)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        lamination.write_lamination(L, out)
         print(f"{len(L.leaves)} leaves -> {out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(lamination.dumps(L))
     return 0
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import ItemsView, Mapping, ValuesView
-from dataclasses import dataclass, field
+from collections.abc import ItemsView, Mapping
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, count
 from math import gcd, lcm
@@ -49,7 +49,6 @@ from .quadgap import (
     _parse_arc,
     below_diameter,
     classify_critical,
-    gap_from_major,
     parse_fields,
     psi,
     vassal,
@@ -71,7 +70,6 @@ class FiniteRegion:
     """A finite laminational set registered as a gap (or single leaf)."""
 
     base: LamSet
-    kind: str = "finite"
 
     def serialize(self) -> str:
         return f"kind=finite degree={self.base.degree_d} vertices={format_lamset(self.base)}"
@@ -83,7 +81,6 @@ class ImageGap:
 
     base: VassalGap
     power: int
-    kind: str = "vassal-image"
 
     def serialize(self) -> str:
         return f"kind=vassal-image power={self.power} {self.base.serialize().removeprefix('kind=vassal ')}"
@@ -99,7 +96,6 @@ class AttachedGap:
 
     base: LamSet
     index: int
-    kind: str = "attached"
 
     @property
     def is_critical(self) -> bool:
@@ -174,9 +170,6 @@ class Leaves(Mapping):
     def items(self) -> ItemsView:
         return _LeafItems(self)
 
-    def values(self) -> ValuesView:
-        return self.pairs.values()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Leaves):
             return Mapping.__eq__(self, other)
@@ -216,8 +209,7 @@ class Lamination:
         return len(self.leaves)
 
     def __repr__(self):
-        return (f"Lamination(d={self.d}, depth={self.depth}, "
-                f"recipe={self.recipe!r}, {len(self.leaves)} leaves)")
+        return f"Lamination(d={self.d}, depth={self.depth}, {len(self.leaves)} leaves)"
 
 
 # ---------------------------------------------------------------------------
@@ -377,22 +369,20 @@ def _pullback_closure(d: int, seeds: Sequence[Chord],
 def canonical_of_quadratic_gap(U: GapGen, depth: int = 6) -> Lamination:
     """The unique invariant lamination having U (and, for periodic type, the
     vassal cycle) among its gaps: pullback closure of the major orbit."""
-    if U.period is None:
-        region_objs: List[object] = [U]
-        seeds = [U.major]
-    else:
+    regions: List[object] = [U]
+    if U.period is not None:
         # The co-major M'' shares its image with M, so the pullback of the
         # major orbit discovers it (and with it all vassal-cycle edges);
         # seeding from the orbit alone makes the construction independent of
         # which gap of the lamination U happens to be.
         V = vassal(U)
-        region_objs = [U, V] + [ImageGap(V, i) for i in range(1, U.period)]
-        seeds = [e for e, _ in U.base_edges()]
-    portrait = _critical_portrait(3, seeds, region_objs)
+        regions += [V] + [ImageGap(V, i) for i in range(1, U.period)]
+    seeds = [e for e, _ in U.base_edges()]
+    portrait = _critical_portrait(3, seeds, regions)
     leaves = _pullback_closure(3, seeds, portrait, depth)
     return Lamination(
         d=3, depth=depth, recipe=f"quadratic-gap:{format_chord(U.major)}",
-        leaves=leaves, gaps=region_objs, registry_complete=True,
+        leaves=leaves, gaps=regions, registry_complete=True,
     )
 
 
@@ -689,8 +679,7 @@ def clean(L: Lamination) -> CleanReport:
             "undecidable for a bare truncated leaf set"
         )
     removed = len(L.leaves)
-    empty = Lamination(d=L.d, depth=L.depth, recipe=L.recipe,
-                       leaves={}, gaps=list(L.gaps), registry_complete=True)
+    empty = replace(L, leaves={}, gaps=list(L.gaps))
     return CleanReport(final=empty, removed_per_stage=[removed],
                        super_gap_count=1, whole_disk=True)
 
@@ -734,7 +723,6 @@ def project_through_gap(U: GapGen, L: Lamination) -> Lamination:
 
 @dataclass
 class SmpVerdict:
-    in_smp: bool
     case_tag: str  # CanonicalQuadraticGap | CanonicalTypeD | RotationalInsideQuadraticGap | NotSMP | Empty
     period_bound: int
     witness_rotational: Optional[LamSet] = None
@@ -748,6 +736,10 @@ class SmpVerdict:
         "CanonicalTypeD": 2,
         "RotationalInsideQuadraticGap": 3,
     }
+
+    @property
+    def in_smp(self) -> bool:
+        return self.case_tag in self._CASE_NUM
 
     def lines(self) -> List[str]:
         out = [f"in_smp: {str(self.in_smp).lower()}"]
@@ -779,11 +771,9 @@ def _witness_quadratic_gap(points: Set[Fraction]) -> Optional[GapGen]:
     for k in range(1, _WITNESS_MAX_PERIOD + 1):
         h = Fraction(3 ** (k - 1), 3 ** k - 1)
         for a in fixed_points(3, k):
-            b = (a + h) % 1
-            M = Chord(a, b)
-            if _leaf_period(3, M) != k:
+            U = GapGen(kind="periodic-type", hole=Arc(a, (a + h) % 1), period=k)
+            if _leaf_period(3, U.major) != k:
                 continue
-            hole = Arc(a, b)
             if any(0 < (x - a) % 1 < h for x in points):
                 continue
             # validate: a critical chord centered in the hole must classify
@@ -794,62 +784,50 @@ def _witness_quadratic_gap(points: Set[Fraction]) -> Optional[GapGen]:
                 cls = classify_critical(c)
             except ValueError:
                 continue
-            if cls.tag != "PeriodicType" or cls.major != M or cls.n_c != k:
+            if cls.tag != "PeriodicType" or cls.major != U.major or cls.n_c != k:
                 continue
-            return gap_from_major(M, hole, k)
+            return U
     return None
 
 
 def classify_smp(L: Lamination, period_bound: int = 6) -> SmpVerdict:
     """Decide membership in the simplest-core class: laminations with exactly
-    one periodic rotational gap or leaf, all of whose edges are isolated."""
+    one periodic rotational gap or leaf, all of whose edges are isolated.
+    Without a rotational class, case 1 needs a registered invariant
+    quadratic gap whose major is a leaf of L; that gap is the witness."""
     if L.d != 3:
         raise ValueError("SMP classification applies to degree-3 laminations")
     report = periodic_rotational_classes(L, period_bound)
     rc = report.rotational_classes
 
     if len(rc) == 0:
-        if L.recipe.startswith(("quadratic-gap", "diameter")):
-            wq = next((g for g in L.gaps if isinstance(g, GapGen)), None)
-            return SmpVerdict(
-                in_smp=True, case_tag="CanonicalQuadraticGap",
-                period_bound=period_bound, witness_quadratic=wq,
-            )
+        wq = next((g for g in L.gaps if isinstance(g, GapGen) and g.major in L.leaves),
+                  None)
+        if wq is not None:
+            return SmpVerdict(case_tag="CanonicalQuadraticGap",
+                              period_bound=period_bound, witness_quadratic=wq)
         if not L.leaves:
-            return SmpVerdict(in_smp=False, case_tag="Empty",
-                              period_bound=period_bound)
-        return SmpVerdict(
-            in_smp=False, case_tag="NotSMP", period_bound=period_bound,
-            certified=L.registry_complete,
-            note="no periodic rotational class found up to the period bound",
-        )
+            return SmpVerdict(case_tag="Empty", period_bound=period_bound)
+        return SmpVerdict(case_tag="NotSMP", period_bound=period_bound,
+                          certified=L.registry_complete,
+                          note="no periodic rotational class found up to the period bound")
 
     if len(rc) >= 2:
-        return SmpVerdict(
-            in_smp=False, case_tag="NotSMP", period_bound=period_bound,
-            note=f"{len(rc)} rotational classes found",
-        )
+        return SmpVerdict(case_tag="NotSMP", period_bound=period_bound,
+                          note=f"{len(rc)} rotational classes found")
 
     G, rep = rc[0]
     if rep.type_tag == "D":
-        return SmpVerdict(
-            in_smp=True, case_tag="CanonicalTypeD", period_bound=period_bound,
-            witness_rotational=G, witness_type="D",
-        )
+        return SmpVerdict(case_tag="CanonicalTypeD", period_bound=period_bound,
+                          witness_rotational=G, witness_type="D")
     # types A and B live inside an invariant quadratic gap (co-existence)
     U = _witness_quadratic_gap({x for v in G.vertices for x in orbit(3, v)})
     if U is None:
-        return SmpVerdict(
-            in_smp=False, case_tag="NotSMP", period_bound=period_bound,
-            certified=False,
-            note="single rotational class but no containing quadratic gap "
-                 "found within the period bound; inconclusive",
-        )
-    return SmpVerdict(
-        in_smp=True, case_tag="RotationalInsideQuadraticGap",
-        period_bound=period_bound, witness_rotational=G,
-        witness_type=rep.type_tag, witness_quadratic=U,
-    )
+        return SmpVerdict(case_tag="NotSMP", period_bound=period_bound, certified=False,
+                          note="single rotational class but no containing quadratic gap "
+                               "found within the period bound; inconclusive")
+    return SmpVerdict(case_tag="RotationalInsideQuadraticGap", period_bound=period_bound,
+                      witness_rotational=G, witness_type=rep.type_tag, witness_quadratic=U)
 
 
 # ---------------------------------------------------------------------------
@@ -991,29 +969,36 @@ def _parse_region(spec: str, d: int):
             raise ValueError(f"attached gap index {index} is not an edge of a "
                              f"{len(G)}-vertex set")
         return AttachedGap(G, index)
-    if kind in ("vassal", "vassal-image"):
-        gap = VassalGap(major=parse_chord(fields["major"]),
-                        hole=_parse_arc(fields["hole"]), period=int(fields["period"]))
-        if kind == "vassal-image":
-            gap = ImageGap(gap, int(fields["power"]))
-    elif kind in GAP_KINDS:
-        gap = GapGen(
-            kind=kind,
-            major=parse_chord(fields["major"]),
-            hole=_parse_arc(fields["hole"]),
-            period=None if fields["period"] == "-" else int(fields["period"]),
-            critical=None if fields["critical"] == "-" else parse_chord(fields["critical"]),
-        )
-    else:
+    if kind not in GAP_KINDS and kind not in ("vassal", "vassal-image"):
         raise ValueError(f"unknown gap kind {kind!r}")
+    major, hole = parse_chord(fields["major"]), _parse_arc(fields["hole"])
+    text = fields["period"]
+    period = None if text == "-" and kind in GAP_KINDS else _integer(text, "period")
+    if kind in GAP_KINDS:
+        critical = None if fields["critical"] == "-" else parse_chord(fields["critical"])
+        gap = GapGen(kind=kind, hole=hole, period=period, critical=critical)
+    else:
+        gap = VassalGap(hole=hole, period=period)
+        if kind == "vassal-image":
+            gap = ImageGap(gap, _integer(fields["power"], "power"))
+    if period is not None and period < 1:
+        raise ValueError(f"period must be >= 1, got {period}")
+    if isinstance(gap, ImageGap) and not 0 < gap.power < period:
+        raise ValueError(f"vassal-image power {gap.power} is outside 1..{period - 1}")
+    if major != Chord(hole.start, hole.end):
+        raise ValueError(f"major {format_chord(major)} does not join the hole ends "
+                         f"{format_angle(hole.start)},{format_angle(hole.end)}")
     if d != 3:
         raise ValueError(f"a {kind} gap needs d=3, got d={d}")
     return gap
 
 
 def write_lamination(L: Lamination, path: str) -> None:
+    """Write L to `path`.  L is formatted before the file is opened, so a
+    lamination that `dumps` rejects leaves no file behind."""
+    text = dumps(L)
     with open(path, "w") as fh:
-        fh.write(dumps(L))
+        fh.write(text)
 
 
 def read_lamination(path: str) -> Lamination:

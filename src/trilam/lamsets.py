@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Tuple
 
-from .chords import Chord, format_chord
+from .chords import Chord
 from .circle import Arc, _orbit_walk, angle, arc_length, format_angle, parse_angle
 
 
@@ -79,22 +79,6 @@ class RotationalReport:
     majors: Tuple[Chord, ...] = ()
     orbit_count: int = 0
     diameter_special: bool = False
-
-    def lines(self) -> List[str]:
-        out = [
-            f"invariant: {str(self.is_invariant).lower()}",
-            f"rotational: {str(self.is_rotational).lower()}",
-        ]
-        if self.rotation_number is not None:
-            out.append(f"rotation_number: {format_angle(self.rotation_number) if self.rotation_number else '0'}")
-        out.append(f"type: {self.type_tag}")
-        if self.majors:
-            out.append("majors: " + " ".join(format_chord(m) for m in self.majors))
-        if self.orbit_count:
-            out.append(f"orbits: {self.orbit_count}")
-        if self.diameter_special:
-            out.append("diameter_special: true")
-        return out
 
 
 def classify_rotational(G: LamSet) -> RotationalReport:

@@ -20,7 +20,7 @@ All enumeration here is exact; depth bounds the number of pullback levels.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 from math import lcm
@@ -46,10 +46,18 @@ THIRD = Fraction(1, 3)
 class CriticalClass:
     tag: str  # RegularCritical | Caterpillar | PeriodicType
     major: Chord
-    n_c: Optional[int] = None
     major_period: Optional[int] = None
     periodic_endpoint: Optional[Fraction] = None
-    image_in_pi: bool = False  # orbit of sigma(c) never leaves closure L(c)
+
+    @property
+    def n_c(self) -> Optional[int]:
+        """The step at which sigma^n(c) leaves the closure of L(c)."""
+        return self.major_period if self.tag == "PeriodicType" else None
+
+    @property
+    def image_in_pi(self) -> bool:
+        """The orbit of sigma(c) never leaves the closure of L(c)."""
+        return self.tag != "PeriodicType"
 
     def lines(self) -> List[str]:
         out = [f"tag: {self.tag}", f"major: {format_chord(self.major)}"]
@@ -157,19 +165,14 @@ def classify_critical(c: Chord) -> CriticalClass:
         major = Chord(y, z)
         if _leaf_period(3, major) != n_c:
             raise AssertionError(f"major {major} does not have period {n_c}")
-        return CriticalClass(
-            tag="PeriodicType", major=major, n_c=n_c, major_period=n_c,
-            image_in_pi=False,
-        )
+        return CriticalClass(tag="PeriodicType", major=major, major_period=n_c)
 
     if hits_boundary:
         head, y, k, _ = caterpillar_head(c)
-        return CriticalClass(
-            tag="Caterpillar", major=head, major_period=k,
-            periodic_endpoint=y, image_in_pi=True,
-        )
+        return CriticalClass(tag="Caterpillar", major=head, major_period=k,
+                             periodic_endpoint=y)
 
-    return CriticalClass(tag="RegularCritical", major=c, image_in_pi=True)
+    return CriticalClass(tag="RegularCritical", major=c)
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +184,18 @@ GAP_KINDS = ("regular-critical", "periodic-type", "above-diameter", "below-diame
 
 @dataclass(frozen=True)
 class GapGen:
-    """Symbolic recipe for an invariant quadratic gap: the major chord and
-    the positively oriented hole (a, b) behind it.  Basis points are exactly
-    the angles whose forward orbit avoids the open hole."""
+    """Symbolic recipe for an invariant quadratic gap: the positively
+    oriented hole (a, b) behind its major, the chord a-b.  Basis points are
+    exactly the angles whose forward orbit avoids the open hole."""
 
     kind: str  # one of GAP_KINDS
-    major: Chord
     hole: Arc
     period: Optional[int] = None  # leaf period of the major; None if critical
     critical: Optional[Chord] = None
+
+    @property
+    def major(self) -> Chord:
+        return Chord(self.hole.start, self.hole.end)
 
     @property
     def hole_length(self) -> Fraction:
@@ -219,12 +225,10 @@ class GapGen:
     def base_edges(self) -> List[Tuple[Chord, Arc]]:
         """The major orbit with its holes (a single critical edge for a
         regular-critical gap)."""
-        if self.period is None:
-            return [(self.major, self.hole)]
         out = [(self.major, self.hole)]
         a, b = self.hole.start, self.hole.end
         h = self.hole_length
-        for i in range(1, self.period):
+        for i in range(1, self.period or 1):
             a, b = sigma(3, a), sigma(3, b)
             h = 3 * h - 1 if i == 1 else 3 * h
             edge_hole = Arc(a, b)
@@ -329,37 +333,23 @@ def build_gap(c: Chord, depth: int = 6) -> Tuple[GapGen, List[Fraction]]:
         raise ValueError("caterpillar critical chords do not span a plain quadratic gap")
     s, t = _short_side(c)
     if cls.tag == "RegularCritical":
-        gap = GapGen(kind="regular-critical", major=c, hole=Arc(s, t), critical=c)
+        gap = GapGen(kind="regular-critical", hole=Arc(s, t), critical=c)
     else:
-        y, z = None, None
-        # hole runs from z (scan backward from s) to y (scan forward from t)
-        for u, v in ((cls.major.a, cls.major.b), (cls.major.b, cls.major.a)):
-            if ((u - t) % 1) < ((v - t) % 1):
-                y, z = u, v
-        gap = GapGen(
-            kind="periodic-type", major=cls.major, hole=Arc(z, y),
-            period=cls.n_c, critical=c,
-        )
+        n = cls.n_c  # the hole joins classify_critical's major ends around (s, t)
+        gap = GapGen(kind="periodic-type",
+                     hole=Arc(_nearest_fixed(s, n, -1), _nearest_fixed(t, n, +1)),
+                     period=n, critical=c)
     return gap, gap.vertices(depth)
-
-
-def gap_from_major(major: Chord, hole: Arc, period: int) -> GapGen:
-    """Recipe for a periodic-type gap given its periodic major directly."""
-    return GapGen(kind="periodic-type", major=major, hole=hole, period=period)
 
 
 def below_diameter() -> GapGen:
     """The invariant quadratic gap of orbits below the diameter 0-1/2."""
-    gap, _ = build_gap(Chord(Fraction(1, 12), Fraction(5, 12)), depth=0)
-    return GapGen(kind="below-diameter", major=gap.major, hole=gap.hole,
-                  period=gap.period, critical=gap.critical)
+    return replace(build_gap(Chord(Fraction(1, 12), Fraction(5, 12)), 0)[0], kind="below-diameter")
 
 
 def above_diameter() -> GapGen:
     """The invariant quadratic gap of orbits above the diameter 0-1/2."""
-    gap, _ = build_gap(Chord(Fraction(7, 12), Fraction(11, 12)), depth=0)
-    return GapGen(kind="above-diameter", major=gap.major, hole=gap.hole,
-                  period=gap.period, critical=gap.critical)
+    return replace(build_gap(Chord(Fraction(7, 12), Fraction(11, 12)), 0)[0], kind="above-diameter")
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +361,13 @@ class VassalGap:
     """The period-k quadratic gap spanned by the two-arc horseshoe
     [a, b - 1/3] u [a + 1/3, b] inside the major hole (a, b)."""
 
-    major: Chord
     hole: Arc  # the parent's major hole (a, b); the vassal lives inside it
     period: int
-    kind: str = "vassal"
+
+    @property
+    def major(self) -> Chord:
+        """The parent's major, the chord a-b."""
+        return Chord(self.a, self.b)
 
     @property
     def a(self) -> Fraction:
@@ -400,25 +393,37 @@ class VassalGap:
     def _h(self) -> Fraction:
         return arc_length(self.hole)
 
-    def _word_levels(self, u: Fraction) -> Iterator[List[Fraction]]:
-        """Level k = 0, 1, ...: the images of u under the 2^k words of length
-        k in the return map's inverse branches g0(u) = u / 3^period and
-        g1(u) = h - (h - u) / 3^period (h the hole length, u measured from
-        a), in lexicographic word order: the word (bit,) + w acts as g_bit
-        after w, so level k is g0, then g1, of level k - 1."""
-        h, k = self._h(), 3 ** self.period
-        level = [u]
+    def _numerator_levels(self, u: Fraction) -> Iterator[Tuple[List[int], int]]:
+        """Level j = 0, 1, ...: the images of u under the 2^j words of length
+        j in the return map's inverse branches g0(u) = u / K and
+        g1(u) = h - (h - u) / K (h the hole length, u measured from a,
+        K = 3^period), in lexicographic word order: the word (bit,) + w acts
+        as g_bit after w, so level j is g0, then g1, of level j - 1.  Level j
+        is its numerators over D * K^j, D = 3 * h.denominator, u a multiple
+        of 1/D: g0 keeps a numerator and g1 adds h * D * K^j * (K - 1)."""
+        h, K = self._h(), 3 ** self.period
+        den = 3 * h.denominator
+        level = [u.numerator * (den // u.denominator)]
+        step = 3 * h.numerator * (K - 1)
         while True:
-            yield level
-            level = [x / k for x in level] + [h - (h - x) / k for x in level]
+            yield level, den
+            level = level + [x + step for x in level]
+            den, step = den * K, step * K
+
+    def _word_levels(self, u: Fraction) -> Iterator[List[Fraction]]:
+        """The levels of `_numerator_levels` as Fractions."""
+        for level, den in self._numerator_levels(u):
+            yield [Fraction(x, den) for x in level]
 
     def vertices(self, depth: int) -> List[Fraction]:
         # lo[0], hi[0], lo[1], ... rise in [0, h]: the sort is one rotation where a + x passes 1
-        lo, hi = (next(islice(self._word_levels(u), depth, None))
-                  for u in (Fraction(0), self._h()))
-        xs = [self.a + x for pair in zip(lo, hi) for x in pair]
-        k = bisect_left(xs, 1)
-        return [x - 1 for x in xs[k:]] + xs[:k]
+        (lo, den), (hi, _) = (next(islice(self._numerator_levels(u), depth, None))
+                              for u in (Fraction(0), self._h()))
+        M = lcm(den, self.a.denominator)
+        a, f = _over(M, self.a), M // den
+        xs = [a + x * f for pair in zip(lo, hi) for x in pair]
+        k = bisect_left(xs, M)
+        return [Fraction(x - M, M) for x in xs[k:]] + [Fraction(x, M) for x in xs[:k]]
 
     def edge_chords(self, depth: int) -> List[Chord]:
         u0, u1 = self._h() - THIRD, THIRD  # parameters of the co-major endpoints
@@ -462,7 +467,7 @@ class VassalGap:
 def vassal(U: GapGen) -> VassalGap:
     if U.period is None:
         raise ValueError("only periodic-type gaps have a vassal")
-    return VassalGap(major=U.major, hole=U.hole, period=U.period)
+    return VassalGap(hole=U.hole, period=U.period)
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,18 @@ def test_period_bound_below_one_is_usage_error(capsys, tmp_path, command, bound)
     assert "period_bound: 1\n" in out
 
 
+def test_classify_smp_does_not_read_the_recipe(capsys, tmp_path):
+    # one leaf that is not invariant, labelled with a canonical recipe
+    path = tmp_path / "probe.lam"
+    path.write_text("d=3 depth=1 recipe=diameter\nregistry=partial\n"
+                    "[leaves]\n1/5-2/7 0\n[gaps]\n")
+    code, out, err = run(capsys, "classify-smp", "--in", str(path))
+    assert (code, err) == (0, "")
+    assert out == ("in_smp: false\nverdict: NotSMP\nperiod_bound: 6\n"
+                   "certified: false (period bound may be insufficient)\n"
+                   "note: no periodic rotational class found up to the period bound\n")
+
+
 @pytest.mark.parametrize("index", ["-5", "-1", "1"])
 def test_project_gap_index_out_of_range(capsys, tmp_path, index):
     path = str(tmp_path / "p3.lam")
@@ -282,9 +294,31 @@ def test_find_rotational_rejects_degree_above_three(capsys, d):
      "G0 kind=vassal-image power=1 major=7/26-12/13 hole=12/13,7/26 period=3 "
      "critical=10/39-73/78\n",
      "line 5: a vassal-image gap needs d=3, got d=2"),
+    ("d=3 depth=1 recipe=x\n[leaves]\n0-1/2 0\n[gaps]\n"
+     "G0 kind=periodic-type major=7/26-12/13 hole=12/13,7/26 period=q critical=-\n",
+     "line 5: period must be an integer, got 'q'"),
+    ("d=3 depth=1 recipe=x\n[leaves]\n0-1/2 0\n[gaps]\n"
+     "G0 kind=periodic-type major=7/26-12/13 hole=12/13,7/26 period=-3 critical=-\n",
+     "line 5: period must be >= 1, got -3"),
+    ("d=3 depth=1 recipe=x\n[leaves]\n0-1/2 0\n[gaps]\n"
+     "G0 kind=vassal major=7/26-12/13 hole=12/13,7/26 period=-2 critical=10/39-73/78\n",
+     "line 5: period must be >= 1, got -2"),
+    ("d=3 depth=1 recipe=x\n[leaves]\n0-1/2 0\n[gaps]\n"
+     "G0 kind=vassal-image power=-5 major=7/26-12/13 hole=12/13,7/26 period=0 "
+     "critical=10/39-73/78\n",
+     "line 5: period must be >= 1, got 0"),
+    ("d=3 depth=1 recipe=x\n[leaves]\n0-1/2 0\n[gaps]\n"
+     "G0 kind=vassal-image power=3 major=7/26-12/13 hole=12/13,7/26 period=3 "
+     "critical=10/39-73/78\n",
+     "line 5: vassal-image power 3 is outside 1..2"),
+    ("d=3 depth=1 recipe=x\n[leaves]\n1/3-2/3 0\n[gaps]\n"
+     "G0 kind=regular-critical major=0-1/2 hole=1/3,2/3 period=- critical=1/3-2/3\n",
+     "line 5: major 0-1/2 does not join the hole ends 1/3,2/3"),
 ], ids=["no-degree", "empty", "attached-no-fields", "gap-no-spec", "bad-level", "d7",
         "level-above-depth", "level-negative", "bogus-kind", "degree-mismatch",
-        "attached-bad-index", "image-no-power", "gap-no-critical", "d2-vassal", "d2-image"])
+        "attached-bad-index", "image-no-power", "gap-no-critical", "d2-vassal", "d2-image",
+        "period-not-integer", "gap-period-negative", "vassal-period-negative",
+        "image-period-zero", "image-power-at-period", "major-off-hole"])
 def test_malformed_lam_file_is_usage_error(capsys, tmp_path, text, err):
     path = tmp_path / "bad.lam"
     path.write_text(text)

@@ -874,6 +874,14 @@ def test_dumps_rejects_level_above_depth():
         dumps(L)
 
 
+def test_write_lamination_leaves_no_file_when_dumps_rejects(tmp_path):
+    L = Lamination(d=3, depth=2, recipe="manual", leaves={Chord(F(1, 3), F(2, 3)): 6})
+    path = tmp_path / "bad.lam"
+    with pytest.raises(ValueError, match="has level 6"):
+        write_lamination(L, str(path))
+    assert not path.exists()
+
+
 def _per_leaf_dumps(L):
     """The .lam writer formatting each leaf's endpoints with their own gcd,
     over the sorted (leaf, level) items; the first leaf out of range

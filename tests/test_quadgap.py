@@ -256,8 +256,7 @@ def test_gapgen_serialize_roundtrip():
     gap, _ = build_gap(PERIOD3_CRITICAL, depth=0)
     for g in (gap, FGB, FGA):
         assert _parse_region(g.serialize(), 3) == GapGen(
-            kind=g.kind, major=g.major, hole=g.hole,
-            period=g.period, critical=g.critical,
+            kind=g.kind, hole=g.hole, period=g.period, critical=g.critical,
         )
 
 

@@ -1,8 +1,11 @@
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from trilam.chords import Chord
+from trilam.circle import fixed_points
 from trilam.lamination import (
     Lamination,
     canonical_diameter,
@@ -10,8 +13,8 @@ from trilam.lamination import (
     canonical_of_rotational,
     classify_smp,
 )
-from trilam.lamsets import parse_lamset
-from trilam.quadgap import build_gap
+from trilam.lamsets import enumerate_rotational, parse_lamset
+from trilam.quadgap import build_gap, classify_critical
 
 FINGAP1 = parse_lamset("7/26,4/13,11/26,10/13,21/26,12/13")
 FINGAP2 = parse_lamset("7/26,11/26,21/26")
@@ -93,3 +96,40 @@ def test_rejects_period_bound_below_one(bound):
     assert classify_smp(L, 1).in_smp
     with pytest.raises(ValueError, match=f"period_bound must be >= 1, got {bound}"):
         classify_smp(L, bound)
+
+
+def _census():
+    """The canonical laminations of the 210 periodic-type quadratic gaps of
+    acceptance 2 (major period <= 6) at depth 2, and of the 81 sigma_3
+    rotational sets with q <= 5 at depth 3."""
+    for k in range(1, 7):
+        h = F(3 ** (k - 1), 3 ** k - 1)
+        for u in fixed_points(3, k):
+            m = (u + (h - F(1, 3)) / 2) % 1
+            c = Chord(m, (m + F(1, 3)) % 1)
+            cls = classify_critical(c)
+            if (cls.tag, cls.n_c, cls.major) == ("PeriodicType", k, Chord(u, (u + h) % 1)):
+                yield canonical_of_quadratic_gap(build_gap(c, depth=0)[0], 2)
+    for q in range(2, 6):
+        for p in range(1, q):
+            if F(p, q).denominator == q:
+                for G in enumerate_rotational(3, F(p, q), 2):
+                    yield canonical_of_rotational(G, 3)
+
+
+def test_verdict_does_not_read_the_recipe():
+    verdicts = Counter()
+    for L in _census():
+        v = classify_smp(L)
+        assert classify_smp(replace(L, recipe="manual")).lines() == v.lines(), L.recipe
+        verdicts[v.case_tag] += 1
+    assert sum(verdicts.values()) == 210 + 81
+    assert verdicts["CanonicalQuadraticGap"] == 210
+
+
+def test_registered_gap_needs_its_major_as_a_leaf():
+    U, _ = build_gap(Chord(F(1, 3), F(2, 3)), depth=0)
+    L = canonical_of_quadratic_gap(U, depth=3)
+    assert classify_smp(L).case_tag == "CanonicalQuadraticGap"
+    v = classify_smp(replace(L, leaves={c: n for c, n in L.leaves.items() if c != U.major}))
+    assert v.case_tag == "NotSMP" and not v.in_smp and v.witness_quadratic is None

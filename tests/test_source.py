@@ -14,7 +14,6 @@ UNREACHED_ALLOWED = {
     "image": "imported by test_acceptance.py",
     "majors": "imported by test_acceptance.py",
     "linked": "the Fraction crossing oracle of the invariance tests",
-    "write_lamination": "wrapped by benchmark/tracing.py",
 }
 
 
