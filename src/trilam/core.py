@@ -72,7 +72,7 @@ def periodic_rotational_classes(L, period_bound: int = 6) -> CoreReport:
         raise ValueError(f"period_bound must be >= 1, got {period_bound}")
     d = L.d
     N = L.leaves.N
-    classes = [c for c in endpoint_classes(L.leaves.pairs) if len(c) >= 2]
+    classes = [c for c in endpoint_classes(L.leaves.pairs()) if len(c) >= 2]
     rotational: List[Tuple[LamSet, RotationalReport]] = []
     for cls in classes:
         j = _set_period(d, N, cls, period_bound)

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import ItemsView, Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, compress, count, islice, repeat
 from math import gcd, lcm
-from operator import itemgetter
+from operator import eq
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .chords import Chord, format_chord, parse_chord
@@ -117,70 +117,95 @@ def attached_cycle(G: LamSet) -> List[AttachedGap]:
 
 
 class Leaves(Mapping):
-    """The leaves of a lamination, stored as integers: `pairs` maps each
-    leaf's endpoint numerators (a, b), a <= b, over the common denominator
-    `N` to the leaf's level, in insertion order.  N is fixed when the store
-    is built.
+    """The leaves of a lamination, stored as integers: `packed` maps each
+    leaf to its level, in insertion order, as the one integer a * N + b,
+    where a <= b are the leaf's endpoint numerators over the common
+    denominator `N`.  Since 0 <= b < N, packed keys sort in the order of the
+    pairs (a, b), and a leaf (a, a) packs to a * (N + 1).  N is fixed when
+    the store is built.  Other modules read the leaves through `pairs`, the
+    decoded (a, b) in insertion or sorted order.
 
     As a mapping it is the public, read-only Chord -> level view of that
     store.  Length, membership and lookup work on the integers; only
     iteration builds Chords, in insertion order."""
 
-    def __init__(self, N: int = 1, pairs: Optional[Dict[Tuple[int, int], int]] = None):
+    def __init__(self, N: int = 1, packed: Optional[Dict[int, int]] = None):
         self.N = N
-        self.pairs = {} if pairs is None else pairs
+        self.packed = {} if packed is None else packed
+
+    @classmethod
+    def from_pairs(cls, N: int, pairs: Mapping[Tuple[int, int], int]) -> "Leaves":
+        """The store of an (a, b) -> level mapping, 0 <= a <= b < N; any
+        other pair would pack to another leaf's key, so it raises."""
+        bad = next((p for p in pairs if not 0 <= p[0] <= p[1] < N), None)
+        if bad is not None:
+            raise ValueError(f"pair {bad} is not 0 <= a <= b < N = {N}")
+        return cls(N, {a * N + b: lvl for (a, b), lvl in pairs.items()})
 
     @classmethod
     def from_chords(cls, chords: Mapping[Chord, int]) -> "Leaves":
         """The store of a Chord -> level mapping, over the lcm of its
         endpoint denominators."""
         N = lcm(*{x.denominator for c in chords for x in (c.a, c.b)})
-        return cls(N, {(c.a.numerator * (N // c.a.denominator),
-                        c.b.numerator * (N // c.b.denominator)): lvl
-                       for c, lvl in chords.items()})
+        return cls.from_pairs(N, {(c.a.numerator * (N // c.a.denominator),
+                                   c.b.numerator * (N // c.b.denominator)): lvl
+                                  for c, lvl in chords.items()})
+
+    def pairs(self, sort: bool = False) -> Iterator[Tuple[int, int]]:
+        """The endpoint numerators (a, b) of each leaf, in insertion order,
+        or sorted when `sort` is true."""
+        return map(divmod, sorted(self.packed) if sort else self.packed, repeat(self.N))
+
+    def values(self) -> ValuesView:
+        """The levels, in insertion order."""
+        return self.packed.values()
 
     def chord(self, pair: Tuple[int, int]) -> Chord:
         return Chord(Fraction(pair[0], self.N), Fraction(pair[1], self.N))
 
-    def key(self, c: Chord) -> Optional[Tuple[int, int]]:
-        """The numerators of c over N, or None if c is not a chord or its
+    def key(self, c: Chord) -> Optional[int]:
+        """The packed key of c over N, or None if c is not a chord or its
         endpoints are not multiples of 1/N (then it is not a leaf)."""
         if not isinstance(c, Chord):
             return None
         N, qa, qb = self.N, c.a.denominator, c.b.denominator
         if N % qa or N % qb:
             return None
-        return c.a.numerator * (N // qa), c.b.numerator * (N // qb)
+        return c.a.numerator * (N // qa) * N + c.b.numerator * (N // qb)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.packed)
 
     def __iter__(self) -> Iterator[Chord]:
-        return map(self.chord, self.pairs)
+        return map(self.chord, self.pairs())
 
     def __contains__(self, c) -> bool:
-        return self.key(c) in self.pairs
+        return self.key(c) in self.packed
 
     def __getitem__(self, c: Chord) -> int:
         try:
-            return self.pairs[self.key(c)]
+            return self.packed[self.key(c)]
         except KeyError:
             raise KeyError(c) from None
 
     def items(self) -> ItemsView:
         return _LeafItems(self)
 
+    def _over(self, M: int) -> Dict[int, int]:
+        """The packed store over a multiple M of N.  (a, b) packs to
+        (a * M + b) * (M // N) there, which is not a multiple of a * N + b."""
+        if M == self.N:
+            return self.packed
+        f = M // self.N
+        return {(a * M + b) * f: lvl for (a, b), lvl in zip(self.pairs(), self.values())}
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Leaves):
             return Mapping.__eq__(self, other)
         if len(self) != len(other):
             return False
-        if self.N == other.N:
-            return self.pairs == other.pairs
         M = lcm(self.N, other.N)
-        f, g = M // self.N, M // other.N
-        return {(a * f, b * f): v for (a, b), v in self.pairs.items()} \
-            == {(a * g, b * g): v for (a, b), v in other.pairs.items()}
+        return self._over(M) == other._over(M)
 
     def __repr__(self) -> str:
         return f"<{len(self)} leaves over N={self.N}>"
@@ -188,7 +213,7 @@ class Leaves(Mapping):
 
 class _LeafItems(ItemsView):
     def __iter__(self):
-        return zip(self._mapping, self._mapping.pairs.values())
+        return zip(self._mapping, self._mapping.values())
 
 
 @dataclass
@@ -296,7 +321,8 @@ def _pullback_closure(d: int, seeds: Sequence[Chord],
     Runs on exact integers: every angle is its numerator over N, the lcm of
     d**depth times the seed denominators and of the polygon denominators.
     The preimages of x are x // d + k * (N // d), exact above the last
-    level.  The leaves are returned as they were found, in insertion order.
+    level.  The leaves are returned as they were found, in insertion order,
+    each packed as a * N + b.
 
     The siblings of a leaf are planned once per pair of endpoint places.
     The critical values d*v mod N of the portrait vertices v cut the circle
@@ -323,34 +349,39 @@ def _pullback_closure(d: int, seeds: Sequence[Chord],
     def num(x: Fraction) -> int:
         return x.numerator * (N // x.denominator)
 
-    def fmt(c: Tuple[int, int]) -> str:
-        return format_chord(Chord(Fraction(c[0], N), Fraction(c[1], N)))
+    def fmt(c: int) -> str:
+        a, b = divmod(c, N)
+        return format_chord(Chord(Fraction(a, N), Fraction(b, N)))
 
     polys = [sorted(map(num, P)) for P in portrait]
     cuts = sorted(c + e for c in {d * v % N for P in polys for v in P} for e in (0, 1))
-    leaves: Dict[Tuple[int, int], int] = {(num(s.a), num(s.b)): 0 for s in seeds}
+    leaves: Dict[int, int] = {num(s.a) * N + num(s.b): 0 for s in seeds}
     frontier = list(leaves)
     step = N // d
     offsets = [k * step for k in range(d)]
-    # plans[i, j]: (u, v, free) for each candidate (a // d + u, b // d + v)
-    # of a leaf (a, b) whose endpoints have the places i and j, in the order
-    # of the preimages of a, then of b; free if it crosses no polygon
-    plans: Dict[Tuple[int, int], List[Tuple[int, int, bool]]] = {}
+    # plans[i, j]: (swap, offset, free) for each candidate (a // d + u,
+    # b // d + v) of a leaf (a, b) whose endpoints have the places i and j,
+    # in the order of the preimages of a, then of b.  With x, y = a // d,
+    # b // d it packs to x * N + y + u * N + v, or, swapped when u > v, to
+    # y * N + x + v * N + u; free if it crosses no polygon
+    plans: Dict[Tuple[int, int], List[Tuple[bool, int, bool]]] = {}
     for level in range(1, depth + 1):
         fresh = []
         for leaf in frontier:
-            a, b = leaf
+            a, b = divmod(leaf, N)
             x, y = a // d, b // d
             key = bisect_right(cuts, a), bisect_right(cuts, b)
             plan = plans.get(key)
             if plan is None:
                 plan = plans[key] = [
-                    (u, v, not any(bisect_right(P, p) < bisect_left(P, q)
-                                   and (P[0] < p or P[-1] > q) for P in polys))
+                    (u > v, u * N + v if u <= v else v * N + u,
+                     not any(bisect_right(P, p) < bisect_left(P, q)
+                             and (P[0] < p or P[-1] > q) for P in polys))
                     for u in offsets for v in offsets
                     for p, q in [(x + u, y + v) if u <= v else (y + v, x + u)]]
-            valid = [c for u, v, free in plan
-                     for c in [(x + u, y + v) if u <= v else (y + v, x + u)]
+            xy, yx = x * N + y, y * N + x
+            valid = [c for swap, off, free in plan
+                     for c in [(yx if swap else xy) + off]
                      if free or c in leaves]
             if len(valid) != d:
                 raise PullbackAmbiguityError(
@@ -458,18 +489,24 @@ class InvarianceReport:
 _LINKED_LIMIT = 20  # the crossing pairs an invariance report lists
 
 
-def _find_linked_pairs(chords: List[Tuple[int, int]]
+def _longest_first(keys: List[int], N: int) -> Iterator[Tuple[int, int]]:
+    """The pairs (a, b) of sorted packed keys a * N + b in the order
+    (a, -b), a stable sort by a of the reversed list, each decoded as it is
+    read."""
+    return map(divmod, sorted(reversed(keys), key=N.__rfloordiv__), repeat(N))
+
+
+def _find_linked_pairs(keys: List[int], N: int
                        ) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
     """At most _LINKED_LIMIT crossing pairs in a family of distinct chords
-    given as endpoint pairs a <= b in sorted order, O(n log n) when the
-    family is laminar (intervals [a, b] pairwise nested or disjoint).  The
-    chords are scanned in the order (a, -b): a stable sort by a of the
-    reversed list.  Every pair returned crosses, and the result is empty
-    only for a laminar family; past the first crossing the stack is no
-    longer a nested chain, so not every crossing pair is found."""
+    given as sorted packed keys, O(n log n) when the family is laminar
+    (intervals [a, b] pairwise nested or disjoint).  The chords are scanned
+    in the order (a, -b).  Every pair returned crosses, and the result is
+    empty only for a laminar family; past the first crossing the stack is
+    no longer a nested chain, so not every crossing pair is found."""
     out = []
     stack: List[Tuple[int, int]] = []
-    for c in sorted(reversed(chords), key=itemgetter(0)):
+    for c in _longest_first(keys, N):
         a, b = c
         while stack and stack[-1][1] <= a:
             stack.pop()
@@ -485,15 +522,14 @@ def _find_linked_pairs(chords: List[Tuple[int, int]]
     return out
 
 
-def _count_crossings(chords: List[Tuple[int, int]]) -> int:
+def _count_crossings(keys: List[int], N: int) -> int:
     """The number of crossing pairs in a family of distinct chords given as
-    endpoint pairs a <= b, in O(n log n).  The chords are taken in the
-    order (a, -b); a Fenwick tree over the sorted endpoints counts the
-    earlier chords whose b' lies strictly inside (a, b).  Those have a' < a,
-    since an earlier chord with a' == a has b' > b.  Degenerate chords
-    (a == b) cross nothing."""
-    chords = [c for c in chords if c[0] < c[1]]
-    pts = sorted({x for c in chords for x in c})
+    sorted packed keys, in O(n log n).  The chords are taken in the order
+    (a, -b); a Fenwick tree over the sorted endpoints counts the earlier
+    chords whose b' lies strictly inside (a, b).  Those have a' < a, since
+    an earlier chord with a' == a has b' > b.  Degenerate chords (a == b)
+    cross nothing."""
+    pts = sorted({x for k in keys if k % (N + 1) for x in divmod(k, N)})
     rank = {x: i + 1 for i, x in enumerate(pts)}
     tree = [0] * (len(pts) + 1)
 
@@ -505,7 +541,9 @@ def _count_crossings(chords: List[Tuple[int, int]]) -> int:
         return n
 
     total = 0
-    for a, b in sorted(chords, key=lambda c: (c[0], -c[1])):
+    for a, b in _longest_first(keys, N):
+        if a == b:
+            continue
         total += below(rank[b] - 1) - below(rank[a])
         i = rank[b]
         while i < len(tree):
@@ -519,41 +557,54 @@ def _crosses(x: Tuple[int, int], y: Tuple[int, int]) -> bool:
     return x[0] < y[0] < x[1] < y[1] or y[0] < x[0] < y[1] < x[1]
 
 
-def _gap_polygons(level: Mapping[Tuple[int, int], int],
-                  leaf_list: List[Tuple[int, int]]) -> Iterator[List[int]]:
+def _gap_polygons(level: Mapping[int, int], keys: List[int], N: int
+                  ) -> Iterator[List[int]]:
     """The vertices c0 < ... < c(n-1), n >= 3, of each connected component
     of the endpoint graph whose sides (ci, ci+1) and (c0, c(n-1)) are all
-    leaves, in sorted order, for the leaves `level` given as pairs a <= b
-    and sorted in `leaf_list`.
+    leaves, in sorted order, for the packed leaves `level` and their sorted
+    keys.
 
     In such a component the smallest b among the leaves (ci, b) is ci+1, the
     largest b among the leaves (c0, b) is c(n-1), and c0 ends no
     non-degenerate leaf.  So a walk along the smallest b starts at each such
     a with two different b, and is dropped unless it reaches the largest.
     A walk is a component iff it is closed: the degrees of its vertices sum
-    to twice the number of leaves among them, self-loops included."""
-    sides = [c for c in leaf_list if c[0] != c[1]]
-    first, last = dict(reversed(sides)), dict(sides)
-    left = Counter(map(itemgetter(0), leaf_list))
-    right = Counter(map(itemgetter(1), leaf_list))
-    for a, end in last.items():
-        if first[a] == end or right[a] != ((a, a) in level):
+    to twice the number of leaves among them, self-loops included.  One
+    count of endpoint degrees serves both the starts and the walks."""
+    sides = [k for k in keys if k % (N + 1)]  # the leaf (a, a) packs to a * (N + 1)
+    starts = list(map(N.__rfloordiv__, sides))
+    degree = Counter(starts)
+    degree.update(map(N.__rmod__, sides))
+    if len(sides) < len(keys):  # a leaf (a, a) adds 2 to the degree of a
+        degree.update({k // N: 2 for k in keys if not k % (N + 1)})
+    first = dict(zip(reversed(starts), reversed(sides)))
+    # the a of two or more sides (a, b), with the number of them past one
+    more = Counter(compress(starts, map(eq, starts, islice(starts, 1, None))))
+    del sides, starts
+    for a, extra in more.items():
+        # no side ends at a: its degree is its sides and its leaf (a, a)
+        if degree[a] != extra + 1 + 2 * (a * (N + 1) in level):
             continue
+        end = keys[bisect_left(keys, (a + 1) * N) - 1] - a * N
         walk = [a]
-        v = first[a]
-        while v is not None and v < end:
+        v = first[a] - a * N
+        while v < end:
             walk.append(v)
-            v = first.get(v)
+            k = first.get(v)
+            if k is None:
+                break
+            v = k - v * N
         if v != end:
             continue
         walk.append(end)
-        degrees = sum(left[v] + right[v] for v in walk)
+        degrees = sum(map(degree.__getitem__, walk))
         if degrees != 2 * len(walk):
             members = set(walk)
             inside = 0
             for v in walk:
-                i = bisect_left(leaf_list, (v,))
-                inside += sum(b in members for _, b in leaf_list[i:i + left[v]])
+                i = bisect_left(keys, v * N)
+                inside += sum(k - v * N in members
+                              for k in keys[i:bisect_left(keys, (v + 1) * N, i)])
             if degrees != 2 * inside:
                 continue
         yield walk
@@ -564,56 +615,67 @@ def check_invariance(L: Lamination) -> InvarianceReport:
     collections of leaves below the truncation depth, and holes of the
     finite gap polygons.
 
-    The check runs on the lamination's integer store: numerators over one
-    denominator N, whose order is angle order, and sigma_d is x -> d*x mod N.
-    Chords and angles are built only for the report.  The crossing pairs
-    are counted only when the scan for examples has found one.
+    The check runs on the lamination's packed integer store: numerators over
+    one denominator N, whose order is angle order, and sigma_d is
+    x -> d*x mod N.  It walks the sorted packed keys and decodes each key
+    only while it uses it; a pair, a Chord and angles are built only for a
+    leaf in the report.  The crossing pairs are counted only when the scan
+    for examples has found one.
 
-    The images are computed once, in one pass over the sorted leaves, and
-    counted once: the forward and sibling checks first find the distinct
-    non-degenerate images that fail, and pass over the leaves only when
-    there are some.  An image fails the forward check when it is no leaf.
-    When the scan finds no crossing the family is laminar, so any d leaves
-    with one image are pairwise unlinked: an image fails the sibling check
-    when fewer than d leaves share it.  Only a family with a crossing is
-    searched for pairwise unlinked collections.  The gap polygons are found
-    by `_gap_polygons`."""
+    The images are counted in one pass over the sorted leaves: the forward
+    and sibling checks first find the distinct non-degenerate images that
+    fail, and compute the images again only when there are some.  An image
+    fails the forward check when it is no leaf.  When the scan finds no
+    crossing the family is laminar, so any d leaves with one image are
+    pairwise unlinked: an image fails the sibling check when fewer than d
+    leaves share it.  Only a family with a crossing is searched for
+    pairwise unlinked collections.  The gap polygons are found by
+    `_gap_polygons`."""
     d = L.d
-    N, level = L.leaves.N, L.leaves.pairs
-    chord = L.leaves.chord
-    leaf_list = sorted(level)
+    N, level = L.leaves.N, L.leaves.packed
+    keys = sorted(level)
 
-    linked = _find_linked_pairs(leaf_list)
-    linked_pairs = [(chord(x), chord(y)) for x, y in linked]
+    def chord(k: int) -> Chord:
+        return L.leaves.chord(divmod(k, N))
 
-    images = [(u, v) if (u := d * a % N) < (v := d * b % N) else (v, u)
-              for a, b in leaf_list]
-    share = Counter(images)
-    missing = {img for img in share.keys() - level.keys() if img[0] != img[1]}
-    forward_missing = [chord(c) for c, img in zip(leaf_list, images)
+    def images() -> Iterator[int]:
+        """The packed image of each leaf, in sorted order."""
+        for a, b in map(divmod, keys, repeat(N)):
+            u, v = d * a % N, d * b % N
+            yield u * N + v if u <= v else v * N + u
+
+    linked = _find_linked_pairs(keys, N)
+    linked_pairs = [(L.leaves.chord(x), L.leaves.chord(y)) for x, y in linked]
+
+    share = Counter(images())
+    loop = N + 1  # an image is degenerate iff it is a multiple of N + 1
+    missing = {img for img in share.keys() - level.keys() if img % loop}
+    forward_missing = [chord(c) for c, img in zip(keys, images())
                        if img in missing] if missing else []
 
     if linked:
-        by_image: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        for c, img in zip(leaf_list, images):
+        by_image: Dict[int, List[int]] = {}
+        for c, img in zip(keys, images()):
             by_image.setdefault(img, []).append(c)
 
         def has_collection(c, img) -> bool:
             others = [x for x in by_image[img] if x != c]
             return any(
-                not any(_crosses(x, y) for x, y in combinations((c,) + combo, 2))
+                not any(_crosses(divmod(x, N), divmod(y, N))
+                        for x, y in combinations((c,) + combo, 2))
                 for combo in combinations(others, d - 1))
 
-        sibling_missing = [chord(c) for c, img in zip(leaf_list, images)
-                           if img[0] != img[1] and level[c] < L.depth
+        sibling_missing = [chord(c) for c, img in zip(keys, images())
+                           if img % loop and level[c] < L.depth
                            and not has_collection(c, img)]
     else:
-        short = {img for img, k in share.items() if k < d and img[0] != img[1]}
-        sibling_missing = [chord(c) for c, img in zip(leaf_list, images)
+        short = {img for img, k in share.items() if k < d and img % loop}
+        sibling_missing = [chord(c) for c, img in zip(keys, images())
                            if img in short and level[c] < L.depth] if short else []
+    del share  # before the polygon walk's tables
 
     gap_violations = []
-    for cls in _gap_polygons(level, leaf_list):
+    for cls in _gap_polygons(level, keys, N):
         n = len(cls)
         imgs = [d * v % N for v in cls]
         img_pts = sorted(set(imgs))
@@ -632,9 +694,9 @@ def check_invariance(L: Lamination) -> InvarianceReport:
                     f"does not map to a hole of its image polygon"
                 )
     return InvarianceReport(
-        leaf_count=len(leaf_list),
+        leaf_count=len(keys),
         linked_pairs=linked_pairs,
-        linked_count=_count_crossings(leaf_list) if linked_pairs else 0,
+        linked_count=_count_crossings(keys, N) if linked_pairs else 0,
         forward_missing=forward_missing,
         sibling_missing=sibling_missing,
         gap_violations=gap_violations,
@@ -701,7 +763,7 @@ def project_through_gap(U: GapGen, L: Lamination) -> Lamination:
     m = (major.a.numerator * (M // major.a.denominator),
          major.b.numerator * (M // major.b.denominator))
     out: Dict[Chord, int] = {}
-    for a, b in L.leaves.pairs:
+    for a, b in L.leaves.pairs():
         if _crosses((a * f, b * f), m):
             raise ValueError(f"leaf {format_chord(L.leaves.chord((a, b)))} "
                              f"crosses the major {format_chord(major)}")
@@ -837,8 +899,12 @@ def classify_smp(L: Lamination, period_bound: int = 6) -> SmpVerdict:
 def _leaf_lines(L: Lamination) -> List[str]:
     """The [leaves] lines of L in sorted order, each endpoint as a reduced
     p/q formatted once per distinct endpoint.  A level outside 0..depth
-    raises ValueError naming the first such leaf."""
-    N, pairs = L.leaves.N, L.leaves.pairs
+    raises ValueError naming the first such leaf.
+
+    The sorted packed keys are decoded one at a time.  An endpoint x is
+    kept formatted from its first leaf (y, x) until its own leaves (x, b):
+    later leaves start past x, so they neither start nor end at x."""
+    N, packed = L.leaves.N, L.leaves.packed
 
     def fmt(x: int) -> str:
         if not x:
@@ -846,13 +912,24 @@ def _leaf_lines(L: Lamination) -> List[str]:
         g = gcd(x, N)
         return f"{x // g}/{N // g}"
 
-    keys = sorted(pairs)
-    if pairs and not 0 <= min(pairs.values()) <= max(pairs.values()) <= L.depth:
-        a, b = next(k for k in keys if not 0 <= pairs[k] <= L.depth)
-        raise ValueError(f"leaf {fmt(a)}-{fmt(b)} has level {pairs[a, b]}, "
+    keys = sorted(packed)
+    if packed and not 0 <= min(packed.values()) <= max(packed.values()) <= L.depth:
+        k = next(k for k in keys if not 0 <= packed[k] <= L.depth)
+        a, b = divmod(k, N)
+        raise ValueError(f"leaf {fmt(a)}-{fmt(b)} has level {packed[k]}, "
                          f"outside 0..{L.depth}")
-    text = {x: fmt(x) for x in {x for k in keys for x in k}}
-    return [f"{text[a]}-{text[b]} {pairs[a, b]}" for a, b in keys]
+    text: Dict[int, str] = {}  # endpoints seen as b, until their own leaves
+    lines = []
+    start = None
+    for k in keys:
+        a, b = divmod(k, N)
+        tb = text.get(b)
+        if tb is None:
+            tb = text[b] = fmt(b)
+        if a != start:
+            start, ta = a, text.pop(a, None) or fmt(a)
+        lines.append(f"{ta}-{tb} {packed[k]}")
+    return lines
 
 
 def dumps(L: Lamination) -> str:
@@ -862,7 +939,8 @@ def dumps(L: Lamination) -> str:
     lines += _leaf_lines(L)
     lines.append("[gaps]")
     lines += [f"G{i} {g.serialize()}" for i, g in enumerate(L.gaps)]
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the text ends with a newline
+    return "\n".join(lines)
 
 
 class LamFormatError(ValueError):
@@ -895,8 +973,8 @@ def loads(text: str) -> Lamination:
     reduced denominators: each distinct angle is read once as p/q, not
     reduced; after the last leaf, N = M // gcd(M, each numerator over M),
     where M is the lcm of the q."""
-    numbered = ((no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)
-                if ln.strip())
+    numbered = ((no, ln) for no, ln in enumerate(map(str.strip, text.splitlines()), 1)
+                if ln)
     no, line = next(numbered, (1, ""))
     try:
         if not line:
@@ -944,12 +1022,13 @@ def loads(text: str) -> Lamination:
     over_m = [p * (M // q) for p, q in angles.values()]
     g = gcd(M, *over_m)
     num = {t: x // g for t, x in zip(angles, over_m)}
-    pairs: Dict[Tuple[int, int], int] = {}
+    N = M // g
+    packed: Dict[int, int] = {}
     for ta, tb, lvl in rows:
         a, b = num[ta], num[tb]
-        pairs[(a, b) if a <= b else (b, a)] = lvl
+        packed[a * N + b if a <= b else b * N + a] = lvl
     return Lamination(d=d, depth=depth, recipe=header.get("recipe", "file"),
-                      leaves=Leaves(M // g, pairs), gaps=gaps,
+                      leaves=Leaves(N, packed), gaps=gaps,
                       registry_complete=registry_complete)
 
 

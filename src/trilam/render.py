@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from .chords import Chord
 from .circle import format_angle
@@ -43,20 +43,20 @@ def _fmt(v: float) -> str:
     return "0.000000" if out == "-0.000000" else out
 
 
-def _collect_pairs(obj) -> Tuple[int, List[Tuple[int, int]]]:
+def _collect_pairs(obj) -> Tuple[int, Iterator[Tuple[int, int]]]:
     """The chords to draw as (N, sorted numerator pairs a <= b over N): Chord order."""
     if isinstance(obj, Chord):
         obj = [obj]
     elif isinstance(obj, LamSet):
         obj = [e for e, _ in holes(obj)]
     elif hasattr(obj, "leaves"):  # Lamination: its integer store
-        return obj.leaves.N, sorted(obj.leaves.pairs)
+        return obj.leaves.N, obj.leaves.pairs(sort=True)
     elif hasattr(obj, "edge_chords"):  # any gap generator
         obj = obj.edge_chords(6)
     elif not isinstance(obj, Iterable):
         raise TypeError(f"cannot render {type(obj).__name__}")
     store = Leaves.from_chords(dict.fromkeys(obj, 0))
-    return store.N, sorted(store.pairs)
+    return store.N, store.pairs(sort=True)
 
 
 def render(obj, spec: Optional[RenderSpec] = None) -> str:

@@ -1,27 +1,89 @@
 """The union-find invariance check: the `check_invariance` that trilam ran
-before it found gap polygons by a side walk and filtered the forward and
-sibling checks on distinct images, kept as a test oracle.
+before it found gap polygons by a side walk, filtered the forward and
+sibling checks on distinct images and stored each leaf as one packed
+integer, kept as a test oracle.
 
-It finds the gap polygons among the connected components of the endpoint
-graph (`core.endpoint_classes`) and tests every leaf's image against the
-store.  `trilam.lamination.check_invariance` must give the same report:
-every field and list, in order, and the same `lines()`.
+It reads the store as a dict of endpoint pairs (a, b), finds the gap
+polygons among the connected components of the endpoint graph
+(`core.endpoint_classes`) and tests every leaf's image against the store.
+Its crossing scan, crossing count and crossing test work on those pairs and
+are its own, so that no helper of the checked code checks itself.
+`trilam.lamination.check_invariance` must give the same report: every field
+and list, in order, and the same `lines()`.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from trilam.circle import format_angle
 from trilam.core import endpoint_classes
-from trilam.lamination import (
-    InvarianceReport,
-    Lamination,
-    _count_crossings,
-    _crosses,
-    _find_linked_pairs,
-)
+from trilam.lamination import InvarianceReport, Lamination
+
+_LINKED_LIMIT = 20  # the crossing pairs an invariance report lists
+
+
+def _find_linked_pairs(chords: List[Tuple[int, int]]
+                       ) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
+    """At most _LINKED_LIMIT crossing pairs in a family of distinct chords
+    given as endpoint pairs a <= b in sorted order, O(n log n) when the
+    family is laminar (intervals [a, b] pairwise nested or disjoint).  The
+    chords are scanned in the order (a, -b): a stable sort by a of the
+    reversed list.  Every pair returned crosses, and the result is empty
+    only for a laminar family; past the first crossing the stack is no
+    longer a nested chain, so not every crossing pair is found."""
+    out = []
+    stack: List[Tuple[int, int]] = []
+    for c in sorted(reversed(chords), key=itemgetter(0)):
+        a, b = c
+        while stack and stack[-1][1] <= a:
+            stack.pop()
+        for anc in reversed(stack):
+            # below the top the stack may hold chords ending before a
+            if anc[0] < a < anc[1] < b:
+                out.append((anc, c))
+                if len(out) >= _LINKED_LIMIT:
+                    return out
+            else:
+                break
+        stack.append(c)
+    return out
+
+
+def _count_crossings(chords: List[Tuple[int, int]]) -> int:
+    """The number of crossing pairs in a family of distinct chords given as
+    endpoint pairs a <= b, in O(n log n).  The chords are taken in the
+    order (a, -b); a Fenwick tree over the sorted endpoints counts the
+    earlier chords whose b' lies strictly inside (a, b).  Those have a' < a,
+    since an earlier chord with a' == a has b' > b.  Degenerate chords
+    (a == b) cross nothing."""
+    chords = [c for c in chords if c[0] < c[1]]
+    pts = sorted({x for c in chords for x in c})
+    rank = {x: i + 1 for i, x in enumerate(pts)}
+    tree = [0] * (len(pts) + 1)
+
+    def below(i: int) -> int:  # inserted ends of rank <= i
+        n = 0
+        while i:
+            n += tree[i]
+            i &= i - 1
+        return n
+
+    total = 0
+    for a, b in sorted(chords, key=lambda c: (c[0], -c[1])):
+        total += below(rank[b] - 1) - below(rank[a])
+        i = rank[b]
+        while i < len(tree):
+            tree[i] += 1
+            i += i & -i
+    return total
+
+
+def _crosses(x: Tuple[int, int], y: Tuple[int, int]) -> bool:
+    """`chords.linked` for endpoint pairs a <= b on a common scale."""
+    return x[0] < y[0] < x[1] < y[1] or y[0] < x[0] < y[1] < x[1]
 
 
 def check_invariance(L: Lamination) -> InvarianceReport:
@@ -40,7 +102,7 @@ def check_invariance(L: Lamination) -> InvarianceReport:
     least d leaves share its image.  Only a family with a crossing is
     searched for pairwise unlinked collections."""
     d = L.d
-    N, level = L.leaves.N, L.leaves.pairs
+    N, level = L.leaves.N, dict(zip(L.leaves.pairs(), L.leaves.values()))
     chord = L.leaves.chord
     leaf_list = sorted(level)
 

@@ -89,5 +89,5 @@ def loads(text: str) -> Lamination:
         a, b = pa * (N // qa), pb * (N // qb)
         pairs[(a, b) if a <= b else (b, a)] = lvl
     return Lamination(d=d, depth=depth, recipe=header.get("recipe", "file"),
-                      leaves=Leaves(N, pairs), gaps=gaps,
+                      leaves=Leaves.from_pairs(N, pairs), gaps=gaps,
                       registry_complete=registry_complete)

@@ -100,4 +100,4 @@ def _pullback_closure(d: int, seeds: Sequence[Chord],
                     leaves[c] = level
                     fresh.append(c)
         frontier = fresh
-    return Leaves(N, leaves)
+    return Leaves.from_pairs(N, leaves)

@@ -178,4 +178,4 @@ def region_closure(d: int, seeds, regions, depth: int) -> Leaves:
                     leaves[c] = level
                     fresh.append(c)
         frontier = fresh
-    return Leaves(N, leaves)
+    return Leaves.from_pairs(N, leaves)

@@ -54,7 +54,7 @@ def _collect_chords(obj) -> Iterable[Chord]:
         return sorted({e for e, _ in holes(obj)})
     if hasattr(obj, "leaves"):  # Lamination: sort the integer store, one Chord at a time
         leaves = obj.leaves
-        return map(leaves.chord, sorted(leaves.pairs))
+        return map(leaves.chord, leaves.pairs(sort=True))
     if hasattr(obj, "edge_chords"):  # any gap generator
         return sorted(set(obj.edge_chords(6)))
     if isinstance(obj, Iterable):

@@ -58,6 +58,11 @@ FINGAP3 = parse_lamset("1/26,3/26,9/26")
 PERIOD3_CRITICAL = Chord(F(145, 156), F(41, 156))
 
 
+def _pair_items(leaves):
+    """The store's ((a, b), level) items, in insertion order."""
+    return list(zip(leaves.pairs(), leaves.values()))
+
+
 def _gap(c, kind=None):
     g, _ = build_gap(c, depth=0)
     return g
@@ -353,8 +358,8 @@ def test_rotational_census_builds_at_every_depth():
         for n in range(7):
             L = canonical_of_rotational(G, n)
             f = deep.N // L.leaves.N  # compare in insertion order, over deep.N
-            assert [((a * f, b * f), lvl) for (a, b), lvl in L.leaves.pairs.items()] \
-                == [(c, lvl) for c, lvl in deep.pairs.items() if lvl <= n]
+            assert [((a * f, b * f), lvl) for (a, b), lvl in _pair_items(L.leaves)] \
+                == [(c, lvl) for c, lvl in _pair_items(deep) if lvl <= n]
             assert check_invariance(L).ok, (format_lamset(G), n)
 
 
@@ -446,7 +451,7 @@ def _pullback_outcome(closure, *args):
         leaves = closure(*args)
     except PullbackAmbiguityError as exc:
         return str(exc)
-    return leaves.N, list(leaves.pairs.items())
+    return leaves.N, _pair_items(leaves)
 
 
 def test_pullback_closure_matches_vertex_list_oracle():
@@ -748,7 +753,7 @@ def _leaf_families(draw):
     chords += [(a, a) for a in draw(st.lists(point, max_size=3))]
     chords += draw(st.lists(st.tuples(point, point), max_size=4))
     pairs = {(min(c), max(c)): draw(st.integers(0, depth)) for c in chords}
-    return Lamination(d=d, depth=depth, recipe="manual", leaves=Leaves(N, pairs))
+    return Lamination(d=d, depth=depth, recipe="manual", leaves=Leaves.from_pairs(N, pairs))
 
 
 @settings(max_examples=300, deadline=None)
@@ -882,10 +887,10 @@ def test_write_lamination_leaves_no_file_when_dumps_rejects(tmp_path):
     assert not path.exists()
 
 
-def _per_leaf_dumps(L):
+def _per_leaf_dumps(L, items=None):
     """The .lam writer formatting each leaf's endpoints with their own gcd,
-    over the sorted (leaf, level) items; the first leaf out of range
-    raises."""
+    over the sorted ((a, b), level) items, by default those of L's store;
+    the first leaf out of range raises."""
     N = L.leaves.N
 
     def fmt(x):
@@ -897,7 +902,7 @@ def _per_leaf_dumps(L):
     lines = [f"d={L.d} depth={L.depth} recipe={L.recipe}",
              f"registry={'complete' if L.registry_complete else 'partial'}",
              "[leaves]"]
-    for (a, b), lvl in sorted(L.leaves.pairs.items()):
+    for (a, b), lvl in sorted(_pair_items(L.leaves) if items is None else items):
         if not 0 <= lvl <= L.depth:
             raise ValueError(f"leaf {fmt(a)}-{fmt(b)} has level {lvl}, "
                              f"outside 0..{L.depth}")
@@ -916,7 +921,7 @@ def _leaf_stores(draw):
     pairs = draw(st.dictionaries(st.tuples(end, end).map(sorted).map(tuple), levels,
                                  max_size=25))
     return Lamination(d=draw(st.sampled_from([2, 3])), depth=depth, recipe="random",
-                      leaves=Leaves(N, pairs), registry_complete=draw(st.booleans()))
+                      leaves=Leaves.from_pairs(N, pairs), registry_complete=draw(st.booleans()))
 
 
 @settings(max_examples=300, deadline=None)
@@ -971,7 +976,7 @@ def test_count_crossings_matches_brute_force_on_random_families():
         chords |= {(p, p) for p in rng.sample(pts, 2)}  # degenerate leaves
         want = sum(x[0] < y[0] < x[1] < y[1] or y[0] < x[0] < y[1] < x[1]
                    for x, y in combinations(chords, 2))
-        assert _count_crossings(list(chords)) == want
+        assert _count_crossings(sorted(a * 40 + b for a, b in chords), 40) == want
 
 
 # ---------------------------------------------------------------------------
@@ -981,7 +986,7 @@ def test_count_crossings_matches_brute_force_on_random_families():
 def test_leaves_view_reads_the_store():
     L = canonical_diameter(depth=3)
     store = L.leaves
-    assert isinstance(store, Leaves) and len(store) == len(store.pairs) == 27
+    assert isinstance(store, Leaves) and len(store) == len(list(store.pairs())) == 27
     c = Chord(F(1, 6), F(1, 3))
     assert c in store and store[c] == 1
     assert Chord(F(0), F(1, 4)) not in store and "0-1/2" not in store
@@ -1006,8 +1011,63 @@ def test_leaves_equality_across_denominators():
     assert M.leaves.N != L.leaves.N and M.leaves != L.leaves
     K = canonical_of_rotational(FINGAP3, depth=2)
     assert K.leaves.N == L.leaves.N and K.leaves == L.leaves
-    key = next(iter(K.leaves.pairs))
-    assert Leaves(K.leaves.N, {**K.leaves.pairs, key: 5}) != L.leaves
+    key = next(K.leaves.pairs())
+    assert Leaves.from_pairs(K.leaves.N, {**dict(_pair_items(K.leaves)), key: 5}) != L.leaves
+
+
+@st.composite
+def _pair_dicts(draw):
+    """N and a dict from endpoint pairs (a, b), 0 <= a <= b < N, to levels,
+    in the order drawn."""
+    N = draw(st.integers(1, 300))
+    end = st.one_of(st.just(0), st.integers(0, N - 1))
+    pairs = draw(st.dictionaries(st.tuples(end, end).map(sorted).map(tuple),
+                                 st.integers(0, 3), max_size=30))
+    return N, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pair_dicts(), st.integers(2, 4))
+def test_packed_store_matches_tuple_keyed_reference(drawn, scale):
+    N, pairs = drawn
+    store = Leaves.from_pairs(N, pairs)
+    chord = {pair: Chord(F(pair[0], N), F(pair[1], N)) for pair in pairs}
+    assert len(store) == len(pairs)
+    for pair, lvl in pairs.items():
+        assert chord[pair] in store and store[chord[pair]] == lvl
+    for a in range(min(N, 12)):
+        if (a, N - 1) not in pairs:
+            assert Chord(F(a, N), F(N - 1, N)) not in store
+    # insertion order, decoded
+    assert list(store.pairs()) == list(pairs)
+    assert list(store.pairs(sort=True)) == sorted(pairs)
+    assert list(store.values()) == list(pairs.values())
+    assert list(store) == list(chord.values())
+    assert list(store.items()) == [(chord[p], lvl) for p, lvl in pairs.items()]
+    # equality over N * scale, and over two N neither of which divides the other
+    wider = Leaves.from_pairs(N * scale, {(a * scale, b * scale): lvl
+                                          for (a, b), lvl in pairs.items()})
+    other = Leaves.from_pairs(N * (scale + 1), {(a * (scale + 1), b * (scale + 1)): lvl
+                                                for (a, b), lvl in pairs.items()})
+    assert store == wider and wider == store and wider == other
+    if pairs:
+        first = next(iter(pairs))
+        assert Leaves.from_pairs(N * scale, {(a * scale, b * scale): lvl + (p == first)
+                                             for p, lvl in pairs.items()
+                                             for a, b in [p]}) != store
+    # the written text, and the text read back
+    L = Lamination(d=3, depth=3, recipe="random", leaves=store)
+    text = dumps(L)
+    assert text == _per_leaf_dumps(L, pairs.items())
+    assert loads(text).leaves == store
+
+
+def test_from_pairs_rejects_pairs_that_pack_to_another_leaf():
+    # (0, 4) and (1, 0) would both pack to 4 over N = 4
+    for pair in [(0, 4), (2, 1), (-1, 2)]:
+        with pytest.raises(ValueError, match="is not 0 <= a <= b < N"):
+            Leaves.from_pairs(4, {pair: 0})
+    assert Leaves.from_pairs(4, {(0, 3): 0, (3, 3): 1}).packed == {3: 0, 15: 1}
 
 
 def test_build_check_and_dumps_build_few_chords(monkeypatch):
@@ -1104,7 +1164,7 @@ def _read_with(reader, text):
     except Exception as exc:  # the two readers must fail alike
         return type(exc).__name__, str(exc)
     return (L.d, L.depth, L.recipe, L.registry_complete, L.leaves.N,
-            list(L.leaves.pairs.items()), [g.serialize() for g in L.gaps])
+            _pair_items(L.leaves), [g.serialize() for g in L.gaps])
 
 
 _GAP_LINES = {

@@ -151,8 +151,8 @@ def test_render_matches_chord_oracle_on_random_families(chords, labels, scale):
     spec = RenderSpec(label_angles=labels)
     # a lamination whose store N is a multiple of the lcm of its denominators
     store = Leaves.from_chords(dict.fromkeys(chords, 0))
-    L = Lamination(3, 0, "random", Leaves(store.N * scale, {
-        (a * scale, b * scale): 0 for a, b in store.pairs}))
+    L = Lamination(3, 0, "random", Leaves.from_pairs(store.N * scale, {
+        (a * scale, b * scale): 0 for a, b in store.pairs()}))
     for obj in (chords, L, *chords[:1]):
         assert render(obj, spec) == render_oracle.render(obj, spec)
     assert render(iter(chords), spec) == render_oracle.render(iter(chords), spec)
