@@ -682,6 +682,10 @@ def check_invariance(L: Lamination) -> InvarianceReport:
         m = len(img_pts)
         if m < 2:
             continue
+        if m == n:  # one to one: every hole maps to a hole iff the images turn once in order
+            r = img_pts.index(imgs[0])
+            if imgs == img_pts[r:] + img_pts[:r]:
+                continue
         succ = {img_pts[i]: img_pts[(i + 1) % m] for i in range(m)}
         for i in range(n):
             u, v = imgs[i], imgs[(i + 1) % n]
