@@ -580,7 +580,7 @@ def _gap_polygons(level: Mapping[int, int], keys: List[int], N: int
     first = dict(zip(reversed(starts), reversed(sides)))
     # the a of two or more sides (a, b), with the number of them past one
     more = Counter(compress(starts, map(eq, starts, islice(starts, 1, None))))
-    del sides, starts
+    del sides, starts  # this frame stays alive through every walk below
     for a, extra in more.items():
         # no side ends at a: its degree is its sides and its leaf (a, a)
         if degree[a] != extra + 1 + 2 * (a * (N + 1) in level):
