@@ -121,17 +121,25 @@ class Leaves(Mapping):
     leaf to its level, in insertion order, as the one integer a * N + b,
     where a <= b are the leaf's endpoint numerators over the common
     denominator `N`.  Since 0 <= b < N, packed keys sort in the order of the
-    pairs (a, b), and a leaf (a, a) packs to a * (N + 1).  N is fixed when
-    the store is built.  Other modules read the leaves through `pairs`, the
-    decoded (a, b) in insertion or sorted order.
+    pairs (a, b), and a leaf (a, a) packs to a * (N + 1).  Other modules
+    build a store only with `from_pairs`, which fixes N, and read the leaves
+    through `pairs`, the decoded (a, b) in insertion or sorted order.
 
     As a mapping it is the public, read-only Chord -> level view of that
     store.  Length, membership and lookup work on the integers; only
     iteration builds Chords, in insertion order."""
 
-    def __init__(self, N: int = 1, packed: Optional[Dict[int, int]] = None):
-        self.N = N
-        self.packed = {} if packed is None else packed
+    def __init__(self):
+        """The empty store; `from_pairs` builds any other."""
+        self.N, self.packed = 1, {}
+
+    @classmethod
+    def _from_packed(cls, N: int, packed: Dict[int, int]) -> "Leaves":
+        """The store over N that is `packed`, taken as is: its keys must
+        already be a * N + b with 0 <= a <= b < N."""
+        store = cls.__new__(cls)
+        store.N, store.packed = N, packed
+        return store
 
     @classmethod
     def from_pairs(cls, N: int, pairs: Mapping[Tuple[int, int], int]) -> "Leaves":
@@ -140,7 +148,7 @@ class Leaves(Mapping):
         bad = next((p for p in pairs if not 0 <= p[0] <= p[1] < N), None)
         if bad is not None:
             raise ValueError(f"pair {bad} is not 0 <= a <= b < N = {N}")
-        return cls(N, {a * N + b: lvl for (a, b), lvl in pairs.items()})
+        return cls._from_packed(N, {a * N + b: lvl for (a, b), lvl in pairs.items()})
 
     @classmethod
     def from_chords(cls, chords: Mapping[Chord, int]) -> "Leaves":
@@ -394,7 +402,7 @@ def _pullback_closure(d: int, seeds: Sequence[Chord],
                     leaves[c] = level
                     fresh.append(c)
         frontier = fresh
-    return Leaves(N, leaves)
+    return Leaves._from_packed(N, leaves)
 
 
 def canonical_of_quadratic_gap(U: GapGen, depth: int = 6) -> Lamination:
@@ -682,10 +690,6 @@ def check_invariance(L: Lamination) -> InvarianceReport:
         m = len(img_pts)
         if m < 2:
             continue
-        if m == n:  # one to one: every hole maps to a hole iff the images turn once in order
-            r = img_pts.index(imgs[0])
-            if imgs == img_pts[r:] + img_pts[:r]:
-                continue
         succ = {img_pts[i]: img_pts[(i + 1) % m] for i in range(m)}
         for i in range(n):
             u, v = imgs[i], imgs[(i + 1) % n]
@@ -1032,7 +1036,7 @@ def loads(text: str) -> Lamination:
         a, b = num[ta], num[tb]
         packed[a * N + b if a <= b else b * N + a] = lvl
     return Lamination(d=d, depth=depth, recipe=header.get("recipe", "file"),
-                      leaves=Leaves(N, packed), gaps=gaps,
+                      leaves=Leaves._from_packed(N, packed), gaps=gaps,
                       registry_complete=registry_complete)
 
 

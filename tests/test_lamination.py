@@ -1068,6 +1068,9 @@ def test_from_pairs_rejects_pairs_that_pack_to_another_leaf():
         with pytest.raises(ValueError, match="is not 0 <= a <= b < N"):
             Leaves.from_pairs(4, {pair: 0})
     assert Leaves.from_pairs(4, {(0, 3): 0, (3, 3): 1}).packed == {3: 0, 15: 1}
+    # a pair dict handed to the constructor fails at once, not at a later lookup
+    with pytest.raises(TypeError):
+        Leaves(4, {(0, 3): 0})
 
 
 def test_build_check_and_dumps_build_few_chords(monkeypatch):
