@@ -320,7 +320,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (UsageError, lamination.LamFormatError) as exc:
+    except (UsageError, lamination.LamFormatError, lamination.LeafBudgetError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, AssertionError, OSError,

@@ -12,6 +12,7 @@ classifier read it.  Invariance is checked leaf by leaf.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import ItemsView, Mapping, ValuesView
@@ -59,6 +60,15 @@ class PullbackAmbiguityError(RuntimeError):
     critical portrait.  The constructions choose the portrait's critical
     values off the leaf endpoints, so this cannot happen; the check stays
     so that a wrong portrait fails loudly instead of guessing."""
+
+
+class LeafBudgetError(ValueError):
+    """A pullback would build more leaves than _LEAF_BUDGET."""
+
+
+# The most leaves a pullback may build: fingap1 at depth 12, bounded by
+# 4 782 966 leaves, still builds.
+_LEAF_BUDGET = 5_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -116,29 +126,43 @@ def attached_cycle(G: LamSet) -> List[AttachedGap]:
 # the lamination type
 
 
+def _column(values: List[int]) -> Sequence[int]:
+    """`values` as an array of 64-bit integers, or the list itself when one
+    of them does not fit in 64 bits (a key a * N + b once N * N > 2**63)."""
+    try:
+        return array("q", values)
+    except OverflowError:
+        return values
+
+
 class Leaves(Mapping):
-    """The leaves of a lamination, stored as integers: `packed` maps each
-    leaf to its level, in insertion order, as the one integer a * N + b,
+    """The leaves of a lamination, stored as integers in two flat arrays
+    sorted by key: `packed` holds each leaf as the one integer a * N + b,
     where a <= b are the leaf's endpoint numerators over the common
-    denominator `N`.  Since 0 <= b < N, packed keys sort in the order of the
-    pairs (a, b), and a leaf (a, a) packs to a * (N + 1).  Other modules
-    build a store only with `from_pairs`, which fixes N, and read the leaves
-    through `pairs`, the decoded (a, b) in insertion or sorted order.
+    denominator `N`, and `levels` holds the leaf's level at the same
+    position.  Since 0 <= b < N, packed keys sort in the order of the pairs
+    (a, b), and a leaf (a, a) packs to a * (N + 1).  Other modules build a
+    store only with `from_pairs`, which fixes N, and read the leaves through
+    `pairs`, the decoded (a, b) in sorted order.
 
     As a mapping it is the public, read-only Chord -> level view of that
-    store.  Length, membership and lookup work on the integers; only
-    iteration builds Chords, in insertion order."""
+    store.  Length, membership and lookup work on the integers, a lookup by
+    bisecting the keys; only iteration builds Chords, in sorted order."""
 
     def __init__(self):
         """The empty store; `from_pairs` builds any other."""
-        self.N, self.packed = 1, {}
+        self.N, self.packed, self.levels = 1, array("q"), array("q")
 
     @classmethod
     def _from_packed(cls, N: int, packed: Dict[int, int]) -> "Leaves":
-        """The store over N that is `packed`, taken as is: its keys must
-        already be a * N + b with 0 <= a <= b < N."""
+        """The store over N of a packed key -> level dict, whose keys must
+        already be a * N + b with 0 <= a <= b < N: one sort of the keys and
+        one gather of their levels, both in C."""
         store = cls.__new__(cls)
-        store.N, store.packed = N, packed
+        keys = sorted(packed)
+        store.N = N
+        store.levels = _column(list(map(packed.__getitem__, keys)))
+        store.packed = _column(keys)
         return store
 
     @classmethod
@@ -159,27 +183,28 @@ class Leaves(Mapping):
                                    c.b.numerator * (N // c.b.denominator)): lvl
                                   for c, lvl in chords.items()})
 
-    def pairs(self, sort: bool = False) -> Iterator[Tuple[int, int]]:
-        """The endpoint numerators (a, b) of each leaf, in insertion order,
-        or sorted when `sort` is true."""
-        return map(divmod, sorted(self.packed) if sort else self.packed, repeat(self.N))
+    def pairs(self) -> Iterator[Tuple[int, int]]:
+        """The endpoint numerators (a, b) of each leaf, in sorted order."""
+        return map(divmod, self.packed, repeat(self.N))
 
     def values(self) -> ValuesView:
-        """The levels, in insertion order."""
-        return self.packed.values()
+        """The levels, in sorted order of the leaves."""
+        return _LeafValues(self)
 
     def chord(self, pair: Tuple[int, int]) -> Chord:
         return Chord(Fraction(pair[0], self.N), Fraction(pair[1], self.N))
 
-    def key(self, c: Chord) -> Optional[int]:
-        """The packed key of c over N, or None if c is not a chord or its
-        endpoints are not multiples of 1/N (then it is not a leaf)."""
+    def _position(self, c) -> Optional[int]:
+        """The position of the leaf c in the arrays, or None if c is no
+        leaf: not a chord, not on multiples of 1/N, or not stored."""
         if not isinstance(c, Chord):
             return None
         N, qa, qb = self.N, c.a.denominator, c.b.denominator
         if N % qa or N % qb:
             return None
-        return c.a.numerator * (N // qa) * N + c.b.numerator * (N // qb)
+        k = c.a.numerator * (N // qa) * N + c.b.numerator * (N // qb)
+        i = bisect_left(self.packed, k)
+        return i if i < len(self.packed) and self.packed[i] == k else None
 
     def __len__(self) -> int:
         return len(self.packed)
@@ -188,29 +213,29 @@ class Leaves(Mapping):
         return map(self.chord, self.pairs())
 
     def __contains__(self, c) -> bool:
-        return self.key(c) in self.packed
+        return self._position(c) is not None
 
     def __getitem__(self, c: Chord) -> int:
-        try:
-            return self.packed[self.key(c)]
-        except KeyError:
-            raise KeyError(c) from None
+        i = self._position(c)
+        if i is None:
+            raise KeyError(c)
+        return self.levels[i]
 
     def items(self) -> ItemsView:
         return _LeafItems(self)
 
-    def _over(self, M: int) -> Dict[int, int]:
-        """The packed store over a multiple M of N.  (a, b) packs to
-        (a * M + b) * (M // N) there, which is not a multiple of a * N + b."""
+    def _over(self, M: int) -> Sequence[int]:
+        """The sorted packed keys over a multiple M of N.  (a, b) packs to
+        (a * M + b) * (M // N) there, which keeps the order of the keys."""
         if M == self.N:
             return self.packed
         f = M // self.N
-        return {(a * M + b) * f: lvl for (a, b), lvl in zip(self.pairs(), self.values())}
+        return _column([(a * M + b) * f for a, b in self.pairs()])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Leaves):
             return Mapping.__eq__(self, other)
-        if len(self) != len(other):
+        if len(self) != len(other) or self.levels != other.levels:
             return False
         M = lcm(self.N, other.N)
         return self._over(M) == other._over(M)
@@ -221,7 +246,12 @@ class Leaves(Mapping):
 
 class _LeafItems(ItemsView):
     def __iter__(self):
-        return zip(self._mapping, self._mapping.values())
+        return zip(self._mapping, self._mapping.levels)
+
+
+class _LeafValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping.levels)
 
 
 @dataclass
@@ -329,8 +359,14 @@ def _pullback_closure(d: int, seeds: Sequence[Chord],
     Runs on exact integers: every angle is its numerator over N, the lcm of
     d**depth times the seed denominators and of the polygon denominators.
     The preimages of x are x // d + k * (N // d), exact above the last
-    level.  The leaves are returned as they were found, in insertion order,
-    each packed as a * N + b.
+    level.  The leaves are returned as one store, each packed as a * N + b
+    and sorted by key.
+
+    Level k adds at most s * d**k leaves for s seeds, so before level 1 the
+    bound s * (d**(depth + 1) - 1) / (d - 1) is held against _LEAF_BUDGET,
+    and a deeper build raises LeafBudgetError naming both.  Past the
+    budget's bit length in depth, d**depth alone exceeds the budget, so the
+    bound is computed and named only at that depth, as a lower bound.
 
     The siblings of a leaf are planned once per pair of endpoint places.
     The critical values d*v mod N of the portrait vertices v cut the circle
@@ -351,6 +387,12 @@ def _pullback_closure(d: int, seeds: Sequence[Chord],
             len({sigma(d, x) for x in P}) != 1 for P in portrait):
         raise ValueError(f"not a critical portrait of sigma_{d}: "
                          f"{_format_portrait(portrait)}")
+    n = min(depth, _LEAF_BUDGET.bit_length())
+    bound = len(seeds) * (d ** (n + 1) - 1) // (d - 1)
+    if bound > _LEAF_BUDGET:
+        raise LeafBudgetError(
+            f"depth {depth} may build {'up to' if n == depth else 'more than'} "
+            f"{bound} leaves, over the leaf budget of {_LEAF_BUDGET}")
     N = lcm(d ** depth * lcm(*(x.denominator for s in seeds for x in (s.a, s.b))),
             *(x.denominator for P in portrait for x in P))
 
@@ -497,14 +539,14 @@ class InvarianceReport:
 _LINKED_LIMIT = 20  # the crossing pairs an invariance report lists
 
 
-def _longest_first(keys: List[int], N: int) -> Iterator[Tuple[int, int]]:
+def _longest_first(keys: Sequence[int], N: int) -> Iterator[Tuple[int, int]]:
     """The pairs (a, b) of sorted packed keys a * N + b in the order
     (a, -b), a stable sort by a of the reversed list, each decoded as it is
     read."""
     return map(divmod, sorted(reversed(keys), key=N.__rfloordiv__), repeat(N))
 
 
-def _find_linked_pairs(keys: List[int], N: int
+def _find_linked_pairs(keys: Sequence[int], N: int
                        ) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
     """At most _LINKED_LIMIT crossing pairs in a family of distinct chords
     given as sorted packed keys, O(n log n) when the family is laminar
@@ -530,7 +572,7 @@ def _find_linked_pairs(keys: List[int], N: int
     return out
 
 
-def _count_crossings(keys: List[int], N: int) -> int:
+def _count_crossings(keys: Sequence[int], N: int) -> int:
     """The number of crossing pairs in a family of distinct chords given as
     sorted packed keys, in O(n log n).  The chords are taken in the order
     (a, -b); a Fenwick tree over the sorted endpoints counts the earlier
@@ -565,12 +607,10 @@ def _crosses(x: Tuple[int, int], y: Tuple[int, int]) -> bool:
     return x[0] < y[0] < x[1] < y[1] or y[0] < x[0] < y[1] < x[1]
 
 
-def _gap_polygons(level: Mapping[int, int], keys: List[int], N: int
-                  ) -> Iterator[List[int]]:
+def _gap_polygons(keys: Sequence[int], N: int) -> Iterator[List[int]]:
     """The vertices c0 < ... < c(n-1), n >= 3, of each connected component
     of the endpoint graph whose sides (ci, ci+1) and (c0, c(n-1)) are all
-    leaves, in sorted order, for the packed leaves `level` and their sorted
-    keys.
+    leaves, in sorted order, for the sorted packed keys of the leaves.
 
     In such a component the smallest b among the leaves (ci, b) is ci+1, the
     largest b among the leaves (c0, b) is c(n-1), and c0 ends no
@@ -590,8 +630,10 @@ def _gap_polygons(level: Mapping[int, int], keys: List[int], N: int
     more = Counter(compress(starts, map(eq, starts, islice(starts, 1, None))))
     del sides, starts  # this frame stays alive through every walk below
     for a, extra in more.items():
-        # no side ends at a: its degree is its sides and its leaf (a, a)
-        if degree[a] != extra + 1 + 2 * (a * (N + 1) in level):
+        # no side ends at a: its degree is its sides and its leaf (a, a),
+        # which is the least key from a * N on when there is one
+        loop = keys[bisect_left(keys, a * N)] == a * (N + 1)
+        if degree[a] != extra + 1 + 2 * loop:
             continue
         end = keys[bisect_left(keys, (a + 1) * N) - 1] - a * N
         walk = [a]
@@ -625,10 +667,10 @@ def check_invariance(L: Lamination) -> InvarianceReport:
 
     The check runs on the lamination's packed integer store: numerators over
     one denominator N, whose order is angle order, and sigma_d is
-    x -> d*x mod N.  It walks the sorted packed keys and decodes each key
-    only while it uses it; a pair, a Chord and angles are built only for a
-    leaf in the report.  The crossing pairs are counted only when the scan
-    for examples has found one.
+    x -> d*x mod N.  It walks the store's sorted packed keys and levels as
+    they stand and decodes each key only while it uses it; a pair, a Chord
+    and angles are built only for a leaf in the report.  The crossing pairs
+    are counted only when the scan for examples has found one.
 
     The images are counted in one pass over the sorted leaves: the forward
     and sibling checks first find the distinct non-degenerate images that
@@ -640,8 +682,7 @@ def check_invariance(L: Lamination) -> InvarianceReport:
     pairwise unlinked collections.  The gap polygons are found by
     `_gap_polygons`."""
     d = L.d
-    N, level = L.leaves.N, L.leaves.packed
-    keys = sorted(level)
+    N, keys, levels = L.leaves.N, L.leaves.packed, L.leaves.levels
 
     def chord(k: int) -> Chord:
         return L.leaves.chord(divmod(k, N))
@@ -657,7 +698,7 @@ def check_invariance(L: Lamination) -> InvarianceReport:
 
     share = Counter(images())
     loop = N + 1  # an image is degenerate iff it is a multiple of N + 1
-    missing = {img for img in share.keys() - level.keys() if img % loop}
+    missing = {img for img in share.keys() - keys if img % loop}
     forward_missing = [chord(c) for c, img in zip(keys, images())
                        if img in missing] if missing else []
 
@@ -673,17 +714,17 @@ def check_invariance(L: Lamination) -> InvarianceReport:
                         for x, y in combinations((c,) + combo, 2))
                 for combo in combinations(others, d - 1))
 
-        sibling_missing = [chord(c) for c, img in zip(keys, images())
-                           if img % loop and level[c] < L.depth
+        sibling_missing = [chord(c) for c, img, lvl in zip(keys, images(), levels)
+                           if img % loop and lvl < L.depth
                            and not has_collection(c, img)]
     else:
         short = {img for img, k in share.items() if k < d and img % loop}
-        sibling_missing = [chord(c) for c, img in zip(keys, images())
-                           if img in short and level[c] < L.depth] if short else []
+        sibling_missing = [chord(c) for c, img, lvl in zip(keys, images(), levels)
+                           if img in short and lvl < L.depth] if short else []
     del share  # before the polygon walk's tables
 
     gap_violations = []
-    for cls in _gap_polygons(level, keys, N):
+    for cls in _gap_polygons(keys, N):
         n = len(cls)
         imgs = [d * v % N for v in cls]
         img_pts = sorted(set(imgs))
@@ -909,10 +950,11 @@ def _leaf_lines(L: Lamination) -> List[str]:
     p/q formatted once per distinct endpoint.  A level outside 0..depth
     raises ValueError naming the first such leaf.
 
-    The sorted packed keys are decoded one at a time.  An endpoint x is
-    kept formatted from its first leaf (y, x) until its own leaves (x, b):
-    later leaves start past x, so they neither start nor end at x."""
-    N, packed = L.leaves.N, L.leaves.packed
+    The store's sorted packed keys are decoded one at a time, and each
+    level is read at its key's position.  An endpoint x is kept formatted
+    from its first leaf (y, x) until its own leaves (x, b): later leaves
+    start past x, so they neither start nor end at x."""
+    N, keys, levels = L.leaves.N, L.leaves.packed, L.leaves.levels
 
     def fmt(x: int) -> str:
         if not x:
@@ -920,23 +962,22 @@ def _leaf_lines(L: Lamination) -> List[str]:
         g = gcd(x, N)
         return f"{x // g}/{N // g}"
 
-    keys = sorted(packed)
-    if packed and not 0 <= min(packed.values()) <= max(packed.values()) <= L.depth:
-        k = next(k for k in keys if not 0 <= packed[k] <= L.depth)
-        a, b = divmod(k, N)
-        raise ValueError(f"leaf {fmt(a)}-{fmt(b)} has level {packed[k]}, "
+    if levels and not 0 <= min(levels) <= max(levels) <= L.depth:
+        i = next(i for i, lvl in enumerate(levels) if not 0 <= lvl <= L.depth)
+        a, b = divmod(keys[i], N)
+        raise ValueError(f"leaf {fmt(a)}-{fmt(b)} has level {levels[i]}, "
                          f"outside 0..{L.depth}")
     text: Dict[int, str] = {}  # endpoints seen as b, until their own leaves
     lines = []
     start = None
-    for k in keys:
+    for k, lvl in zip(keys, levels):
         a, b = divmod(k, N)
         tb = text.get(b)
         if tb is None:
             tb = text[b] = fmt(b)
         if a != start:
             start, ta = a, text.pop(a, None) or fmt(a)
-        lines.append(f"{ta}-{tb} {packed[k]}")
+        lines.append(f"{ta}-{tb} {lvl}")
     return lines
 
 

@@ -50,13 +50,13 @@ def _collect_pairs(obj) -> Tuple[int, Iterator[Tuple[int, int]]]:
     elif isinstance(obj, LamSet):
         obj = [e for e, _ in holes(obj)]
     elif hasattr(obj, "leaves"):  # Lamination: its integer store
-        return obj.leaves.N, obj.leaves.pairs(sort=True)
+        return obj.leaves.N, obj.leaves.pairs()
     elif hasattr(obj, "edge_chords"):  # any gap generator
         obj = obj.edge_chords(6)
     elif not isinstance(obj, Iterable):
         raise TypeError(f"cannot render {type(obj).__name__}")
     store = Leaves.from_chords(dict.fromkeys(obj, 0))
-    return store.N, store.pairs(sort=True)
+    return store.N, store.pairs()
 
 
 def render(obj, spec: Optional[RenderSpec] = None) -> str:

@@ -3,8 +3,8 @@ angle after the last leaf, kept as a test oracle.
 
 It reduces each distinct angle with one gcd as it reads the line, then
 scales the reduced angles to the lcm of their denominators.  The two-pass
-`trilam.lamination.loads` must give the same lamination, in the same
-insertion order, and the same `LamFormatError` message for every text.
+`trilam.lamination.loads` must give the same lamination, its N, leaves and
+levels included, and the same `LamFormatError` message for every text.
 """
 
 from math import gcd, lcm

@@ -5,8 +5,7 @@ critical values, kept as a test oracle.
 It finds the sector of each of a leaf's 2d preimages with one bisection into
 the sorted polygon vertices.  The planned closure in
 `trilam.lamination._pullback_closure` must give the same N, the same leaves
-and levels in the same insertion order, and the same
-`PullbackAmbiguityError` message.
+and levels, and the same `PullbackAmbiguityError` message.
 """
 
 from bisect import bisect_left, bisect_right
@@ -31,7 +30,7 @@ def _pullback_closure(d: int, seeds: Sequence[Chord],
     Runs on exact integers: every angle is its numerator over N, the lcm of
     d**depth times the seed denominators and of the polygon denominators.
     The preimages of x are x // d + k * (N // d), exact above the last
-    level.  The leaves are returned as they were found, in insertion order.
+    level.  The leaves are returned as one store, sorted by key.
 
     The crossing test is one table lookup per preimage.  A point x that is
     no polygon vertex lies in the sector (bisect_right(P, x) % |P| for each

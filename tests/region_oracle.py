@@ -6,7 +6,7 @@ the pullback depth, and a sibling candidate is valid when it crosses no
 region: some boundary point strictly on each side.  This oracle raises
 PullbackAmbiguityError at some shallow depths (the boundary is not deep
 enough there), but wherever it succeeds, the portrait closure must give the
-same leaves, levels and insertion order.
+same leaves and levels.
 """
 
 from bisect import bisect_left, bisect_right

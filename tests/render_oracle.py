@@ -52,9 +52,8 @@ def _collect_chords(obj) -> Iterable[Chord]:
         return [obj]
     if isinstance(obj, LamSet):
         return sorted({e for e, _ in holes(obj)})
-    if hasattr(obj, "leaves"):  # Lamination: sort the integer store, one Chord at a time
-        leaves = obj.leaves
-        return map(leaves.chord, leaves.pairs(sort=True))
+    if hasattr(obj, "leaves"):  # Lamination
+        return sorted(obj.leaves)
     if hasattr(obj, "edge_chords"):  # any gap generator
         return sorted(set(obj.edge_chords(6)))
     if isinstance(obj, Iterable):

@@ -2,8 +2,11 @@ import contextlib
 import io
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,9 @@ from trilam.lamination import (
 )
 from trilam.lamsets import parse_lamset
 from trilam.quadgap import build_gap
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -179,6 +185,24 @@ def test_negative_depth_is_usage_error(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err == "usage error: --depth must be >= 0, got -1\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (("diameter", "--depth", "20"), "up to 5230176601"),
+    (("diameter", "--depth", "1000000000000"), "more than 141214768240"),
+], ids=["depth-20", "depth-10**12"])
+def test_build_canonical_past_the_leaf_budget_is_usage_error(tmp_path, argv, bound):
+    # a subprocess with a timeout: without the budget, depth 20 runs until
+    # the memory runs out
+    path = tmp_path / "deep.lam"
+    proc = subprocess.run(
+        [sys.executable, "-m", "trilam.cli", "build-canonical", *argv, "--out", str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"usage error: depth {argv[-1]} may build {bound} leaves, "
+                           f"over the leaf budget of 5000000\n")
     assert not path.exists()
 
 

@@ -1,4 +1,6 @@
 import random
+import sys
+from array import array
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations
@@ -16,12 +18,14 @@ from trilam.lamination import (
     FiniteRegion,
     Lamination,
     LamFormatError,
+    LeafBudgetError,
     Leaves,
     PullbackAmbiguityError,
     _angle_parts,
     _attached_polygon,
     _count_crossings,
     _critical_portrait,
+    _LEAF_BUDGET,
     _gap_polygon,
     _pullback_closure,
     _vassal_chord,
@@ -59,7 +63,7 @@ PERIOD3_CRITICAL = Chord(F(145, 156), F(41, 156))
 
 
 def _pair_items(leaves):
-    """The store's ((a, b), level) items, in insertion order."""
+    """The store's ((a, b), level) items, in sorted order."""
     return list(zip(leaves.pairs(), leaves.values()))
 
 
@@ -280,16 +284,17 @@ def _fraction_closure(d, seeds, regions, depth):
 
 
 def _closure_or_error(closure, *args):
+    """The (Chord, level) items of the closure, sorted, or its error."""
     try:
-        return list(closure(*args).items())
+        return sorted(closure(*args).items())
     except PullbackAmbiguityError as exc:
         return str(exc)
 
 
 def _assert_closure_matches_oracle(d, seeds, regions, depth, portrait=None):
     """The Fraction and integer region oracles agree, their errors included.
-    The portrait closure never fails, and it gives their leaves, levels and
-    insertion order wherever they succeed.  Returns both results."""
+    The portrait closure never fails, and it gives their leaves and levels,
+    in sorted order, wherever they succeed.  Returns both results."""
     want = _closure_or_error(_fraction_closure, d, seeds, regions, depth)
     assert _closure_or_error(region_closure, d, seeds, regions, depth) == want
     if portrait is None:
@@ -305,7 +310,7 @@ def test_pullback_closure_matches_fraction_oracle_on_golden_recipes(name):
     for n in range(5):
         got, want = _assert_closure_matches_oracle(L0.d, _seeds(L0), L0.gaps, n)
     assert not isinstance(want, str)
-    assert got[:len(L0.leaves)] == list(L0.leaves.items())
+    assert [(c, lvl) for c, lvl in got if lvl == 0] == list(L0.leaves.items())
 
 
 def test_pullback_closure_matches_fraction_oracle_on_rotational_sets():
@@ -355,12 +360,26 @@ def test_rotational_census_builds_at_every_depth():
     # depths 1, 2 and 3
     for G in _rotational_census():
         deep = canonical_of_rotational(G, 6).leaves
+        s, d = len(_seeds(canonical_of_rotational(G, 0))), G.degree_d
         for n in range(7):
             L = canonical_of_rotational(G, n)
-            f = deep.N // L.leaves.N  # compare in insertion order, over deep.N
+            assert len(L.leaves) <= s * (d ** (n + 1) - 1) // (d - 1)  # the leaf bound
+            f = deep.N // L.leaves.N  # compare in sorted order, over deep.N
             assert [((a * f, b * f), lvl) for (a, b), lvl in _pair_items(L.leaves)] \
                 == [(c, lvl) for c, lvl in _pair_items(deep) if lvl <= n]
             assert check_invariance(L).ok, (format_lamset(G), n)
+
+
+def test_leaf_budget_admits_every_golden_recipe_at_depth_12():
+    # the bound that _pullback_closure holds against the budget, without
+    # building anything that large; fingap1's is the largest
+    bounds = {}
+    for name in sorted(GOLDEN_BUILDS):
+        L0 = GOLDEN_BUILDS[name](0)
+        bounds[name] = len(_seeds(L0)) * (L0.d ** 13 - 1) // (L0.d - 1)
+    assert max(bounds.values()) == bounds["fingap1"] == 4782966 <= _LEAF_BUDGET
+    with pytest.raises(LeafBudgetError, match="^depth 13 may build up to 14348904 leaves"):
+        canonical_of_rotational(FINGAP1, 13)
 
 
 def _portrait_constructions():
@@ -445,7 +464,7 @@ def test_pullback_vertex_and_leaf_candidates_match_region_oracle(d, seeds, polyg
 
 
 def _pullback_outcome(closure, *args):
-    """N and the (pair, level) items in insertion order, or the
+    """N and the (pair, level) items in sorted order, or the
     PullbackAmbiguityError message."""
     try:
         leaves = closure(*args)
@@ -1038,12 +1057,11 @@ def test_packed_store_matches_tuple_keyed_reference(drawn, scale):
     for a in range(min(N, 12)):
         if (a, N - 1) not in pairs:
             assert Chord(F(a, N), F(N - 1, N)) not in store
-    # insertion order, decoded
-    assert list(store.pairs()) == list(pairs)
-    assert list(store.pairs(sort=True)) == sorted(pairs)
-    assert list(store.values()) == list(pairs.values())
-    assert list(store) == list(chord.values())
-    assert list(store.items()) == [(chord[p], lvl) for p, lvl in pairs.items()]
+    # sorted order, decoded
+    assert list(store.pairs()) == sorted(pairs)
+    assert list(store.values()) == [pairs[p] for p in sorted(pairs)]
+    assert list(store) == [chord[p] for p in sorted(pairs)]
+    assert list(store.items()) == [(chord[p], pairs[p]) for p in sorted(pairs)]
     # equality over N * scale, and over two N neither of which divides the other
     wider = Leaves.from_pairs(N * scale, {(a * scale, b * scale): lvl
                                           for (a, b), lvl in pairs.items()})
@@ -1067,7 +1085,8 @@ def test_from_pairs_rejects_pairs_that_pack_to_another_leaf():
     for pair in [(0, 4), (2, 1), (-1, 2)]:
         with pytest.raises(ValueError, match="is not 0 <= a <= b < N"):
             Leaves.from_pairs(4, {pair: 0})
-    assert Leaves.from_pairs(4, {(0, 3): 0, (3, 3): 1}).packed == {3: 0, 15: 1}
+    store = Leaves.from_pairs(4, {(3, 3): 1, (0, 3): 0})
+    assert list(zip(store.packed, store.levels)) == [(3, 0), (15, 1)]
     # a pair dict handed to the constructor fails at once, not at a later lookup
     with pytest.raises(TypeError):
         Leaves(4, {(0, 3): 0})
@@ -1090,11 +1109,77 @@ def test_build_check_and_dumps_build_few_chords(monkeypatch):
     assert built[0] < len(L.leaves) // 20
 
 
-def test_leaves_iterate_in_insertion_order():
+def test_leaves_iterate_in_sorted_order():
     chords = [Chord(F(1, 2), F(3, 4)), Chord(F(0), F(1, 3)), Chord(F(1, 5), F(1, 4))]
     L = Lamination(d=3, depth=0, recipe="manual", leaves=dict.fromkeys(chords, 0))
-    assert list(L.leaves) == chords
+    assert list(L.leaves) == sorted(chords)
     assert list(loads(dumps(L)).leaves) == sorted(chords)
+
+
+@st.composite
+def _wide_pair_dicts(draw):
+    """N, at times with N * N > 2**63, and a dict from endpoint pairs (a, b),
+    0 <= a <= b < N, to levels below 0 and above 255, at times past 64 bits."""
+    N = draw(st.one_of(st.integers(1, 300), st.integers(2 ** 32, 2 ** 40)))
+    end = st.one_of(st.just(0), st.just(N - 1), st.integers(0, N - 1))
+    level = st.one_of(st.integers(-300, 300), st.integers(-2 ** 70, 2 ** 70))
+    pairs = draw(st.dictionaries(st.tuples(end, end).map(sorted).map(tuple),
+                                 level, max_size=30))
+    return N, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_pair_dicts(), st.lists(st.tuples(st.integers(0, 10 ** 13),
+                                              st.integers(0, 10 ** 13)), max_size=8))
+def test_sorted_store_matches_dict_reference(drawn, probes):
+    N, pairs = drawn
+    store = Leaves.from_pairs(N, pairs)
+    ref = sorted(pairs.items())
+
+    def chord(a, b):
+        return Chord(F(a, N), F(b, N))
+
+    assert len(store) == len(ref)
+    assert list(store.pairs()) == [p for p, _ in ref]
+    assert list(store.values()) == [lvl for _, lvl in ref]
+    assert list(store.items()) == [(chord(*p), lvl) for p, lvl in ref]
+    # a key past 64 bits keeps the store in lists
+    assert isinstance(store.packed, array) == all(a * N + b < 2 ** 63 for a, b in pairs)
+    for (a, b), lvl in ref:
+        assert chord(a, b) in store and store[chord(a, b)] == lvl
+    for a, b in probes:
+        a, b = sorted((a % N, b % N))
+        absent = [chord(a, b)] if (a, b) not in pairs else []
+        # an endpoint that is no multiple of 1/N: 2a + 1 is odd
+        absent += [Chord(F(2 * a + 1, 2 * N), F(b, N)), (a, b)]
+        for c in absent:
+            assert c not in store
+            with pytest.raises(KeyError):
+                store[c]
+    # the same leaves over 2N and 3N, neither of which divides the other
+    wider, other = (Leaves.from_pairs(N * k, {(a * k, b * k): lvl
+                                              for (a, b), lvl in pairs.items()})
+                    for k in (2, 3))
+    assert store == wider and wider == other and other == store
+    for (a, b), lvl in ref[:1]:
+        changed = Leaves.from_pairs(N * 2, {**{(x * 2, y * 2): v for (x, y), v in ref},
+                                            (a * 2, b * 2): lvl + 1})
+        assert changed != store and other != changed
+
+
+def test_store_holds_about_16_bytes_per_leaf():
+    leaves = canonical_of_rotational(FINGAP1, depth=6).leaves
+    assert len(leaves) == 4374
+    size = sys.getsizeof(leaves.packed) + sys.getsizeof(leaves.levels)
+    assert size <= 17 * len(leaves) + 256
+
+
+def test_loads_keeps_the_last_level_of_a_duplicate_leaf():
+    for first, last in [(2, 1), (1, 2)]:
+        L = loads(f"d=3 depth=2 recipe=x\n[leaves]\n1/3-2/3 {first}\n0-1/2 0\n"
+                  f"1/3-2/3 {last}\n[gaps]\n")
+        assert list(L.leaves.items()) == [(Chord(F(0), F(1, 2)), 0),
+                                          (Chord(F(1, 3), F(2, 3)), last)]
 
 
 _denominators = st.sampled_from([1, 2, 3, 4, 6, 7, 8, 9, 12, 26, 27, 80, 81, 242])
@@ -1161,7 +1246,7 @@ def test_integer_angle_parser_matches_parse_chord(ta, tb):
 
 def _read_with(reader, text):
     """What `reader` makes of text: the lamination's fields, its leaf store
-    in insertion order and its serialized gaps, or the error it raised."""
+    in sorted order and its serialized gaps, or the error it raised."""
     try:
         L = reader(text)
     except Exception as exc:  # the two readers must fail alike
