@@ -128,7 +128,8 @@ def attached_cycle(G: LamSet) -> List[AttachedGap]:
 
 def _column(values: List[int]) -> Sequence[int]:
     """`values` as an array of 64-bit integers, or the list itself when one
-    of them does not fit in 64 bits (a key a * N + b once N * N > 2**63)."""
+    of them does not fit in 64 bits, as a key a * N + b may once
+    N * N > 2**63."""
     try:
         return array("q", values)
     except OverflowError:
