@@ -123,12 +123,13 @@ def cmd_vassal(args) -> int:
     depth = _depth(args)
     gap, _ = build_gap(c, depth=0)
     V = vassal(gap)
+    vertices = V.vertices(depth)  # before any output: it may be over budget
     print(V.serialize())
     print(f"co_major: {format_chord(V.co_major)}")
     a0, a1 = V.arcs
     print(f"arcs: [{format_angle(a0.start)},{format_angle(a0.end)}] "
           f"[{format_angle(a1.start)},{format_angle(a1.end)}]")
-    for v in V.vertices(depth):
+    for v in vertices:
         print(format_angle(v))
     return 0
 

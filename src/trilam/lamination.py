@@ -45,8 +45,10 @@ from .lamsets import (
 from .quadgap import (
     GAP_KINDS,
     GapGen,
+    LeafBudgetError,
     VassalGap,
     _leaf_period,
+    _over_budget,
     _parse_arc,
     below_diameter,
     classify_critical,
@@ -60,10 +62,6 @@ class PullbackAmbiguityError(RuntimeError):
     critical portrait.  The constructions choose the portrait's critical
     values off the leaf endpoints, so this cannot happen; the check stays
     so that a wrong portrait fails loudly instead of guessing."""
-
-
-class LeafBudgetError(ValueError):
-    """A pullback would build more leaves than _LEAF_BUDGET."""
 
 
 # The most leaves a pullback may build: fingap1 at depth 12, bounded by
@@ -109,8 +107,10 @@ class AttachedGap:
 
     @property
     def is_critical(self) -> bool:
-        """The gap's hole is a major hole, at least 1/d long."""
-        return arc_length(holes(self.base)[self.index][1]) >= Fraction(1, self.base.degree_d)
+        """The gap's hole, from vertex `index` to the next, is a major hole:
+        d times its length is at least 1."""
+        vs, i = self.base.vertices, self.index
+        return self.base.degree_d * ((vs[(i + 1) % len(vs)] - vs[i]) % 1) >= 1
 
     def serialize(self) -> str:
         return (f"kind=attached degree={self.base.degree_d} "
@@ -388,12 +388,11 @@ def _pullback_closure(d: int, seeds: Sequence[Chord],
             len({sigma(d, x) for x in P}) != 1 for P in portrait):
         raise ValueError(f"not a critical portrait of sigma_{d}: "
                          f"{_format_portrait(portrait)}")
-    n = min(depth, _LEAF_BUDGET.bit_length())
-    bound = len(seeds) * (d ** (n + 1) - 1) // (d - 1)
-    if bound > _LEAF_BUDGET:
-        raise LeafBudgetError(
-            f"depth {depth} may build {'up to' if n == depth else 'more than'} "
-            f"{bound} leaves, over the leaf budget of {_LEAF_BUDGET}")
+    over = _over_budget(depth, lambda n: len(seeds) * (d ** (n + 1) - 1) // (d - 1),
+                        _LEAF_BUDGET)
+    if over:
+        raise LeafBudgetError(f"depth {depth} may build {over} leaves, "
+                              f"over the leaf budget of {_LEAF_BUDGET}")
     N = lcm(d ** depth * lcm(*(x.denominator for s in seeds for x in (s.a, s.b))),
             *(x.denominator for P in portrait for x in P))
 
@@ -556,19 +555,24 @@ def _find_linked_pairs(keys: Sequence[int], N: int
     empty only for a laminar family; past the first crossing the stack is
     no longer a nested chain, so not every crossing pair is found."""
     out = []
-    stack: List[Tuple[int, int]] = []
+    stack: List[Tuple[int, int]] = [(-1, N)]  # a sentinel around every chord
     for c in _longest_first(keys, N):
         a, b = c
-        while stack and stack[-1][1] <= a:
+        top = stack[-1]
+        while top[1] <= a:
             stack.pop()
-        for anc in reversed(stack):
-            # below the top the stack may hold chords ending before a
-            if anc[0] < a < anc[1] < b:
-                out.append((anc, c))
-                if len(out) >= _LINKED_LIMIT:
-                    return out
-            else:
-                break
+            top = stack[-1]
+        # the top ends past a, so c crosses it iff it starts before a and
+        # ends before b; on a laminar family it never does
+        if top[0] < a and top[1] < b:
+            for anc in reversed(stack):
+                # below the top the stack may hold chords ending before a
+                if anc[0] < a < anc[1] < b:
+                    out.append((anc, c))
+                    if len(out) >= _LINKED_LIMIT:
+                        return out
+                else:
+                    break
         stack.append(c)
     return out
 
@@ -619,21 +623,28 @@ def _gap_polygons(keys: Sequence[int], N: int) -> Iterator[List[int]]:
     a with two different b, and is dropped unless it reaches the largest.
     A walk is a component iff it is closed: the degrees of its vertices sum
     to twice the number of leaves among them, self-loops included.  One
-    count of endpoint degrees serves both the starts and the walks."""
+    count of endpoint degrees serves both the starts and the walks.
+
+    The starts are counted first: when no a starts two sides there is no
+    polygon, and the degree and smallest-b tables are not built."""
     sides = [k for k in keys if k % (N + 1)]  # the leaf (a, a) packs to a * (N + 1)
     starts = list(map(N.__rfloordiv__, sides))
-    degree = Counter(starts)
-    degree.update(map(N.__rmod__, sides))
-    if len(sides) < len(keys):  # a leaf (a, a) adds 2 to the degree of a
-        degree.update({k // N: 2 for k in keys if not k % (N + 1)})
-    first = dict(zip(reversed(starts), reversed(sides)))
     # the a of two or more sides (a, b), with the number of them past one
     more = Counter(compress(starts, map(eq, starts, islice(starts, 1, None))))
+    if not more:
+        return
+    degree = Counter(starts)
+    degree.update(map(N.__rmod__, sides))
+    loops = len(sides) < len(keys)
+    if loops:  # a leaf (a, a) adds 2 to the degree of a
+        degree.update({k // N: 2 for k in keys if not k % (N + 1)})
+    first = dict(zip(reversed(starts), reversed(sides)))
     del sides, starts  # this frame stays alive through every walk below
+    stop = N * N  # no key reaches it: a walk that finds no side ends past N
     for a, extra in more.items():
         # no side ends at a: its degree is its sides and its leaf (a, a),
         # which is the least key from a * N on when there is one
-        loop = keys[bisect_left(keys, a * N)] == a * (N + 1)
+        loop = loops and keys[bisect_left(keys, a * N)] == a * (N + 1)
         if degree[a] != extra + 1 + 2 * loop:
             continue
         end = keys[bisect_left(keys, (a + 1) * N) - 1] - a * N
@@ -641,10 +652,7 @@ def _gap_polygons(keys: Sequence[int], N: int) -> Iterator[List[int]]:
         v = first[a] - a * N
         while v < end:
             walk.append(v)
-            k = first.get(v)
-            if k is None:
-                break
-            v = k - v * N
+            v = first.get(v, stop) - v * N
         if v != end:
             continue
         walk.append(end)
@@ -659,6 +667,26 @@ def _gap_polygons(keys: Sequence[int], N: int) -> Iterator[List[int]]:
             if degrees != 2 * inside:
                 continue
         yield walk
+
+
+def _holes_map_to_holes(imgs: Sequence[int]) -> bool:
+    """Whether each hole of a polygon maps onto a hole of its image polygon,
+    for the images of its vertices c0 < ... < c(n-1) in that order: whether
+    each step between two different images goes to the next image point.
+
+    In closed form: with m distinct image points, r steps between two
+    different images and w cyclic descents, iff r == m * w.  A step moves
+    at least one place forward among the m points, and the steps of the
+    closed walk go around m * w places in total."""
+    r = w = 0
+    prev = imgs[-1]
+    for u in imgs:
+        if u != prev:
+            r += 1
+            if u < prev:
+                w += 1
+        prev = u
+    return r == len(set(imgs)) * w
 
 
 def check_invariance(L: Lamination) -> InvarianceReport:
@@ -681,7 +709,10 @@ def check_invariance(L: Lamination) -> InvarianceReport:
     pairwise unlinked: an image fails the sibling check when fewer than d
     leaves share it.  Only a family with a crossing is searched for
     pairwise unlinked collections.  The gap polygons are found by
-    `_gap_polygons`."""
+    `_gap_polygons`, and each is tested in closed form by
+    `_holes_map_to_holes` on the images of its vertices; only a polygon that
+    fails is walked with a successor table, which names its holes that do
+    not map to a hole, in vertex order."""
     d = L.d
     N, keys, levels = L.leaves.N, L.leaves.packed, L.leaves.levels
 
@@ -726,18 +757,15 @@ def check_invariance(L: Lamination) -> InvarianceReport:
 
     gap_violations = []
     for cls in _gap_polygons(keys, N):
-        n = len(cls)
         imgs = [d * v % N for v in cls]
-        img_pts = sorted(set(imgs))
-        m = len(img_pts)
-        if m < 2:
+        if _holes_map_to_holes(imgs):
             continue
-        succ = {img_pts[i]: img_pts[(i + 1) % m] for i in range(m)}
+        n = len(cls)
+        img_pts = sorted(set(imgs))
+        succ = dict(zip(img_pts, img_pts[1:] + img_pts[:1]))
         for i in range(n):
             u, v = imgs[i], imgs[(i + 1) % n]
-            if u == v:
-                continue
-            if succ[u] != v:
+            if u != v and succ[u] != v:
                 gap_violations.append(
                     f"hole ({format_angle(Fraction(cls[i], N))},"
                     f"{format_angle(Fraction(cls[(i + 1) % n], N))}) "
@@ -968,14 +996,15 @@ def _leaf_lines(L: Lamination) -> List[str]:
         a, b = divmod(keys[i], N)
         raise ValueError(f"leaf {fmt(a)}-{fmt(b)} has level {levels[i]}, "
                          f"outside 0..{L.depth}")
-    text: Dict[int, str] = {}  # endpoints seen as b, until their own leaves
+    text: Dict[int, str] = {0: "0"}  # endpoints seen as b, until their own leaves
     lines = []
     start = None
     for k, lvl in zip(keys, levels):
         a, b = divmod(k, N)
         tb = text.get(b)
-        if tb is None:
-            tb = text[b] = fmt(b)
+        if tb is None:  # fmt(b), inline: b > 0 here
+            g = gcd(b, N)
+            tb = text[b] = f"{b // g}/{N // g}"
         if a != start:
             start, ta = a, text.pop(a, None) or fmt(a)
         lines.append(f"{ta}-{tb} {lvl}")

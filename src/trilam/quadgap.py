@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 from math import lcm
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from .chords import Chord, format_chord, is_critical
 from .circle import (
@@ -40,6 +40,39 @@ from .circle import (
 )
 
 THIRD = Fraction(1, 3)
+
+
+class LeafBudgetError(ValueError):
+    """A construction would build more leaves, or a vertex list scan or
+    return more points, than its budget."""
+
+
+# The most points a gap's vertex list may scan or return: a vassal at depth
+# 19 returns 2**20 points (about 250 MB), and a quadratic gap at depth 12
+# scans 797 145 candidates for its periodic points.
+_POINT_BUDGET = 1 << 20
+
+
+def _over_budget(depth: int, count: Callable[[int], int], budget: int) -> Optional[str]:
+    """None when count(depth) is within the budget, else "up to" that
+    count.  Each count here at least doubles per level, so past the
+    budget's bit length in depth the count at that length already exceeds
+    the budget; it is named there as "more than", and no larger power is
+    computed."""
+    n = min(depth, budget.bit_length())
+    bound = count(n)
+    if bound <= budget:
+        return None
+    return f"{'up to' if n == depth else 'more than'} {bound}"
+
+
+def _hold_point_budget(depth: int, count: Callable[[int], int], verb: str) -> None:
+    """Raise LeafBudgetError when a vertex list would `verb` more than
+    _POINT_BUDGET points, count(depth) of them."""
+    over = _over_budget(depth, count, _POINT_BUDGET)
+    if over:
+        raise LeafBudgetError(f"depth {depth} may {verb} {over} points, "
+                              f"over the point budget of {_POINT_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -265,7 +298,10 @@ class GapGen:
 
     def vertices(self, depth: int) -> List[Fraction]:
         """Edge endpoints plus every periodic basis point of period <= depth
-        (the gap basis is a Cantor set; periodic points fill it in)."""
+        (the gap basis is a Cantor set; periodic points fill it in).  The
+        scan of the j/(3^p - 1), p <= depth, is held against _POINT_BUDGET
+        first and raises LeafBudgetError past it."""
+        _hold_point_budget(depth, lambda n: (3 ** (n + 1) - 3) // 2 - n, "scan")
         pts = set()
         for e, _ in self.edge_holes(depth):
             pts.add(e.a)
@@ -416,6 +452,9 @@ class VassalGap:
             yield [Fraction(x, den) for x in level]
 
     def vertices(self, depth: int) -> List[Fraction]:
+        """The 2^(depth + 1) level-`depth` images of both hole ends, in
+        circle order; past _POINT_BUDGET it raises LeafBudgetError."""
+        _hold_point_budget(depth, lambda n: 2 ** (n + 1), "return")
         # lo[0], hi[0], lo[1], ... rise in [0, h]: the sort is one rotation where a + x passes 1
         (lo, den), (hi, _) = (next(islice(self._numerator_levels(u), depth, None))
                               for u in (Fraction(0), self._h()))

@@ -206,6 +206,24 @@ def test_build_canonical_past_the_leaf_budget_is_usage_error(tmp_path, argv, bou
     assert not path.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("build-gap", "145/156-41/156", "--depth", "20"), "scan up to 5230176580"),
+    (("build-gap", "145/156-41/156", "--depth", "1000000000000"), "scan more than 15690529782"),
+    (("vassal", "1/12-5/12", "--depth", "20"), "return up to 2097152"),
+    (("vassal", "1/12-5/12", "--depth", "1000000000000"), "return more than 4194304"),
+], ids=["build-gap-20", "build-gap-10**12", "vassal-20", "vassal-10**12"])
+def test_vertex_lists_past_the_point_budget_are_usage_errors(argv, message):
+    # a subprocess with a timeout: without the budget, build-gap at depth 20
+    # scans 5 * 10**9 points, and vassal lists 2 * 10**6 of them
+    proc = subprocess.run(
+        [sys.executable, "-m", "trilam.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"usage error: depth {argv[-1]} may {message} points, "
+                           f"over the point budget of 1048576\n")
+
+
 @pytest.mark.parametrize("command", ["core-report", "classify-smp"])
 @pytest.mark.parametrize("bound", ["-5", "-1", "0"])
 def test_period_bound_below_one_is_usage_error(capsys, tmp_path, command, bound):

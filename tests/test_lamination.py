@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from trilam.chords import Chord, format_chord, image, linked, parse_chord
 from trilam.circle import (
-    Arc, contains, fixed_points, format_angle, parse_angle, preimages, sigma,
+    Arc, arc_length, contains, fixed_points, format_angle, parse_angle, preimages, sigma,
 )
 from trilam.lamination import (
     AttachedGap,
@@ -27,6 +27,7 @@ from trilam.lamination import (
     _critical_portrait,
     _LEAF_BUDGET,
     _gap_polygon,
+    _holes_map_to_holes,
     _pullback_closure,
     _vassal_chord,
     attached_cycle,
@@ -137,6 +138,14 @@ def test_canonical_of_rotational_fingap3():
 def test_canonical_of_rotational_rejects_non_rotational():
     with pytest.raises(ValueError):
         canonical_of_rotational(LamSet([F(0), F(1, 8), F(3, 8)]), depth=2)
+
+
+def test_attached_gap_is_critical_iff_its_hole_is_a_major_hole():
+    sets = [FINGAP1, FINGAP2, FINGAP3, LamSet([F(1, 7), F(2, 7), F(4, 7)], degree_d=2),
+            *_rotational_census()]
+    for G in sets:
+        for g, (_, hole) in zip(attached_cycle(G), holes(G)):
+            assert g.is_critical == (arc_length(hole) >= F(1, G.degree_d)), (G, g.index)
 
 
 def test_attached_cycle_of_fingap1():
@@ -552,6 +561,62 @@ def test_check_invariance_report_lines():
     text = "\n".join(rep.lines())
     assert "ok: true" in text
     assert f"leaves: {3 ** 3}" in text
+
+
+def _successor_holes_ok(imgs):
+    """The hole test by successor table: each step between two different
+    images goes to the next image point in circle order."""
+    pts = sorted(set(imgs))
+    succ = dict(zip(pts, pts[1:] + pts[:1]))
+    return all(u == v or succ[u] == v for u, v in zip(imgs, imgs[1:] + imgs[:1]))
+
+
+@st.composite
+def _cyclic_images(draw):
+    """Image sequences of polygon vertices: arbitrary draws from a few
+    points, with repeats and a single point among them, and walks that
+    step at most one place forward and go around the m points w >= 1 times
+    (w > 1 as on a critical polygon), started anywhere so that a descent
+    may fall at the wrap-around, now and then with two entries swapped."""
+    pool = draw(st.lists(st.integers(0, 40), min_size=1, max_size=7, unique=True))
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from(pool), min_size=3, max_size=12))
+    pts = sorted(pool)
+    m, w = len(pts), draw(st.integers(1, 3))
+    imgs = [pts[i % m] for i in range(m * w)
+            for _ in range(draw(st.integers(1, 2)))]
+    k = draw(st.integers(0, len(imgs) - 1))
+    imgs = imgs[k:] + imgs[:k]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, len(imgs) - 1)), draw(st.integers(0, len(imgs) - 1))
+        imgs[i], imgs[j] = imgs[j], imgs[i]
+    return imgs
+
+
+@settings(max_examples=500, deadline=None)
+@given(_cyclic_images())
+def test_hole_criterion_matches_successor_table(imgs):
+    assert _holes_map_to_holes(imgs) == _successor_holes_ok(imgs)
+
+
+def test_hole_criterion_on_named_sequences():
+    assert _holes_map_to_holes([5, 5, 5])  # m = 1
+    assert _holes_map_to_holes([1, 2, 3, 1, 2, 3])  # around twice
+    assert _holes_map_to_holes([3, 1, 1, 2])  # the descent at the wrap-around
+    assert not _holes_map_to_holes([1, 3, 2])  # reversed: w = 2, r = 3
+    assert not _holes_map_to_holes([1, 3, 2, 1, 2, 3])
+
+
+def test_gap_violations_list_the_holes_in_vertex_order():
+    # a hexagon whose vertex images go p0, p2, p1, p0, p1, p2 for
+    # p = 1/9, 4/9, 7/9: its first three holes skip or reverse an image
+    vs = [F(k, 27) for k in (1, 7, 13, 19, 22, 25)]
+    L = Lamination(d=3, depth=0, recipe="manual",
+                   leaves={Chord(vs[i], vs[(i + 1) % 6]): 0 for i in range(6)})
+    assert check_invariance(L).gap_violations == [
+        f"hole ({u},{v}) does not map to a hole of its image polygon"
+        for u, v in [("1/27", "7/27"), ("7/27", "13/27"), ("13/27", "19/27")]]
+    _assert_check_matches_union_find_oracle(L)
 
 
 # ---------------------------------------------------------------------------

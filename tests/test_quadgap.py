@@ -18,9 +18,12 @@ from trilam.circle import (
 from trilam.lamination import (
     _parse_region, _vassal_chord, canonical_of_quadratic_gap, project_through_gap,
 )
+from trilam import quadgap
 from trilam.quadgap import (
     GapGen,
+    LeafBudgetError,
     VassalGap,
+    _POINT_BUDGET,
     _leaf_period,
     _nearest_fixed,
     _short_side,
@@ -218,6 +221,30 @@ def test_fgb_edges_to_depth_two():
         Chord(F(5, 9), F(11, 18)),
         Chord(F(8, 9), F(17, 18)),
     }
+
+
+def test_point_budget_holds_the_closed_form_counts(monkeypatch):
+    # the scan is the j/(3^p - 1), p <= depth; a vassal returns 2^(depth + 1)
+    # points.  The budget admits build-gap at depth 12 and vassal at 19.
+    assert (3 ** 13 - 3) // 2 - 12 <= _POINT_BUDGET < (3 ** 14 - 3) // 2 - 13
+    assert 2 ** 20 <= _POINT_BUDGET < 2 ** 21
+    U = build_gap(PERIOD3_CRITICAL, depth=0)[0]
+    V = vassal(U)
+    with pytest.raises(LeafBudgetError, match="^depth 13 may scan up to 2391470 points"):
+        U.vertices(13)
+    with pytest.raises(LeafBudgetError, match="^depth 20 may return up to 2097152 points"):
+        V.vertices(20)
+    # at a budget of exactly the count at depth 3, depth 3 runs and 4 does not
+    monkeypatch.setattr(quadgap, "_POINT_BUDGET", 2 + 8 + 26)
+    U.vertices(3)
+    with pytest.raises(LeafBudgetError, match="^depth 4 may scan up to 116 points, "
+                                              "over the point budget of 36$"):
+        U.vertices(4)
+    monkeypatch.setattr(quadgap, "_POINT_BUDGET", 16)
+    assert len(V.vertices(3)) == 16
+    with pytest.raises(LeafBudgetError, match="^depth 4 may return up to 32 points, "
+                                              "over the point budget of 16$"):
+        V.vertices(4)
 
 
 def test_fgb_vertices_to_depth_three():

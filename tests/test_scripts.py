@@ -35,3 +35,21 @@ def test_gap_gallery_runs(tmp_path):
         "diameter", "regular_critical", "period3_gap", "fingap1", "fingap2",
         "fingap3", "rabbit_d2"))
     assert all((tmp_path / n).read_text().startswith("<svg") for n in names)
+
+
+def test_depth_probe_runs():
+    proc = _run_script("depth_probe.py", "fingap1", "--depth", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:3] == ["recipe: fingap1 depth=2", "leaves: 54", "check_ok: true"]
+    assert [ln.split()[0] for ln in lines[3:]] == [
+        "build_s:", "check_s:", "dumps_s:", "total_s:", "dumps_sha256:"]
+    assert all(ln.split()[2] == "rss_mb:" for ln in lines[3:6])
+    assert len(lines[-1].split()[1]) == 64
+
+
+def test_depth_probe_past_the_leaf_budget_is_usage_error():
+    proc = _run_script("depth_probe.py", "diameter", "--depth", "20")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("usage error: depth 20 may build up to 5230176601 leaves, "
+                           "over the leaf budget of 5000000\n")
