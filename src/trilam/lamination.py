@@ -625,13 +625,15 @@ def _gap_polygons(keys: Sequence[int], N: int) -> Iterator[List[int]]:
     to twice the number of leaves among them, self-loops included.  One
     count of endpoint degrees serves both the starts and the walks.
 
-    The starts are counted first: when no a starts two sides there is no
-    polygon, and the degree and smallest-b tables are not built."""
+    When no a starts two sides there is no polygon, and the degree,
+    smallest-b and repeat tables are not built."""
     sides = [k for k in keys if k % (N + 1)]  # the leaf (a, a) packs to a * (N + 1)
     starts = list(map(N.__rfloordiv__, sides))
-    # the a of two or more sides (a, b), with the number of them past one
-    more = Counter(compress(starts, map(eq, starts, islice(starts, 1, None))))
-    if not more:
+
+    def repeats() -> Iterator[int]:  # the a of each side (a, b) past its first
+        return compress(starts, map(eq, starts, islice(starts, 1, None)))
+
+    if next(repeats(), None) is None:
         return
     degree = Counter(starts)
     degree.update(map(N.__rmod__, sides))
@@ -639,6 +641,9 @@ def _gap_polygons(keys: Sequence[int], N: int) -> Iterator[List[int]]:
     if loops:  # a leaf (a, a) adds 2 to the degree of a
         degree.update({k // N: 2 for k in keys if not k % (N + 1)})
     first = dict(zip(reversed(starts), reversed(sides)))
+    # the a of two or more sides (a, b), with the number of them past one;
+    # counted after `first`, so that it is not alive while `first` grows
+    more = Counter(repeats())
     del sides, starts  # this frame stays alive through every walk below
     stop = N * N  # no key reaches it: a walk that finds no side ends past N
     for a, extra in more.items():
