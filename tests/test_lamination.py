@@ -602,7 +602,7 @@ def test_hole_criterion_matches_successor_table(imgs):
 def test_hole_criterion_on_named_sequences():
     assert _holes_map_to_holes([5, 5, 5])  # m = 1
     assert _holes_map_to_holes([1, 2, 3, 1, 2, 3])  # around twice
-    assert _holes_map_to_holes([3, 1, 1, 2])  # the descent at the wrap-around
+    assert _holes_map_to_holes([1, 1, 2, 3])  # the descent at the wrap-around
     assert not _holes_map_to_holes([1, 3, 2])  # reversed: w = 2, r = 3
     assert not _holes_map_to_holes([1, 3, 2, 1, 2, 3])
 
