@@ -7,6 +7,8 @@ step, the process's peak resident memory (ru_maxrss) after each, the leaf
 count, whether the check passed, and the sha256 of the written text:
 
     PYTHONPATH=src python3 scripts/depth_probe.py fingap1 --depth 10
+
+The recipes are those of scripts/gap_gallery.py.
 """
 
 import argparse
@@ -14,34 +16,11 @@ import hashlib
 import resource
 import sys
 import time
-from fractions import Fraction as F
 
-from trilam.chords import Chord
-from trilam.lamination import (
-    canonical_diameter,
-    canonical_of_quadratic_gap,
-    canonical_of_rotational,
-    check_invariance,
-    dumps,
-)
-from trilam.lamsets import parse_lamset
-from trilam.quadgap import build_gap
+from gap_gallery import GALLERY  # the golden suite, by name
+from trilam.lamination import check_invariance, dumps
 
-RECIPES = {
-    "regcrit": lambda depth: canonical_of_quadratic_gap(
-        build_gap(Chord(F(1, 3), F(2, 3)), depth=0)[0], depth),
-    "period3": lambda depth: canonical_of_quadratic_gap(
-        build_gap(Chord(F(145, 156), F(41, 156)), depth=0)[0], depth),
-    "diameter": canonical_diameter,
-    "fingap1": lambda depth: canonical_of_rotational(
-        parse_lamset("7/26,4/13,11/26,10/13,21/26,12/13"), depth),
-    "fingap2": lambda depth: canonical_of_rotational(
-        parse_lamset("7/26,11/26,21/26"), depth),
-    "fingap3": lambda depth: canonical_of_rotational(
-        parse_lamset("1/26,3/26,9/26"), depth),
-    "rabbit": lambda depth: canonical_of_rotational(
-        parse_lamset("1/7,2/7,4/7", 2), depth),
-}
+RECIPES = dict(GALLERY)
 
 
 def _rss_mb() -> float:
