@@ -8,6 +8,7 @@ examples) and writes one picture per lamination.
 
 import argparse
 import os
+import sys
 from fractions import Fraction as F
 
 from trilam.chords import Chord
@@ -37,22 +38,27 @@ GALLERY = [
 ]
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="gallery")
     ap.add_argument("--depth", type=int, default=6)
     ap.add_argument("--size", type=int, default=700)
     args = ap.parse_args()
 
-    os.makedirs(args.out_dir, exist_ok=True)
     spec = RenderSpec(size=args.size)
     for name, make in GALLERY:
-        L = make(args.depth)
+        try:
+            L = make(args.depth)
+        except ValueError as exc:  # a negative depth, or a LeafBudgetError
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
+        os.makedirs(args.out_dir, exist_ok=True)
         path = os.path.join(args.out_dir, f"{name}.svg")
         with open(path, "w") as fh:
             fh.write(render(L, spec))
         print(f"{name}: {len(L.leaves)} leaves -> {path}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -8,6 +8,7 @@ rotational type.
 """
 
 import argparse
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from trilam.lamination import canonical_of_rotational, classify_smp
 from trilam.lamsets import classify_rotational, enumerate_rotational, format_lamset
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-q", type=int, default=4)
     ap.add_argument("--depth", type=int, default=4)
@@ -30,7 +31,11 @@ def main() -> None:
                 continue
             for G in enumerate_rotational(3, rho, args.orbits):
                 rep = classify_rotational(G)
-                L = canonical_of_rotational(G, depth=args.depth)
+                try:
+                    L = canonical_of_rotational(G, depth=args.depth)
+                except ValueError as exc:  # a negative depth, or a LeafBudgetError
+                    print(f"usage error: {exc}", file=sys.stderr)
+                    return 2
                 v = classify_smp(L)
                 tally[(rep.type_tag, v.case_tag)] += 1
                 print(f"{format_lamset(G)}  rho={p}/{q} type={rep.type_tag} "
@@ -38,7 +43,8 @@ def main() -> None:
     print()
     for (typ, verdict), n in sorted(tally.items()):
         print(f"type {typ} -> {verdict}: {n}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -59,6 +59,11 @@ def preimages(d: int, a: Fraction) -> List[Fraction]:
     return sorted((a + k) / d for k in range(d))
 
 
+def _over(M: int, x: Fraction) -> int:
+    """The numerator of x mod 1 over M, a multiple of x's denominator."""
+    return x.numerator % x.denominator * (M // x.denominator)
+
+
 def _orbit_walk(d: int, x: int, M: int) -> Tuple[List[int], int]:
     """The sigma_d-orbit of x/M as numerators over M, listed up to the first
     repeat, and the index where its cycle starts."""

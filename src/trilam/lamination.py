@@ -26,6 +26,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from .chords import Chord, format_chord, parse_chord
 from .circle import (
     Arc,
+    _over,
     arc_length,
     fixed_points,
     format_angle,
@@ -47,8 +48,8 @@ from .quadgap import (
     GapGen,
     LeafBudgetError,
     VassalGap,
+    _hold_budget,
     _leaf_period,
-    _over_budget,
     _parse_arc,
     below_diameter,
     classify_critical,
@@ -180,8 +181,7 @@ class Leaves(Mapping):
         """The store of a Chord -> level mapping, over the lcm of its
         endpoint denominators."""
         N = lcm(*{x.denominator for c in chords for x in (c.a, c.b)})
-        return cls.from_pairs(N, {(c.a.numerator * (N // c.a.denominator),
-                                   c.b.numerator * (N // c.b.denominator)): lvl
+        return cls.from_pairs(N, {(_over(N, c.a), _over(N, c.b)): lvl
                                   for c, lvl in chords.items()})
 
     def pairs(self) -> Iterator[Tuple[int, int]]:
@@ -302,7 +302,7 @@ def _vassal_chord(V: VassalGap) -> Polygon:
     u* is the fixed point of g0(g1(u)) = h/K - h/K^2 + u/K^2, the return
     map's inverse branches g0(u) = u/K and g1(u) = h - (h - u)/K composed
     (h the hole length, K = 3^period): u* = h / (K + 1)."""
-    u = V._h() / (3 ** V.period + 1)
+    u = V.hole_length / (3 ** V.period + 1)
     return (V.a + u) % 1, (V.a + u + Fraction(1, 3)) % 1
 
 
@@ -388,24 +388,18 @@ def _pullback_closure(d: int, seeds: Sequence[Chord],
             len({sigma(d, x) for x in P}) != 1 for P in portrait):
         raise ValueError(f"not a critical portrait of sigma_{d}: "
                          f"{_format_portrait(portrait)}")
-    over = _over_budget(depth, lambda n: len(seeds) * (d ** (n + 1) - 1) // (d - 1),
-                        _LEAF_BUDGET)
-    if over:
-        raise LeafBudgetError(f"depth {depth} may build {over} leaves, "
-                              f"over the leaf budget of {_LEAF_BUDGET}")
+    _hold_budget(depth, lambda n: len(seeds) * (d ** (n + 1) - 1) // (d - 1), _LEAF_BUDGET,
+                 "build", "leaves", "leaf")
     N = lcm(d ** depth * lcm(*(x.denominator for s in seeds for x in (s.a, s.b))),
             *(x.denominator for P in portrait for x in P))
-
-    def num(x: Fraction) -> int:
-        return x.numerator * (N // x.denominator)
 
     def fmt(c: int) -> str:
         a, b = divmod(c, N)
         return format_chord(Chord(Fraction(a, N), Fraction(b, N)))
 
-    polys = [sorted(map(num, P)) for P in portrait]
+    polys = [sorted(_over(N, x) for x in P) for P in portrait]
     cuts = sorted(c + e for c in {d * v % N for P in polys for v in P} for e in (0, 1))
-    leaves: Dict[int, int] = {num(s.a) * N + num(s.b): 0 for s in seeds}
+    leaves: Dict[int, int] = {_over(N, s.a) * N + _over(N, s.b): 0 for s in seeds}
     frontier = list(leaves)
     step = N // d
     offsets = [k * step for k in range(d)]
@@ -617,13 +611,13 @@ def _gap_polygons(keys: Sequence[int], N: int) -> Iterator[List[int]]:
     of the endpoint graph whose sides (ci, ci+1) and (c0, c(n-1)) are all
     leaves, in sorted order, for the sorted packed keys of the leaves.
 
-    In such a component the smallest b among the leaves (ci, b) is ci+1, the
-    largest b among the leaves (c0, b) is c(n-1), and c0 ends no
-    non-degenerate leaf.  So a walk along the smallest b starts at each such
-    a with two different b, and is dropped unless it reaches the largest.
-    A walk is a component iff it is closed: the degrees of its vertices sum
-    to twice the number of leaves among them, self-loops included.  One
-    count of endpoint degrees serves both the starts and the walks.
+    In such a component the smallest b among the leaves (ci, b) is ci+1 and
+    the largest b among the leaves (c0, b) is c(n-1).  So a walk along the
+    smallest b starts at each a with two different b, and is dropped unless
+    it reaches the largest.  A walk is a component iff it is closed: the
+    degrees of its vertices sum to twice the number of leaves among them,
+    self-loops included.  That also drops a walk from an a that ends a side
+    (x, a): x < a lies outside the walk.
 
     When no a starts two sides there is no polygon, and the degree,
     smallest-b and repeat tables are not built."""
@@ -637,21 +631,15 @@ def _gap_polygons(keys: Sequence[int], N: int) -> Iterator[List[int]]:
         return
     degree = Counter(starts)
     degree.update(map(N.__rmod__, sides))
-    loops = len(sides) < len(keys)
-    if loops:  # a leaf (a, a) adds 2 to the degree of a
+    if len(sides) < len(keys):  # a leaf (a, a) adds 2 to the degree of a
         degree.update({k // N: 2 for k in keys if not k % (N + 1)})
     first = dict(zip(reversed(starts), reversed(sides)))
-    # the a of two or more sides (a, b), with the number of them past one;
-    # counted after `first`, so that it is not alive while `first` grows
-    more = Counter(repeats())
+    # the a of two or more sides (a, b), in order; built after `first`, so
+    # that it is not alive while `first` grows
+    more = dict.fromkeys(repeats())
     del sides, starts  # this frame stays alive through every walk below
     stop = N * N  # no key reaches it: a walk that finds no side ends past N
-    for a, extra in more.items():
-        # no side ends at a: its degree is its sides and its leaf (a, a),
-        # which is the least key from a * N on when there is one
-        loop = loops and keys[bisect_left(keys, a * N)] == a * (N + 1)
-        if degree[a] != extra + 1 + 2 * loop:
-            continue
+    for a in more:
         end = keys[bisect_left(keys, (a + 1) * N) - 1] - a * N
         walk = [a]
         v = first[a] - a * N
@@ -708,13 +696,15 @@ def check_invariance(L: Lamination) -> InvarianceReport:
 
     The images are counted in one pass over the sorted leaves: the forward
     and sibling checks first find the distinct non-degenerate images that
-    fail, and compute the images again only when there are some.  An image
-    fails the forward check when it is no leaf.  When the scan finds no
-    crossing the family is laminar, so any d leaves with one image are
-    pairwise unlinked: an image fails the sibling check when fewer than d
-    leaves share it.  Only a family with a crossing is searched for
-    pairwise unlinked collections.  The gap polygons are found by
-    `_gap_polygons`, and each is tested in closed form by
+    may fail, and compute the images again only when there are some.  An
+    image fails the forward check when it is no leaf.  A leaf below the
+    truncation depth fails the sibling check unless it and d - 1 other
+    leaves with its image are pairwise unlinked.  Only a leaf whose image
+    is suspect is searched: an image is suspect when fewer than d leaves
+    share it, or when the family has a crossing.  When the scan finds no
+    crossing the family is laminar, so any d leaves with one image pass,
+    and the suspect images are those with fewer.  The gap polygons are
+    found by `_gap_polygons`, and each is tested in closed form by
     `_holes_map_to_holes` on the images of its vertices; only a polygon that
     fails is walked with a successor table, which names its holes that do
     not map to a hole, in vertex order."""
@@ -739,26 +729,25 @@ def check_invariance(L: Lamination) -> InvarianceReport:
     forward_missing = [chord(c) for c, img in zip(keys, images())
                        if img in missing] if missing else []
 
-    if linked:
-        by_image: Dict[int, List[int]] = {}
-        for c, img in zip(keys, images()):
-            by_image.setdefault(img, []).append(c)
-
-        def has_collection(c, img) -> bool:
-            others = [x for x in by_image[img] if x != c]
-            return any(
-                not any(_crosses(divmod(x, N), divmod(y, N))
-                        for x, y in combinations((c,) + combo, 2))
-                for combo in combinations(others, d - 1))
-
-        sibling_missing = [chord(c) for c, img, lvl in zip(keys, images(), levels)
-                           if img % loop and lvl < L.depth
-                           and not has_collection(c, img)]
-    else:
-        short = {img for img, k in share.items() if k < d and img % loop}
-        sibling_missing = [chord(c) for c, img, lvl in zip(keys, images(), levels)
-                           if img in short and lvl < L.depth] if short else []
+    suspect = {img for img, k in share.items() if (linked or k < d) and img % loop}
     del share  # before the polygon walk's tables
+    by_image: Dict[int, List[int]] = {img: [] for img in suspect}
+    found = []  # the suspect leaves below the truncation depth, with their images
+    if suspect:
+        for c, img, lvl in zip(keys, images(), levels):
+            if img in suspect:
+                by_image[img].append(c)
+                if lvl < L.depth:
+                    found.append((c, img))
+
+    def has_collection(c, img) -> bool:
+        others = [x for x in by_image[img] if x != c]
+        return any(
+            not any(_crosses(divmod(x, N), divmod(y, N))
+                    for x, y in combinations((c,) + combo, 2))
+            for combo in combinations(others, d - 1))
+
+    sibling_missing = [chord(c) for c, img in found if not has_collection(c, img)]
 
     gap_violations = []
     for cls in _gap_polygons(keys, N):
@@ -843,8 +832,7 @@ def project_through_gap(U: GapGen, L: Lamination) -> Lamination:
     major, N = U.major, L.leaves.N
     M = lcm(N, major.a.denominator, major.b.denominator)
     f = M // N
-    m = (major.a.numerator * (M // major.a.denominator),
-         major.b.numerator * (M // major.b.denominator))
+    m = _over(M, major.a), _over(M, major.b)
     out: Dict[Chord, int] = {}
     for a, b in L.leaves.pairs():
         if _crosses((a * f, b * f), m):
@@ -1141,7 +1129,7 @@ def _parse_region(spec: str, d: int):
         critical = None if fields["critical"] == "-" else parse_chord(fields["critical"])
         gap = GapGen(kind=kind, hole=hole, period=period, critical=critical)
     else:
-        gap = VassalGap(hole=hole, period=period)
+        gap = V = VassalGap(hole=hole, period=period)
         if kind == "vassal-image":
             gap = ImageGap(gap, _integer(fields["power"], "power"))
     if period is not None and period < 1:
@@ -1153,6 +1141,11 @@ def _parse_region(spec: str, d: int):
                          f"{format_angle(hole.start)},{format_angle(hole.end)}")
     if d != 3:
         raise ValueError(f"a {kind} gap needs d=3, got d={d}")
+    if kind not in GAP_KINDS:  # a vassal's critical chord is its co-major
+        given = fields["critical"]
+        if given == "-" or parse_chord(given) != V.critical:
+            raise ValueError(f"critical {given} is not the co-major "
+                             f"{format_chord(V.critical)} of the hole")
     return gap
 
 

@@ -9,7 +9,7 @@ from math import gcd, lcm
 from typing import List, Optional, Tuple
 
 from .chords import Chord
-from .circle import Arc, _orbit_walk, angle, arc_length, format_angle, parse_angle
+from .circle import Arc, _orbit_walk, _over, angle, arc_length, format_angle, parse_angle
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def classify_rotational(G: LamSet) -> RotationalReport:
     """
     d, vs, n = G.degree_d, G.vertices, len(G)
     M = lcm(*(v.denominator for v in vs))
-    nums = [v.numerator * (M // v.denominator) for v in vs]
+    nums = [_over(M, v) for v in vs]
     index = {x: i for i, x in enumerate(nums)}
     image = [index.get(d * x % M) for x in nums]
     if set(image) != set(range(n)):

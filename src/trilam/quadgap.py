@@ -30,6 +30,7 @@ from .chords import Chord, format_chord, is_critical
 from .circle import (
     Arc,
     _orbit_walk,
+    _over,
     _set_period,
     arc_length,
     contains,
@@ -53,26 +54,19 @@ class LeafBudgetError(ValueError):
 _POINT_BUDGET = 1 << 20
 
 
-def _over_budget(depth: int, count: Callable[[int], int], budget: int) -> Optional[str]:
-    """None when count(depth) is within the budget, else "up to" that
-    count.  Each count here at least doubles per level, so past the
-    budget's bit length in depth the count at that length already exceeds
-    the budget; it is named there as "more than", and no larger power is
-    computed."""
+def _hold_budget(depth: int, count: Callable[[int], int], budget: int,
+                 verb: str, things: str, unit: str) -> None:
+    """Raise LeafBudgetError when a construction at `depth` may `verb` more
+    than `budget` `things`, count(depth) of them.  Each count here at least
+    doubles per level, so past the budget's bit length in depth the count at
+    that length already exceeds the budget; it is named there as "more
+    than", and no larger power is computed."""
     n = min(depth, budget.bit_length())
     bound = count(n)
-    if bound <= budget:
-        return None
-    return f"{'up to' if n == depth else 'more than'} {bound}"
-
-
-def _hold_point_budget(depth: int, count: Callable[[int], int], verb: str) -> None:
-    """Raise LeafBudgetError when a vertex list would `verb` more than
-    _POINT_BUDGET points, count(depth) of them."""
-    over = _over_budget(depth, count, _POINT_BUDGET)
-    if over:
-        raise LeafBudgetError(f"depth {depth} may {verb} {over} points, "
-                              f"over the point budget of {_POINT_BUDGET}")
+    if bound > budget:
+        raise LeafBudgetError(f"depth {depth} may {verb} "
+                              f"{'up to' if n == depth else 'more than'} {bound} {things}, "
+                              f"over the {unit} budget of {budget}")
 
 
 @dataclass(frozen=True)
@@ -116,11 +110,6 @@ def big_arc(c: Chord) -> Arc:
     """L(c): the open arc of length 2/3 on the far side of c."""
     s, t = _short_side(c)
     return Arc(t, s)
-
-
-def _over(M: int, x: Fraction) -> int:
-    """The numerator of x mod 1 over M, a multiple of x's denominator."""
-    return x.numerator % x.denominator * (M // x.denominator)
 
 
 def _arc_over(M: int, arc: Arc) -> Tuple[int, int]:
@@ -215,16 +204,12 @@ def classify_critical(c: Chord) -> CriticalClass:
 GAP_KINDS = ("regular-critical", "periodic-type", "above-diameter", "below-diameter")
 
 
-@dataclass(frozen=True)
-class GapGen:
-    """Symbolic recipe for an invariant quadratic gap: the positively
-    oriented hole (a, b) behind its major, the chord a-b.  Basis points are
-    exactly the angles whose forward orbit avoids the open hole."""
-
-    kind: str  # one of GAP_KINDS
-    hole: Arc
-    period: Optional[int] = None  # leaf period of the major; None if critical
-    critical: Optional[Chord] = None
+class QuadraticGap:
+    """What an invariant quadratic gap and a vassal gap share: the
+    positively oriented hole (a, b) behind the major, the chord a-b, and one
+    `[gaps]` line.  A subclass supplies `kind`, `hole`, `period` and
+    `critical`, as fields or class attributes, and `_basis_orbit`, the one
+    orbit walk that decides basis membership."""
 
     @property
     def major(self) -> Chord:
@@ -233,6 +218,29 @@ class GapGen:
     @property
     def hole_length(self) -> Fraction:
         return arc_length(self.hole)
+
+    def in_basis(self, x: Fraction) -> bool:
+        return self._basis_orbit(x.numerator, x.denominator) is not None
+
+    def serialize(self) -> str:
+        return (f"kind={self.kind} major={format_chord(self.major)} "
+                f"hole={format_angle(self.hole.start)},{format_angle(self.hole.end)} "
+                f"period={'-' if self.period is None else self.period} "
+                f"critical={format_chord(self.critical) if self.critical else '-'}")
+
+    def __repr__(self):
+        return f"{type(self).__name__}<{self.serialize()}>"
+
+
+@dataclass(frozen=True, repr=False)
+class GapGen(QuadraticGap):
+    """Symbolic recipe for an invariant quadratic gap.  Basis points are
+    exactly the angles whose forward orbit avoids the open hole."""
+
+    kind: str  # one of GAP_KINDS
+    hole: Arc
+    period: Optional[int] = None  # leaf period of the major; None if critical
+    critical: Optional[Chord] = None
 
     def _hits(self, orb: List[int], M: int) -> Iterator[bool]:
         """Whether each numerator over M in `orb` lies in the open hole."""
@@ -251,9 +259,6 @@ class GapGen:
         """psi's bits: 0 on the third of the circle starting at the hole end."""
         b = _over(M, self.hole.end)
         return [int((v - b) % M >= M // 3) for v in orb]
-
-    def in_basis(self, x: Fraction) -> bool:
-        return self._basis_orbit(x.numerator, x.denominator) is not None
 
     def base_edges(self) -> List[Tuple[Chord, Arc]]:
         """The major orbit with its holes (a single critical edge for a
@@ -301,7 +306,8 @@ class GapGen:
         (the gap basis is a Cantor set; periodic points fill it in).  The
         scan of the j/(3^p - 1), p <= depth, is held against _POINT_BUDGET
         first and raises LeafBudgetError past it."""
-        _hold_point_budget(depth, lambda n: (3 ** (n + 1) - 3) // 2 - n, "scan")
+        _hold_budget(depth, lambda n: (3 ** (n + 1) - 3) // 2 - n, _POINT_BUDGET,
+                     "scan", "points", "point")
         pts = set()
         for e, _ in self.edge_holes(depth):
             pts.add(e.a)
@@ -321,19 +327,6 @@ class GapGen:
             pts.update(Fraction(j, q) for j in range(q)
                        if self._basis_orbit(j, q) is not None)
         return sorted(pts)
-
-    def serialize(self) -> str:
-        parts = [
-            f"kind={self.kind}",
-            f"major={format_chord(self.major)}",
-            f"hole={format_angle(self.hole.start)},{format_angle(self.hole.end)}",
-            f"period={self.period if self.period is not None else '-'}",
-            f"critical={format_chord(self.critical) if self.critical else '-'}",
-        ]
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"GapGen<{self.serialize()}>"
 
 
 class _Fields(dict):
@@ -392,18 +385,14 @@ def above_diameter() -> GapGen:
 # vassal
 
 
-@dataclass(frozen=True)
-class VassalGap:
+@dataclass(frozen=True, repr=False)
+class VassalGap(QuadraticGap):
     """The period-k quadratic gap spanned by the two-arc horseshoe
     [a, b - 1/3] u [a + 1/3, b] inside the major hole (a, b)."""
 
     hole: Arc  # the parent's major hole (a, b); the vassal lives inside it
     period: int
-
-    @property
-    def major(self) -> Chord:
-        """The parent's major, the chord a-b."""
-        return Chord(self.a, self.b)
+    kind = "vassal"
 
     @property
     def a(self) -> Fraction:
@@ -426,8 +415,7 @@ class VassalGap:
         the major."""
         return Chord((self.b - THIRD) % 1, (self.a + THIRD) % 1)
 
-    def _h(self) -> Fraction:
-        return arc_length(self.hole)
+    critical = co_major
 
     def _numerator_levels(self, u: Fraction) -> Iterator[Tuple[List[int], int]]:
         """Level j = 0, 1, ...: the images of u under the 2^j words of length
@@ -437,7 +425,7 @@ class VassalGap:
         as g_bit after w, so level j is g0, then g1, of level j - 1.  Level j
         is its numerators over D * K^j, D = 3 * h.denominator, u a multiple
         of 1/D: g0 keeps a numerator and g1 adds h * D * K^j * (K - 1)."""
-        h, K = self._h(), 3 ** self.period
+        h, K = self.hole_length, 3 ** self.period
         den = 3 * h.denominator
         level = [u.numerator * (den // u.denominator)]
         step = 3 * h.numerator * (K - 1)
@@ -446,18 +434,13 @@ class VassalGap:
             level = level + [x + step for x in level]
             den, step = den * K, step * K
 
-    def _word_levels(self, u: Fraction) -> Iterator[List[Fraction]]:
-        """The levels of `_numerator_levels` as Fractions."""
-        for level, den in self._numerator_levels(u):
-            yield [Fraction(x, den) for x in level]
-
     def vertices(self, depth: int) -> List[Fraction]:
         """The 2^(depth + 1) level-`depth` images of both hole ends, in
         circle order; past _POINT_BUDGET it raises LeafBudgetError."""
-        _hold_point_budget(depth, lambda n: 2 ** (n + 1), "return")
+        _hold_budget(depth, lambda n: 2 ** (n + 1), _POINT_BUDGET, "return", "points", "point")
         # lo[0], hi[0], lo[1], ... rise in [0, h]: the sort is one rotation where a + x passes 1
         (lo, den), (hi, _) = (next(islice(self._numerator_levels(u), depth, None))
-                              for u in (Fraction(0), self._h()))
+                              for u in (Fraction(0), self.hole_length))
         M = lcm(den, self.a.denominator)
         a, f = _over(M, self.a), M // den
         xs = [a + x * f for pair in zip(lo, hi) for x in pair]
@@ -465,10 +448,12 @@ class VassalGap:
         return [Fraction(x - M, M) for x in xs[k:]] + [Fraction(x, M) for x in xs[:k]]
 
     def edge_chords(self, depth: int) -> List[Chord]:
-        u0, u1 = self._h() - THIRD, THIRD  # parameters of the co-major endpoints
+        u0, u1 = self.hole_length - THIRD, THIRD  # parameters of the co-major endpoints
         out = [self.major, self.co_major]
-        for lo, hi in islice(zip(self._word_levels(u0), self._word_levels(u1)), 1, depth + 1):
-            out += [Chord((self.a + x) % 1, (self.a + y) % 1) for x, y in zip(lo, hi)]
+        levels = zip(self._numerator_levels(u0), self._numerator_levels(u1))
+        for (lo, den), (hi, _) in islice(levels, 1, depth + 1):
+            out += [Chord((self.a + Fraction(x, den)) % 1, (self.a + Fraction(y, den)) % 1)
+                    for x, y in zip(lo, hi)]
         return out
 
     def _basis_orbit(self, x: int, N: int) -> Optional[Tuple[List[int], int, int]]:
@@ -488,19 +473,6 @@ class VassalGap:
         a, h = _arc_over(M, self.hole)
         return [int((v - a) % M > h - M // 3) for v in orb]
 
-    def in_basis(self, x: Fraction) -> bool:
-        """Every sigma^k-iterate stays in the closed two-arc horseshoe."""
-        return self._basis_orbit(x.numerator, x.denominator) is not None
-
-    def serialize(self) -> str:
-        return (
-            f"kind=vassal major={format_chord(self.major)} "
-            f"hole={format_angle(self.hole.start)},{format_angle(self.hole.end)} "
-            f"period={self.period} critical={format_chord(self.co_major)}"
-        )
-
-    def __repr__(self):
-        return f"VassalGap<{self.serialize()}>"
 
 
 def vassal(U: GapGen) -> VassalGap:

@@ -356,11 +356,19 @@ def test_find_rotational_rejects_degree_above_three(capsys, d):
     ("d=3 depth=1 recipe=x\n[leaves]\n1/3-2/3 0\n[gaps]\n"
      "G0 kind=regular-critical major=0-1/2 hole=1/3,2/3 period=- critical=1/3-2/3\n",
      "line 5: major 0-1/2 does not join the hole ends 1/3,2/3"),
+    ("d=3 depth=1 recipe=x\n[leaves]\n0-1/2 0\n[gaps]\n"
+     "G0 kind=vassal major=7/26-12/13 hole=12/13,7/26 period=3 critical=1/3-2/3\n",
+     "line 5: critical 1/3-2/3 is not the co-major 10/39-73/78 of the hole"),
+    ("d=3 depth=1 recipe=x\n[leaves]\n0-1/2 0\n[gaps]\n"
+     "G0 kind=vassal-image power=1 major=7/26-12/13 hole=12/13,7/26 period=3 "
+     "critical=-\n",
+     "line 5: critical - is not the co-major 10/39-73/78 of the hole"),
 ], ids=["no-degree", "empty", "attached-no-fields", "gap-no-spec", "bad-level", "d7",
         "level-above-depth", "level-negative", "bogus-kind", "degree-mismatch",
         "attached-bad-index", "image-no-power", "gap-no-critical", "d2-vassal", "d2-image",
         "period-not-integer", "gap-period-negative", "vassal-period-negative",
-        "image-period-zero", "image-power-at-period", "major-off-hole"])
+        "image-period-zero", "image-power-at-period", "major-off-hole", "vassal-critical",
+        "image-critical"])
 def test_malformed_lam_file_is_usage_error(capsys, tmp_path, text, err):
     path = tmp_path / "bad.lam"
     path.write_text(text)

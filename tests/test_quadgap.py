@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction as F
 from itertools import islice
 
@@ -16,7 +17,7 @@ from trilam.circle import (
     sigma,
 )
 from trilam.lamination import (
-    _parse_region, _vassal_chord, canonical_of_quadratic_gap, project_through_gap,
+    ImageGap, _parse_region, _vassal_chord, canonical_of_quadratic_gap, project_through_gap,
 )
 from trilam import quadgap
 from trilam.quadgap import (
@@ -373,9 +374,9 @@ def test_vassal_vertices_match_sorted_set_oracle():
     assert len(gaps) == 2 + 4 + 12 + 24
     for gap in [build_gap(Chord(F(1, 12), F(5, 12)), depth=0)[0]] + gaps:
         V = vassal(gap)
-        levels = zip(V._word_levels(F(0)), V._word_levels(V._h()))
-        for depth, (lo, hi) in enumerate(islice(levels, 11)):
-            want = sorted({V.a, V.b, *((V.a + x) % 1 for x in lo + hi)})
+        levels = zip(V._numerator_levels(F(0)), V._numerator_levels(V.hole_length))
+        for depth, ((lo, den), (hi, _)) in enumerate(islice(levels, 11)):
+            want = sorted({V.a, V.b, *((V.a + F(x, den)) % 1 for x in lo + hi)})
             assert V.vertices(depth) == want, (gap.major, depth)
 
 
@@ -402,6 +403,47 @@ def test_vassal_serialize_roundtrip():
     W = _parse_region(V.serialize(), 3)
     assert isinstance(W, VassalGap)
     assert W == V
+
+
+def test_gap_lines_and_reprs_are_pinned():
+    # the [gaps] text of each quadratic-gap class, and its repr around it
+    P = build_gap(PERIOD3_CRITICAL, depth=0)[0]
+    V = vassal(P)
+    cases = [
+        (build_gap(Chord(F(1, 3), F(2, 3)), depth=0)[0], "GapGen<",
+         "kind=regular-critical major=1/3-2/3 hole=1/3,2/3 period=- critical=1/3-2/3"),
+        (P, "GapGen<",
+         "kind=periodic-type major=7/26-12/13 hole=12/13,7/26 period=3 "
+         "critical=41/156-145/156"),
+        (FGB, "GapGen<",
+         "kind=below-diameter major=0-1/2 hole=0,1/2 period=1 critical=1/12-5/12"),
+        (GapGen(kind="periodic-type", hole=P.hole, period=3), "GapGen<",
+         "kind=periodic-type major=7/26-12/13 hole=12/13,7/26 period=3 critical=-"),
+        (V, "VassalGap<",
+         "kind=vassal major=7/26-12/13 hole=12/13,7/26 period=3 critical=10/39-73/78"),
+    ]
+    for gap, head, line in cases:
+        assert gap.serialize() == line
+        assert repr(gap) == f"{head}{line}>"
+    I = ImageGap(V, 2)
+    assert I.serialize() == ("kind=vassal-image power=2 major=7/26-12/13 hole=12/13,7/26 "
+                             "period=3 critical=10/39-73/78")
+    assert repr(I) == f"ImageGap(base={V!r}, power=2)"
+
+
+def test_vassal_fields_equality_and_hash():
+    # a vassal is its hole and period; kind and critical are derived
+    P = build_gap(PERIOD3_CRITICAL, depth=0)[0]
+    V = vassal(P)
+    assert [f.name for f in fields(VassalGap)] == ["hole", "period"]
+    assert [f.name for f in fields(GapGen)] == ["kind", "hole", "period", "critical"]
+    assert V == VassalGap(hole=P.hole, period=3) != VassalGap(hole=P.hole, period=2)
+    assert V != GapGen(kind="vassal", hole=P.hole, period=3, critical=V.co_major)
+    assert hash(V) == hash(VassalGap(hole=P.hole, period=3)) == hash((P.hole, 3))
+    assert (V.kind, V.critical, V.major) == ("vassal", V.co_major, P.major)
+    assert V.hole_length == P.hole_length == F(9, 26)
+    with pytest.raises(FrozenInstanceError):
+        V.period = 4
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,20 @@
-"""Smoke tests: the scripts in scripts/ run to completion at depth 1."""
+"""Smoke tests: the scripts in scripts/ run to completion at depth 1, and
+report a depth they cannot build in one line."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_script(name, *args):
+def _run_script(name, *args, timeout=300):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_smp_survey_runs():
@@ -53,3 +56,20 @@ def test_depth_probe_past_the_leaf_budget_is_usage_error():
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == ("usage error: depth 20 may build up to 5230176601 leaves, "
                            "over the leaf budget of 5000000\n")
+
+
+@pytest.mark.parametrize("script, args, err", [
+    ("gap_gallery.py", ("--depth", "20"),
+     "depth 20 may build up to 5230176601 leaves, over the leaf budget of 5000000"),
+    ("gap_gallery.py", ("--depth", "-1"), "depth must be >= 0, got -1"),
+    ("smp_survey.py", ("--max-q", "3", "--depth", "20"),
+     "depth 20 may build up to 20920706404 leaves, over the leaf budget of 5000000"),
+    ("smp_survey.py", ("--max-q", "3", "--depth", "-1"), "depth must be >= 0, got -1"),
+], ids=["gallery-20", "gallery-negative", "survey-20", "survey-negative"])
+def test_building_scripts_report_a_bad_depth_in_one_line(tmp_path, script, args, err):
+    out_dir = tmp_path / "gallery"
+    if script == "gap_gallery.py":
+        args += ("--out-dir", str(out_dir))
+    proc = _run_script(script, *args, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"usage error: {err}\n")
+    assert not out_dir.exists()
