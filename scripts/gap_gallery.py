@@ -16,6 +16,7 @@ from trilam.lamination import (
     canonical_diameter,
     canonical_of_quadratic_gap,
     canonical_of_rotational,
+    hold_leaf_budget,
 )
 from trilam.lamsets import parse_lamset
 from trilam.quadgap import build_gap
@@ -45,13 +46,16 @@ def main() -> int:
     ap.add_argument("--size", type=int, default=700)
     args = ap.parse_args()
 
+    try:  # every recipe's leaf bound, from its seeds, before the first build
+        for _, make in GALLERY:
+            L0 = make(0)
+            hold_leaf_budget(L0.d, len(L0.leaves), args.depth)
+    except ValueError as exc:  # a negative depth, or a LeafBudgetError
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     spec = RenderSpec(size=args.size)
     for name, make in GALLERY:
-        try:
-            L = make(args.depth)
-        except ValueError as exc:  # a negative depth, or a LeafBudgetError
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 2
+        L = make(args.depth)
         os.makedirs(args.out_dir, exist_ok=True)
         path = os.path.join(args.out_dir, f"{name}.svg")
         with open(path, "w") as fh:

@@ -12,7 +12,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from trilam.lamination import canonical_of_rotational, classify_smp
+from trilam.lamination import canonical_of_rotational, classify_smp, hold_leaf_budget
 from trilam.lamsets import classify_rotational, enumerate_rotational, format_lamset
 
 
@@ -23,23 +23,21 @@ def main() -> int:
     ap.add_argument("--orbits", type=int, default=2, choices=[1, 2])
     args = ap.parse_args()
 
+    sets = [(rho, G) for q in range(2, args.max_q + 1) for p in range(1, q)
+            for rho in [Fraction(p, q)] if rho.denominator == q
+            for G in enumerate_rotational(3, rho, args.orbits)]
+    try:  # every set's leaf bound, from its seeds, before the first build
+        for _, G in sets:
+            hold_leaf_budget(3, len(canonical_of_rotational(G, 0).leaves), args.depth)
+    except ValueError as exc:  # a negative depth, or a LeafBudgetError
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     tally = Counter()
-    for q in range(2, args.max_q + 1):
-        for p in range(1, q):
-            rho = Fraction(p, q)
-            if rho.denominator != q:
-                continue
-            for G in enumerate_rotational(3, rho, args.orbits):
-                rep = classify_rotational(G)
-                try:
-                    L = canonical_of_rotational(G, depth=args.depth)
-                except ValueError as exc:  # a negative depth, or a LeafBudgetError
-                    print(f"usage error: {exc}", file=sys.stderr)
-                    return 2
-                v = classify_smp(L)
-                tally[(rep.type_tag, v.case_tag)] += 1
-                print(f"{format_lamset(G)}  rho={p}/{q} type={rep.type_tag} "
-                      f"-> {v.case_tag}")
+    for rho, G in sets:
+        rep = classify_rotational(G)
+        v = classify_smp(canonical_of_rotational(G, depth=args.depth))
+        tally[(rep.type_tag, v.case_tag)] += 1
+        print(f"{format_lamset(G)}  rho={rho} type={rep.type_tag} -> {v.case_tag}")
     print()
     for (typ, verdict), n in sorted(tally.items()):
         print(f"type {typ} -> {verdict}: {n}")

@@ -57,7 +57,9 @@ def is_critical(d: int, c: Chord) -> bool:
     points; criticality is undefined for them."""
     if c.degenerate:
         raise ValueError("criticality is undefined for a degenerate chord")
-    return sigma(d, c.a) == sigma(d, c.b)
+    a, b = c.a, c.b
+    N = a.denominator * b.denominator  # d * (b - a) is an integer: over N, a multiple of N
+    return d * (b.numerator * a.denominator - a.numerator * b.denominator) % N == 0
 
 
 def linked(c1: Chord, c2: Chord) -> bool:

@@ -121,8 +121,8 @@ class Arc:
     end: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "start", self.start % 1)
-        object.__setattr__(self, "end", self.end % 1)
+        object.__setattr__(self, "start", angle(self.start))
+        object.__setattr__(self, "end", angle(self.end))
 
     @property
     def degenerate(self) -> bool:

@@ -23,11 +23,10 @@ from math import gcd, lcm
 from operator import eq
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .chords import Chord, format_chord, parse_chord
+from .chords import Chord, format_chord, is_critical, parse_chord
 from .circle import (
     Arc,
     _over,
-    arc_length,
     fixed_points,
     format_angle,
     orbit,
@@ -40,7 +39,6 @@ from .lamsets import (
     LamSet,
     classify_rotational,
     format_lamset,
-    holes,
     parse_lamset,
 )
 from .quadgap import (
@@ -111,7 +109,10 @@ class AttachedGap:
         """The gap's hole, from vertex `index` to the next, is a major hole:
         d times its length is at least 1."""
         vs, i = self.base.vertices, self.index
-        return self.base.degree_d * ((vs[(i + 1) % len(vs)] - vs[i]) % 1) >= 1
+        a, b = vs[i], vs[(i + 1) % len(vs)]
+        N = a.denominator * b.denominator  # the hole's length is h / N
+        h = (b.numerator * a.denominator - a.numerator * b.denominator) % N
+        return self.base.degree_d * h >= N
 
     def serialize(self) -> str:
         return (f"kind=attached degree={self.base.degree_d} "
@@ -119,8 +120,8 @@ class AttachedGap:
 
 
 def attached_cycle(G: LamSet) -> List[AttachedGap]:
-    """All Fatou gaps attached to the edges of a rotational set."""
-    return [AttachedGap(G, i) for i in range(len(holes(G)))]
+    """All Fatou gaps attached to the edges of a rotational set (none for a point)."""
+    return [AttachedGap(G, i) for i in range(len(G) if len(G) > 1 else 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +288,14 @@ def _gap_polygon(U: GapGen, seeds: Sequence[Chord]) -> Polygon:
     """The critical polygon inside the quadratic gap U: the preimages of
     sigma(x) that lie in U's basis, for the first x = j/(3^m - 1), by m and
     then j, that is a basis point of U whose orbit misses the forward
-    orbits of the seed endpoints."""
+    orbits of the seed endpoints; U's integer basis walk gives that orbit."""
     avoid = {y for s in seeds for e in (s.a, s.b) for y in orbit(3, e)}
     for m in count(1):
         q = 3 ** m - 1
         for j in range(q):
-            x = Fraction(j, q)
-            if U.in_basis(x) and avoid.isdisjoint(orbit(3, x)):
-                return tuple(y for y in preimages(3, sigma(3, x)) if U.in_basis(y))
+            walk = U._basis_orbit(j, q)
+            if walk and avoid.isdisjoint(Fraction(v, walk[2]) for v in walk[0]):
+                return tuple(y for y in preimages(3, Fraction(3 * j % q, q)) if U.in_basis(y))
 
 
 def _vassal_chord(V: VassalGap) -> Polygon:
@@ -317,14 +318,17 @@ def _attached_polygon(g: AttachedGap) -> Polygon:
     twice around the c-hole cycle of hole i with k = 0, except k = 1 at the
     first critical step of the second pass, which is hole i itself:
     u = d^(c-1) / (d^(2c) - 1).  That is a basis point strictly inside the
-    hole and off the cycle of G."""
-    G, i = g.base, g.index
-    d, n, rho = G.degree_d, len(G), classify_rotational(G).rotation_number
-    ell = [arc_length(h) for _, h in holes(G)]
-    delta = 1 + d * ell[i] - ell[(i + int(rho * n)) % n]
-    c = rho.denominator
-    x = G.vertices[i] + Fraction(d ** (c - 1), d ** (2 * c) - 1)
-    return tuple((x + Fraction(k, d)) % 1 for k in range(int(delta)))
+    hole and off the cycle of G.  All of it runs on numerators over M."""
+    G, i, d, n = g.base, g.index, g.base.degree_d, len(g.base)
+    M = lcm(*(v.denominator for v in G.vertices))
+    nums = [_over(M, v) for v in G.vertices]
+    p = nums.index(d * nums[0] % M)  # the shift i -> i + p of G's vertices
+    ell = [(nums[(j + 1) % n] - nums[j]) % M for j in (i, (i + p) % n)]
+    delta = 1 + (d * ell[0] - ell[1]) // M
+    c = n // gcd(n, p)  # the denominator of the rotation number p/n
+    K = d ** (2 * c) - 1  # x + k/d, x = vs[i] + d^(c-1)/K, over D = d * K * M
+    D, x = d * K * M, (nums[i] * K + M * d ** (c - 1)) * d
+    return tuple(Fraction((x + k * K * M) % D, D) for k in range(delta))
 
 
 def _critical_portrait(d: int, seeds: Sequence[Chord],
@@ -332,8 +336,7 @@ def _critical_portrait(d: int, seeds: Sequence[Chord],
     """The critical portrait of a construction: each critical seed as a
     2-gon, and one critical polygon inside each critical registered gap
     (a quadratic gap, a vassal gap or a critical attached gap)."""
-    portrait: List[Polygon] = [(s.a, s.b) for s in seeds
-                               if sigma(d, s.a) == sigma(d, s.b)]
+    portrait: List[Polygon] = [(s.a, s.b) for s in seeds if is_critical(d, s)]
     for R in regions:
         if isinstance(R, GapGen):
             portrait.append(_gap_polygon(R, seeds))
@@ -346,6 +349,19 @@ def _critical_portrait(d: int, seeds: Sequence[Chord],
 
 def _format_portrait(portrait: Sequence[Polygon]) -> str:
     return " ".join("{" + ",".join(map(format_angle, P)) + "}" for P in portrait)
+
+
+def hold_leaf_budget(d: int, seeds: int, depth: int) -> None:
+    """Raise ValueError on a negative depth, and LeafBudgetError when a
+    pullback of `seeds` seeds, `depth` levels deep, may build more than
+    _LEAF_BUDGET leaves.  Level k adds at most seeds * d**k leaves, so the
+    bound is seeds * (d**(depth + 1) - 1) / (d - 1); past the budget's bit
+    length in depth, d**depth alone exceeds the budget, so the bound is
+    computed and named only at that depth, as a lower bound."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    _hold_budget(depth, lambda n: seeds * (d ** (n + 1) - 1) // (d - 1), _LEAF_BUDGET,
+                 "build", "leaves", "leaf")
 
 
 def _pullback_closure(d: int, seeds: Sequence[Chord],
@@ -363,11 +379,8 @@ def _pullback_closure(d: int, seeds: Sequence[Chord],
     level.  The leaves are returned as one store, each packed as a * N + b
     and sorted by key.
 
-    Level k adds at most s * d**k leaves for s seeds, so before level 1 the
-    bound s * (d**(depth + 1) - 1) / (d - 1) is held against _LEAF_BUDGET,
-    and a deeper build raises LeafBudgetError naming both.  Past the
-    budget's bit length in depth, d**depth alone exceeds the budget, so the
-    bound is computed and named only at that depth, as a lower bound.
+    Before level 1 `hold_leaf_budget` holds the leaf bound against the
+    budget, and a deeper build raises LeafBudgetError naming both.
 
     The siblings of a leaf are planned once per pair of endpoint places.
     The critical values d*v mod N of the portrait vertices v cut the circle
@@ -382,14 +395,11 @@ def _pullback_closure(d: int, seeds: Sequence[Chord],
     b // d), cross no polygon depends only on the places of a and b, and
     each plan is built on first use from the first leaf with those places.
     A pair that is already a leaf is a sibling whether or not it crosses."""
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    hold_leaf_budget(d, len(seeds), depth)
     if sum(len(P) - 1 for P in portrait) != d - 1 or any(
             len({sigma(d, x) for x in P}) != 1 for P in portrait):
         raise ValueError(f"not a critical portrait of sigma_{d}: "
                          f"{_format_portrait(portrait)}")
-    _hold_budget(depth, lambda n: len(seeds) * (d ** (n + 1) - 1) // (d - 1), _LEAF_BUDGET,
-                 "build", "leaves", "leaf")
     N = lcm(d ** depth * lcm(*(x.denominator for s in seeds for x in (s.a, s.b))),
             *(x.denominator for P in portrait for x in P))
 
@@ -475,9 +485,9 @@ def canonical_of_rotational(G: LamSet, depth: int = 6) -> Lamination:
     rep = classify_rotational(G)
     if not (rep.is_rotational or rep.diameter_special):
         raise ValueError("canonical construction needs a rotational set")
-    d = G.degree_d
+    d, vs, n = G.degree_d, G.vertices, len(G)
     cycle = attached_cycle(G)
-    seeds = sorted({e for e, _ in holes(G)})
+    seeds = sorted({Chord(vs[i - 1], vs[i]) for i in range(n)})  # the edges of G
     leaves = _pullback_closure(d, seeds, _critical_portrait(d, seeds, cycle), depth)
     tag = "rotational" if d == 3 else "quadratic-d2"
     return Lamination(

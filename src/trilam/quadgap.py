@@ -33,11 +33,8 @@ from .circle import (
     _over,
     _set_period,
     arc_length,
-    contains,
     format_angle,
     parse_angle,
-    preimages,
-    sigma,
 )
 
 THIRD = Fraction(1, 3)
@@ -98,34 +95,28 @@ class CriticalClass:
         return out
 
 
-def _short_side(c: Chord) -> Tuple[Fraction, Fraction]:
-    """Endpoints (s, t) of the critical chord with (s, t) the positively
-    oriented arc of length 1/3."""
-    if (c.b - c.a) % 1 == THIRD:
-        return c.a, c.b
-    return c.b, c.a
+def _critical_nums(c: Chord) -> Tuple[int, int, int]:
+    """(M, s, t): M the lcm of c's denominators and (s, t) the short side of
+    c, the positively oriented arc of length 1/3, as numerators over M.
+    Raises ValueError when c is not critical."""
+    if not is_critical(3, c):
+        raise ValueError(f"{c} is not a critical chord of the tripling map")
+    M = lcm(c.a.denominator, c.b.denominator)
+    a, b = _over(M, c.a), _over(M, c.b)
+    return (M, a, b) if (b - a) % M == M // 3 else (M, b, a)
 
 
-def big_arc(c: Chord) -> Arc:
-    """L(c): the open arc of length 2/3 on the far side of c."""
-    s, t = _short_side(c)
-    return Arc(t, s)
+def _major_ends(M: int, s: int, t: int, n: int) -> Tuple[int, int, int]:
+    """(q, z, y), q = 3^n - 1: z/q is the last sigma^n-fixed point strictly
+    before s/M and y/q the first one strictly past t/M."""
+    q = 3 ** n - 1
+    return q, (-(-s * q // M) - 1) % q, (t * q // M + 1) % q
 
 
 def _arc_over(M: int, arc: Arc) -> Tuple[int, int]:
     """The start and length of an arc as numerators over M."""
     a = _over(M, arc.start)
     return a, (_over(M, arc.end) - a) % M
-
-
-def _nearest_fixed(point: Fraction, n: int, direction: int) -> Fraction:
-    """The sigma_3^n-fixed point closest to `point` in the given direction
-    (+1 positive, -1 negative), excluding `point` itself: the next multiple
-    of 1/(3^n - 1) strictly past `point`."""
-    q = 3 ** n - 1
-    num, den = point.numerator * q, point.denominator
-    j = num // den + 1 if direction > 0 else -(-num // den) - 1
-    return Fraction(j % q, q)
 
 
 def _leaf_period(d: int, c: Chord) -> Optional[int]:
@@ -143,49 +134,44 @@ def caterpillar_head(c: Chord) -> Tuple[Chord, Fraction, int, int]:
     Returns (head, periodic_endpoint, period, direction) where direction is
     +1 if the chain walks positively from the non-periodic endpoint.
     """
-    s, t = _short_side(c)
-    k_s, k_t = (_set_period(3, x.denominator, (x.numerator,)) for x in (s, t))
+    M, s, t = _critical_nums(c)
+    k_s, k_t = (_set_period(3, M, (x,)) for x in (s, t))
     if k_s is None and k_t is None:
         raise ValueError("caterpillar construction needs a periodic endpoint")
     if k_s is not None:
         y, y_other, k, direction = s, t, k_s, +1
     else:
         y, y_other, k, direction = t, s, k_t, -1
-    # The chain hole behind the m-th leaf has length 3^(-mk-1); summing the
-    # geometric series locates the sigma^k-fixed accumulation point.
-    z = (y_other + direction * Fraction(1, 3 * (3 ** k - 1))) % 1
+    # The chain hole behind the m-th leaf has length 3^(-mk-1); summing the geometric
+    # series gives the accumulation point y_other + direction / Q, here over M * Q.
+    Q = 3 * (3 ** k - 1)
+    y, z = Fraction(y, M), Fraction((y_other * Q + direction * M) % (M * Q), M * Q)
     return Chord(y, z), y, k, direction
 
 
 def classify_critical(c: Chord) -> CriticalClass:
-    if not is_critical(3, c):
-        raise ValueError(f"{c} is not a critical chord of the tripling map")
-    s, t = _short_side(c)
-    L = big_arc(c)
-    # the orbit of sigma(c) on numerators over M; the closure of L(c) is the
-    # closed arc from t to s
-    M = lcm(s.denominator, t.denominator)
-    s_num, t_num = _over(M, s), _over(M, t)
-    span = (s_num - t_num) % M
-    orb, _ = _orbit_walk(3, 3 * _over(M, c.a) % M, M)
+    """The class of a critical chord, found on numerators over the lcm of
+    its denominators; the closure of L(c) is the closed arc from t to s."""
+    M, s, t = _critical_nums(c)
+    span = (s - t) % M
+    orb, _ = _orbit_walk(3, 3 * s % M, M)
 
-    escape = None
-    hits_boundary = False
+    escape, hits_boundary = None, False
     for i, x in enumerate(orb):
-        if (x - t_num) % M > span:
+        if (x - t) % M > span:
             escape = i
             break
-        if x == s_num or x == t_num:
+        if x == s or x == t:
             hits_boundary = True
 
     if escape is not None:
         n_c = escape + 1  # sigma^n(c) = orb[n-1]
-        y = _nearest_fixed(t, n_c, +1)
-        z = _nearest_fixed(s, n_c, -1)
-        if not (contains(L, y) and contains(L, z)):
+        q, z, y = _major_ends(M, s, t, n_c)
+        # both ends lie in the open arc L(c) = (t, s), over q * M
+        if not all(0 < (v * M - t * q) % (q * M) < span * q for v in (y, z)):
             raise AssertionError("major endpoints escaped L(c)")
-        major = Chord(y, z)
-        if _leaf_period(3, major) != n_c:
+        major = Chord(Fraction(y, q), Fraction(z, q))
+        if _set_period(3, q, (y, z)) != n_c:
             raise AssertionError(f"major {major} does not have period {n_c}")
         return CriticalClass(tag="PeriodicType", major=major, major_period=n_c)
 
@@ -260,73 +246,76 @@ class GapGen(QuadraticGap):
         b = _over(M, self.hole.end)
         return [int((v - b) % M >= M // 3) for v in orb]
 
+    def _edges_over(self, depth: int) -> Tuple[int, List[Tuple[int, int]]]:
+        """(M, edges): the major orbit, then its preimages level by level down
+        to `depth`, each edge as its hole's start and length over M, 3^depth
+        times the lcm of the hole's denominators, where the preimages
+        x // 3 + k * M / 3 stay exact."""
+        M = 3 ** depth * lcm(self.hole.start.denominator, self.hole.end.denominator)
+        A, H = _arc_over(M, self.hole)
+        a, b, h = A, (A + H) % M, H
+        out = [(a, h)]
+        for i in range(1, self.period or 1):
+            a, b = 3 * a % M, 3 * b % M
+            h = 3 * h - M if i == 1 else 3 * h
+            if (b - a) % M != h:
+                raise AssertionError(f"edge hole {Arc(Fraction(a, M), Fraction(b, M))} "
+                                     f"does not have length {Fraction(h, M)}")
+            out.append((a, h))
+        seen = {(min(a, b), max(a, b)) for a, h in out for b in [(a + h) % M]}
+        frontier = list(out)
+        for _ in range(depth):
+            nxt = []
+            for x, h in frontier:
+                h //= 3
+                for p in range(x // 3, M, M // 3):
+                    q = (p + h) % M
+                    key = (p, q) if p <= q else (q, p)
+                    if 0 < (p - A) % M < H or 0 < (q - A) % M < H or key in seen:
+                        continue
+                    seen.add(key)
+                    nxt.append((p, h))
+            out += nxt
+            frontier = nxt
+        return M, out
+
     def base_edges(self) -> List[Tuple[Chord, Arc]]:
         """The major orbit with its holes (a single critical edge for a
         regular-critical gap)."""
-        out = [(self.major, self.hole)]
-        a, b = self.hole.start, self.hole.end
-        h = self.hole_length
-        for i in range(1, self.period or 1):
-            a, b = sigma(3, a), sigma(3, b)
-            h = 3 * h - 1 if i == 1 else 3 * h
-            edge_hole = Arc(a, b)
-            if arc_length(edge_hole) != h:
-                raise AssertionError(f"edge hole {edge_hole} does not have length {h}")
-            out.append((Chord(a, b), edge_hole))
-        return out
+        return self.edge_holes(0)
 
     def edge_holes(self, depth: int) -> List[Tuple[Chord, Arc]]:
         """All edges up to `depth` pullback levels of the major orbit, with
-        their holes.  Every edge is an iterated preimage of the major."""
-        frontier = self.base_edges()
-        seen = {e for e, _ in frontier}
-        out = list(frontier)
-        for _ in range(depth):
-            nxt = []
-            for _, hole in frontier:
-                hlen = arc_length(hole) / 3
-                for p in preimages(3, hole.start):
-                    q = (p + hlen) % 1
-                    if contains(self.hole, p) or contains(self.hole, q):
-                        continue
-                    e = Chord(p, q)
-                    if e in seen:
-                        continue
-                    seen.add(e)
-                    nxt.append((e, Arc(p, q)))
-            out.extend(nxt)
-            frontier = nxt
-        return out
+        their holes."""
+        M, edges = self._edges_over(depth)
+        return [(Chord(p, q), Arc(p, q))
+                for a, h in edges for p, q in [(Fraction(a, M), Fraction((a + h) % M, M))]]
 
     def edge_chords(self, depth: int) -> List[Chord]:
         return [e for e, _ in self.edge_holes(depth)]
 
     def vertices(self, depth: int) -> List[Fraction]:
         """Edge endpoints plus every periodic basis point of period <= depth
-        (the gap basis is a Cantor set; periodic points fill it in).  The
-        scan of the j/(3^p - 1), p <= depth, is held against _POINT_BUDGET
-        first and raises LeafBudgetError past it."""
+        (the gap basis is a Cantor set; periodic points fill it in), all over
+        one D.  The scan of the j/(3^p - 1), p <= depth, is held against
+        _POINT_BUDGET first and raises LeafBudgetError past it."""
         _hold_budget(depth, lambda n: (3 ** (n + 1) - 3) // 2 - n, _POINT_BUDGET,
                      "scan", "points", "point")
-        pts = set()
-        for e, _ in self.edge_holes(depth):
-            pts.add(e.a)
-            pts.add(e.b)
+        M, edges = self._edges_over(depth)
+        qs = [3 ** p - 1 for p in range(1, depth + 1)]
+        D = lcm(M, *qs, self.critical.a.denominator if self.critical else 1)
+        pts = {v * (D // M) for a, h in edges for v in (a, (a + h) % M)}
         if self.critical is not None:
             # one walk of the critical orbit: its point i stays in the basis
             # iff no point from index min(i, start) on lies in the hole
-            c, hole = self.critical.a, self.hole
-            M = lcm(c.denominator, hole.start.denominator, hole.end.denominator)
-            orb, start = _orbit_walk(3, 3 * _over(M, c) % M, M)
-            last_hit = max((i for i, hit in enumerate(self._hits(orb, M)) if hit),
+            orb, start = _orbit_walk(3, 3 * _over(D, self.critical.a) % D, D)
+            last_hit = max((i for i, hit in enumerate(self._hits(orb, D)) if hit),
                            default=-1)
             if start > last_hit:
-                pts.update(Fraction(v, M) for v in orb[last_hit + 1:])
-        for p in range(1, depth + 1):
-            q = 3 ** p - 1
-            pts.update(Fraction(j, q) for j in range(q)
-                       if self._basis_orbit(j, q) is not None)
-        return sorted(pts)
+                pts.update(orb[last_hit + 1:])
+        for q in qs:
+            pts.update(j * (D // q) for j in range(q) if self._basis_orbit(j, q) is not None)
+        return [Fraction(v, D) for v in sorted(pts)]
 
 
 class _Fields(dict):
@@ -360,14 +349,14 @@ def build_gap(c: Chord, depth: int = 6) -> Tuple[GapGen, List[Fraction]]:
     cls = classify_critical(c)
     if cls.tag == "Caterpillar":
         raise ValueError("caterpillar critical chords do not span a plain quadratic gap")
-    s, t = _short_side(c)
+    M, s, t = _critical_nums(c)
     if cls.tag == "RegularCritical":
-        gap = GapGen(kind="regular-critical", hole=Arc(s, t), critical=c)
+        gap = GapGen(kind="regular-critical", hole=Arc(Fraction(s, M), Fraction(t, M)),
+                     critical=c)
     else:
-        n = cls.n_c  # the hole joins classify_critical's major ends around (s, t)
-        gap = GapGen(kind="periodic-type",
-                     hole=Arc(_nearest_fixed(s, n, -1), _nearest_fixed(t, n, +1)),
-                     period=n, critical=c)
+        q, z, y = _major_ends(M, s, t, cls.n_c)
+        gap = GapGen(kind="periodic-type", hole=Arc(Fraction(z, q), Fraction(y, q)),
+                     period=cls.n_c, critical=c)
     return gap, gap.vertices(depth)
 
 
@@ -472,7 +461,6 @@ class VassalGap(QuadraticGap):
         """psi's bits: 0 on the arc at a, 1 on the arc at b."""
         a, h = _arc_over(M, self.hole)
         return [int((v - a) % M > h - M // 3) for v in orb]
-
 
 
 def vassal(U: GapGen) -> VassalGap:

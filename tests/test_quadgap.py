@@ -26,17 +26,16 @@ from trilam.quadgap import (
     VassalGap,
     _POINT_BUDGET,
     _leaf_period,
-    _nearest_fixed,
-    _short_side,
     above_diameter,
     below_diameter,
-    big_arc,
     build_gap,
     caterpillar_head,
     classify_critical,
     psi,
     vassal,
 )
+
+from quadgap_oracle import _nearest_fixed, _short_side, big_arc
 
 # the two invariant quadratic gaps split by the diameter 0-1/2
 FGB = below_diameter()          # basis in [1/2, 1], hole (0, 1/2)

@@ -65,7 +65,14 @@ def test_depth_probe_past_the_leaf_budget_is_usage_error():
     ("smp_survey.py", ("--max-q", "3", "--depth", "20"),
      "depth 20 may build up to 20920706404 leaves, over the leaf budget of 5000000"),
     ("smp_survey.py", ("--max-q", "3", "--depth", "-1"), "depth must be >= 0, got -1"),
-], ids=["gallery-20", "gallery-negative", "survey-20", "survey-negative"])
+    # the diameter and regular-critical recipes fit at depth 13 and come
+    # first, as do the one-seed sets with q = 2; nothing is built or written
+    ("gap_gallery.py", ("--depth", "13"),
+     "depth 13 may build up to 7174452 leaves, over the leaf budget of 5000000"),
+    ("smp_survey.py", ("--max-q", "3", "--orbits", "1", "--depth", "13"),
+     "depth 13 may build up to 7174452 leaves, over the leaf budget of 5000000"),
+], ids=["gallery-20", "gallery-negative", "survey-20", "survey-negative", "gallery-13",
+        "survey-13"])
 def test_building_scripts_report_a_bad_depth_in_one_line(tmp_path, script, args, err):
     out_dir = tmp_path / "gallery"
     if script == "gap_gallery.py":
