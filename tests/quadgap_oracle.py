@@ -7,7 +7,8 @@ nearest sigma^n-fixed points and each edge's hole are `Fraction` and `Arc`
 values, the critical polygon of a quadratic gap is found by a search over
 j/(3^m - 1) with a Fraction basis test and orbit per candidate, and the
 polygon of an attached gap reads the rotation and the hole lengths from
-`classify_rotational` and `holes` for each gap.  The trilam functions of
+`classify_rotational` and `holes` for each gap; criticality compares two
+`sigma` images.  The trilam functions of
 the same names must give the same values, and the same exception types
 and messages.
 """
@@ -17,7 +18,7 @@ from itertools import count
 from math import lcm
 from typing import List, Sequence, Tuple
 
-from trilam.chords import Chord, is_critical
+from trilam.chords import Chord
 from trilam.circle import (
     Arc, _orbit_walk, _over, _set_period, arc_length, contains, orbit, preimages, sigma,
 )
@@ -26,6 +27,12 @@ from trilam.lamsets import LamSet, classify_rotational, holes
 from trilam.quadgap import CriticalClass, GapGen, _leaf_period
 
 THIRD = Fraction(1, 3)
+
+
+def is_critical(d: int, c: Chord) -> bool:
+    if c.degenerate:
+        raise ValueError("criticality is undefined for a degenerate chord")
+    return sigma(d, c.a) == sigma(d, c.b)
 
 
 def _short_side(c: Chord) -> Tuple[Fraction, Fraction]:
@@ -209,6 +216,6 @@ def rotational_setup(G: LamSet):
     d = G.degree_d
     cycle = [AttachedGap(G, i) for i in range(len(holes(G)))]
     seeds = sorted({e for e, _ in holes(G)})
-    portrait = [(s.a, s.b) for s in seeds if sigma(d, s.a) == sigma(d, s.b)]
+    portrait = [(s.a, s.b) for s in seeds if is_critical(d, s)]
     portrait += [_attached_polygon(g) for g in cycle if is_attached_critical(g)]
     return seeds, cycle, portrait

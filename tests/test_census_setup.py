@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import quadgap_oracle as oracle
-from trilam.chords import Chord
+from trilam.chords import Chord, is_critical
 from trilam.circle import Arc
 from trilam.lamination import (
     _critical_portrait, _gap_polygon, attached_cycle, canonical_diameter,
@@ -56,6 +56,8 @@ def _outcome(fn, *args):
 @example(Chord(F(1, 7), F(1, 7)))          # degenerate
 @example(Chord(F(0), F(1, 2)))             # not critical
 def test_classify_and_build_gap_match_the_fraction_oracle(c):
+    for d in (2, 3, 4):
+        assert _outcome(is_critical, d, c) == _outcome(oracle.is_critical, d, c)
     assert _outcome(classify_critical, c) == _outcome(oracle.classify_critical, c)
     for depth in range(3):
         got, want = _outcome(build_gap, c, depth), _outcome(oracle.build_gap, c, depth)
