@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Build, check and write one golden lamination at a given depth.
+"""Build, check, write and read back one golden lamination at a given depth.
 
-In one process, builds the named recipe, runs `check_invariance` on it and
-formats it with `dumps`, timing each step.  Prints the seconds of each
-step, the process's peak resident memory (ru_maxrss) after each, the leaf
-count, whether the check passed, and the sha256 of the written text:
+In one process, builds the named recipe, runs `check_invariance` on it,
+formats it with `dumps` and reads the text back with `loads`, timing each
+step.  Prints the seconds of each step, the process's peak resident memory
+(ru_maxrss) after each, the leaf count, whether the check passed, the
+seconds of build, check and dumps together, the sha256 of the written text,
+and whether `loads` gave back the same lamination:
 
     PYTHONPATH=src python3 scripts/depth_probe.py fingap1 --depth 10
 
@@ -18,7 +20,7 @@ import sys
 import time
 
 from gap_gallery import GALLERY  # the golden suite, by name
-from trilam.lamination import check_invariance, dumps
+from trilam.lamination import check_invariance, dumps, loads
 
 RECIPES = dict(GALLERY)
 
@@ -49,6 +51,12 @@ def main() -> int:
     text = dumps(L)
     t3 = time.perf_counter()
     rss_dumps = _rss_mb()
+    M = loads(text)
+    t4 = time.perf_counter()
+    rss_loads = _rss_mb()
+    same = (M.d, M.depth, M.recipe, M.registry_complete, M.leaves) == \
+        (L.d, L.depth, L.recipe, L.registry_complete, L.leaves) and \
+        [g.serialize() for g in M.gaps] == [g.serialize() for g in L.gaps]
 
     print(f"recipe: {args.recipe} depth={args.depth}")
     print(f"leaves: {len(L.leaves)}")
@@ -58,6 +66,8 @@ def main() -> int:
     print(f"dumps_s: {t3 - t2:.3f} rss_mb: {rss_dumps:.1f}")
     print(f"total_s: {t3 - t0:.3f}")
     print(f"dumps_sha256: {hashlib.sha256(text.encode()).hexdigest()}")
+    print(f"loads_s: {t4 - t3:.3f} rss_mb: {rss_loads:.1f}")
+    print(f"loads_equal: {str(same).lower()}")
     return 0
 
 

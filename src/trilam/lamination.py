@@ -12,6 +12,7 @@ classifier read it.  Invariance is checked leaf by leaf.
 
 from __future__ import annotations
 
+import re
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, compress, count, islice, repeat
 from math import gcd, lcm
-from operator import eq
+from operator import add, eq, itemgetter, le, lt, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .chords import Chord, format_chord, is_critical, parse_chord
@@ -157,16 +158,20 @@ class Leaves(Mapping):
         self.N, self.packed, self.levels = 1, array("q"), array("q")
 
     @classmethod
+    def _from_sorted(cls, N: int, keys: List[int], levels: List[int]) -> "Leaves":
+        """The store over N of packed keys a * N + b, 0 <= a <= b < N, that
+        are already strictly ascending, with the level of each."""
+        store = cls.__new__(cls)
+        store.N, store.packed, store.levels = N, _column(keys), _column(levels)
+        return store
+
+    @classmethod
     def _from_packed(cls, N: int, packed: Dict[int, int]) -> "Leaves":
         """The store over N of a packed key -> level dict, whose keys must
         already be a * N + b with 0 <= a <= b < N: one sort of the keys and
         one gather of their levels, both in C."""
-        store = cls.__new__(cls)
         keys = sorted(packed)
-        store.N = N
-        store.levels = _column(list(map(packed.__getitem__, keys)))
-        store.packed = _column(keys)
-        return store
+        return cls._from_sorted(N, keys, list(map(packed.__getitem__, keys)))
 
     @classmethod
     def from_pairs(cls, N: int, pairs: Mapping[Tuple[int, int], int]) -> "Leaves":
@@ -1049,14 +1054,107 @@ def _integer(text: str, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {text!r}") from None
 
 
+# One [leaves] line as `dumps` writes it, "p[/q]-p[/q] level\n" in ASCII
+# digits; the groups are p, q, p, q and the level, and a missing q reads as 1.
+_CANONICAL_LEAF = re.compile(
+    r"^([0-9]+)(?:/([0-9]+))?-([0-9]+)(?:/([0-9]+))? ([0-9]+)\n", re.M)
+_CHUNK = 1 << 18  # characters of the [leaves] block tokenised at once
+_PA, _QA, _PB, _QB, _LEVEL = map(itemgetter, range(5))
+
+
+def _canonical_leaves(text: str, start: int, end: int, depth: int) -> Optional[Leaves]:
+    """The store of the [leaves] block text[start:end] if it is exactly what
+    `dumps` writes: every line canonical, each level in 0..depth, each angle
+    p/q reduced with p < q, each leaf a <= b, the leaves strictly ascending.
+    Otherwise None.
+
+    A chunk of lines at a time is tokenised by one regex findall, which
+    matches every line iff it matches as many times as there are lines, and
+    turned into integer columns at once, so its strings are freed; each
+    denominator text is kept once.  M is the lcm of those texts, and every
+    later step maps a C function over whole columns, so no bytecode runs
+    per leaf."""
+    pa, qa, pb, qb, levels = [], [], [], [], []
+    texts: Dict[str, str] = {}
+    level_of = {str(lvl): lvl for lvl in range(depth + 1)}  # None for any other text
+    try:
+        while start < end:
+            stop = text.find("\n", min(start + _CHUNK, end - 1)) + 1
+            rows = _CANONICAL_LEAF.findall(text, start, stop)
+            if len(rows) != text.count("\n", start, stop):
+                return None
+            pa += map(int, map(_PA, rows))
+            pb += map(int, map(_PB, rows))
+            levels += map(level_of.get, map(_LEVEL, rows))
+            qa += map(texts.setdefault, map(_QA, rows), map(_QA, rows))
+            qb += map(texts.setdefault, map(_QB, rows), map(_QB, rows))
+            start = stop
+        q = {t: int(t or 1) for t in texts}
+    except ValueError:  # a number of more digits than int() reads
+        return None
+    if None in levels or 0 in q.values():
+        return None
+    M = lcm(*q.values())
+    scale = {t: M // qt for t, qt in q.items()}
+    a = list(map(mul, pa, map(scale.__getitem__, qa)))
+    b = list(map(mul, pb, map(scale.__getitem__, qb)))
+    keys = list(map(add, map(mul, a, repeat(M)), b))
+    # gcd 1: N = M, as reduced angles give; then a <= b < M is a valid pair
+    if gcd(M, *a, *b) > 1 or max(b, default=0) >= M or not all(map(le, a, b)) \
+            or not all(map(lt, keys, islice(keys, 1, None))):
+        return None
+    return Leaves._from_sorted(M, keys, levels)
+
+
 def loads(text: str) -> Lamination:
     """Read the .lam format that `dumps` writes.  Malformed text raises
-    LamFormatError.  The leaves are read as integers over N, the lcm of the
-    reduced denominators: each distinct angle is read once as p/q, not
-    reduced; after the last leaf, N = M // gcd(M, each numerator over M),
-    where M is the lcm of the q."""
-    numbered = ((no, ln) for no, ln in enumerate(map(str.strip, text.splitlines()), 1)
-                if ln)
+    LamFormatError, whose message names the line.  The leaves are read as
+    integers over N, the lcm of the reduced denominators.
+
+    There are two paths, chosen by what the text holds.  A [leaves] block
+    that a "[gaps]" line closes and that is exactly what `dumps` writes
+    (reduced "p/q-p/q level" lines with ASCII digits and one space, in
+    ascending order) is read in bulk by `_canonical_leaves`, and the header
+    and gap lines around it one by one.  Any other block is read line by
+    line by `_read_lines`, the one reader of other spellings and of faulty
+    leaf lines, so every error keeps its message and line number."""
+    start = text.find("\n[leaves]\n") + len("\n[leaves]\n")
+    end = text.find("\n[gaps]\n", start - 1) + 1
+    if start > len("\n[leaves]") and end:
+        L = _read_lines(text[:start])  # the header lines, as the whole text has them
+        leaves = _canonical_leaves(text, start, end, L.depth)
+        if leaves is not None:
+            after_gaps = len(text[:start].splitlines()) + text.count("\n", start, end) + 2
+            gaps = _read_gaps(_numbered(text[end + len("[gaps]\n"):], after_gaps), L.d)
+            return replace(L, leaves=leaves, gaps=gaps)
+    return _read_lines(text)
+
+
+def _numbered(text: str, first: int = 1) -> Iterator[Tuple[int, str]]:
+    """The non-blank lines of text, stripped, numbered from `first`."""
+    return ((no, ln) for no, ln in enumerate(map(str.strip, text.splitlines()), first)
+            if ln)
+
+
+def _read_gaps(numbered: Iterator[Tuple[int, str]], d: int) -> List[object]:
+    """The regions of the [gaps] lines of a degree-d file, in file order."""
+    gaps: List[object] = []
+    for no, line in numbered:
+        name_spec = line.split(None, 1)
+        try:
+            if len(name_spec) < 2:
+                raise ValueError("gap line without a spec")
+            gaps.append(_parse_region(name_spec[1], d))
+        except ValueError as exc:
+            raise LamFormatError(f"line {no}: {exc}") from None
+    return gaps
+
+
+def _read_lines(text: str) -> Lamination:
+    """`loads` one line at a time.  Each distinct angle text is read once
+    as p/q, not reduced; after the last leaf, N = M // gcd(M, each
+    numerator over M), where M is the lcm of the q."""
+    numbered = _numbered(text)
     no, line = next(numbered, (1, ""))
     try:
         if not line:
@@ -1092,14 +1190,9 @@ def loads(text: str) -> Lamination:
             if not 0 <= level <= depth:
                 raise ValueError(f"level {level} is outside 0..{depth}")
             rows.append((ta, tb, level))
-        gaps: List[object] = []
-        for no, line in numbered:
-            name_spec = line.split(None, 1)
-            if len(name_spec) < 2:
-                raise ValueError("gap line without a spec")
-            gaps.append(_parse_region(name_spec[1], d))
     except ValueError as exc:
         raise LamFormatError(f"line {no}: {exc}") from None
+    gaps = _read_gaps(numbered, d)
     M = lcm(*(q for _, q in angles.values()))
     over_m = [p * (M // q) for p, q in angles.values()]
     g = gcd(M, *over_m)

@@ -172,7 +172,6 @@ def enumerate_rotational(d: int, rho: Fraction, max_orbits: int = 2) -> List[Lam
     rho = Fraction(rho)
     if not (0 < rho < 1):
         raise ValueError("rotation number must lie in (0, 1)")
-    q = rho.denominator
     if max_orbits not in (1, 2):
         raise ValueError("max_orbits must be 1 or 2")
     singles = _cycles_with_rotation(d, rho)
@@ -180,11 +179,8 @@ def enumerate_rotational(d: int, rho: Fraction, max_orbits: int = 2) -> List[Lam
     if max_orbits == 2:
         for i in range(len(singles)):
             for j in range(i + 1, len(singles)):
-                union = LamSet(
-                    singles[i].vertices + singles[j].vertices, d
-                )
-                if len(union) != 2 * q:
-                    continue
+                # two distinct cycles are disjoint, so the union has 2q vertices
+                union = LamSet(singles[i].vertices + singles[j].vertices, d)
                 rep = classify_rotational(union)
                 if rep.is_rotational and rep.rotation_number == rho \
                         and rep.orbit_count == 2 and _alternates(union, singles[i]):

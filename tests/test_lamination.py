@@ -1379,3 +1379,124 @@ def test_loads_matches_one_pass_oracle_on_well_formed_texts(text):
 @given(_mutated_lam())
 def test_loads_matches_one_pass_oracle_on_mutated_texts(text):
     assert _read_with(loads, text) == _read_with(oracle_loads, text)
+
+
+_CANONICAL_EDITS = ["level above depth", "q of 0", "unreduced", "p >= q", "reversed",
+                    "duplicate", "out of order", "point leaf", "non-ASCII digit", "CRLF",
+                    "no [gaps]", "bad gap line", "blank line", "no trailing newline"]
+
+
+@st.composite
+def _canonical_texts(draw):
+    """`dumps` output of a drawn lamination, at times with registered gap
+    lines, and with 0-2 edits that keep it looking canonical: most of them
+    leave the bulk path's spelling, a few only its order or reduction."""
+    L = draw(_laminations())
+    lines = dumps(L).split("\n")  # ends in "", for the final newline
+    gap_lines = draw(st.lists(st.sampled_from(_GAP_LINES[L.d]), max_size=2))
+    lines[-1:] = gap_lines + [""]
+    trailing_newline = True
+    edits = draw(st.lists(st.sampled_from(_CANONICAL_EDITS), max_size=2))
+    for kind in sorted(edits, key=_CANONICAL_EDITS.index):  # leaf lines first
+        gaps_at = lines.index("[gaps]") if "[gaps]" in lines else len(lines) - 1
+        if kind == "no trailing newline":
+            trailing_newline = False
+            continue
+        if kind == "no [gaps]":
+            lines[gaps_at:] = [""]
+            continue
+        if kind in ("bad gap line", "blank line"):
+            lines.insert(draw(st.integers(0, len(lines) - 1)) if kind == "blank line"
+                         else len(lines) - 1, "" if kind == "blank line" else "G9 kind=x")
+            continue
+        if gaps_at == 3:  # no leaves: edit a new one
+            lines.insert(3, "1/3-2/3 0")
+            gaps_at += 1
+        i = draw(st.integers(3, gaps_at - 1))
+        chord, level = lines[i].split(" ", 1)
+        ta, tb = chord.split("-", 1)
+        p, _, q = ta.partition("/")
+        plain = (p + q).isascii() and p.isdigit() and (q == "" or q.isdigit())
+        k = draw(st.integers(1, 3))
+        if kind == "level above depth":
+            lines[i] = f"{chord} {L.depth + k}"
+        elif kind == "q of 0":
+            lines[i] = f"{ta}-{k}/0 {level}"
+        elif kind == "unreduced" and plain:
+            lines[i] = f"{int(p) * (k + 1)}/{int(q or 1) * (k + 1)}-{tb} {level}"
+        elif kind == "p >= q" and plain:
+            lines[i] = f"{int(p) + int(q or 1) * k}/{q or 1}-{tb} {level}"
+        elif kind == "reversed":
+            lines[i] = f"{tb}-{ta} {level}"
+        elif kind == "duplicate":
+            lines.insert(draw(st.integers(3, gaps_at)), f"{chord} {draw(st.integers(0, L.depth))}")
+        elif kind == "out of order":
+            j = draw(st.integers(3, gaps_at - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "point leaf":
+            lines[i] = f"{ta}-{ta} {level}"
+        elif kind == "non-ASCII digit":
+            digit = draw(st.sampled_from(sorted(set(filter(str.isdigit, lines[i])))))
+            lines[i] = lines[i].replace(digit, draw(st.sampled_from("٣²３")), 1)
+        elif kind == "CRLF":
+            lines[i] += "\r"
+    text = "\n".join(lines)
+    return text if trailing_newline else text.rstrip("\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_canonical_texts())
+def test_loads_matches_one_pass_oracle_on_canonical_texts(text):
+    assert _read_with(loads, text) == _read_with(oracle_loads, text)
+
+
+def test_loads_reads_dumps_output_in_bulk(monkeypatch):
+    # the line-by-line reader reads every angle with _angle_parts; the bulk
+    # path reads none, yet gives the same lamination, gaps included
+    L = canonical_of_rotational(FINGAP1, depth=3)
+    text = dumps(L)
+    assert "[gaps]\nG0 kind=finite" in text
+    want = _read_with(oracle_loads, text)
+
+    def no_angle_parts(t):
+        raise AssertionError(f"{t!r} read line by line")
+
+    monkeypatch.setattr("trilam.lamination._angle_parts", no_angle_parts)
+    assert _read_with(loads, text) == want
+    assert dumps(loads(text)) == text
+    # other spellings still go line by line
+    for other in (text.replace("\n", "\r\n"), text.replace("\n7/26-", "\n 7/26-")):
+        with pytest.raises(AssertionError, match="read line by line"):
+            loads(other)
+
+
+_TWO_LEAVES = "d=3 depth=1 recipe=x\nregistry=partial\n[leaves]\n1/3-2/3 0\n1/4-1/2 1\n[gaps]\n"
+
+
+_BAD_GAP = ("[gaps]\n", "[gaps]\n\nG0 kind=bogus\n")
+_TOO_LONG = ("line 4: Exceeds the limit (4300 digits) for integer string conversion: "
+             "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit")
+
+
+@pytest.mark.parametrize("edits, message", [
+    ([("1/2 1", "1/2 2")], "line 5: level 2 is outside 0..1"),
+    ([("1/2 1", "1/2 10")], "line 5: level 10 is outside 0..1"),
+    ([("1/3-", "1/0-")], "line 4: bad angle syntax: '1/0'"),
+    ([("1/3-", "1/3" + "0" * 5000 + "-")], _TOO_LONG),
+    ([("1/3-", "1" + "0" * 5000 + "/3-")], _TOO_LONG),
+    # a canonical block, read in bulk, then a faulty gap line: its number
+    # counts the blank lines and other line breaks above it
+    ([_BAD_GAP], "line 8: unknown gap kind 'bogus'"),
+    ([_BAD_GAP, ("d=3", "\r\n\x0c\nd=3")], "line 11: unknown gap kind 'bogus'"),
+    ([_BAD_GAP, ("registry=partial", "\r\n\nregistry=partial")],
+     "line 10: unknown gap kind 'bogus'"),
+    ([("[gaps]\n", "[gaps]\n\x85G0 kind=finite\n")], "line 8: missing field vertices="),
+])
+def test_loads_reports_canonical_looking_faults_by_line(edits, message):
+    text = _TWO_LEAVES
+    for old, new in edits:
+        text = text.replace(old, new)
+    with pytest.raises(LamFormatError) as info:
+        loads(text)
+    assert str(info.value) == message
+    assert _read_with(oracle_loads, text) == ("LamFormatError", message)

@@ -46,9 +46,11 @@ def test_depth_probe_runs():
     lines = proc.stdout.splitlines()
     assert lines[:3] == ["recipe: fingap1 depth=2", "leaves: 54", "check_ok: true"]
     assert [ln.split()[0] for ln in lines[3:]] == [
-        "build_s:", "check_s:", "dumps_s:", "total_s:", "dumps_sha256:"]
-    assert all(ln.split()[2] == "rss_mb:" for ln in lines[3:6])
-    assert len(lines[-1].split()[1]) == 64
+        "build_s:", "check_s:", "dumps_s:", "total_s:", "dumps_sha256:", "loads_s:",
+        "loads_equal:"]
+    assert all(lines[i].split()[2] == "rss_mb:" for i in (3, 4, 5, 8))
+    assert len(lines[7].split()[1]) == 64
+    assert lines[9] == "loads_equal: true"
 
 
 def test_depth_probe_past_the_leaf_budget_is_usage_error():
