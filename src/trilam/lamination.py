@@ -1056,9 +1056,10 @@ def _integer(text: str, name: str) -> int:
 
 # One [leaves] line as `dumps` writes it, "p[/q]-p[/q] level\n" in ASCII
 # digits; the groups are p, q, p, q and the level, and a missing q reads as 1.
+# Possessive, since no digit run or "/q" need ever be given back.
 _CANONICAL_LEAF = re.compile(
-    r"^([0-9]+)(?:/([0-9]+))?-([0-9]+)(?:/([0-9]+))? ([0-9]+)\n", re.M)
-_CHUNK = 1 << 18  # characters of the [leaves] block tokenised at once
+    r"^([0-9]++)(?:/([0-9]++))?+-([0-9]++)(?:/([0-9]++))?+ ([0-9]++)\n", re.M)
+_CHUNK = 1 << 16  # characters of the [leaves] block tokenised at once
 _PA, _QA, _PB, _QB, _LEVEL = map(itemgetter, range(5))
 
 
@@ -1074,7 +1075,7 @@ def _canonical_leaves(text: str, start: int, end: int, depth: int) -> Optional[L
     denominator text is kept once.  M is the lcm of those texts, and every
     later step maps a C function over whole columns, so no bytecode runs
     per leaf."""
-    pa, qa, pb, qb, levels = [], [], [], [], []
+    a, qa, b, qb, levels = [], [], [], [], []  # each end's p and q text; the level
     texts: Dict[str, str] = {}
     level_of = {str(lvl): lvl for lvl in range(depth + 1)}  # None for any other text
     try:
@@ -1083,8 +1084,8 @@ def _canonical_leaves(text: str, start: int, end: int, depth: int) -> Optional[L
             rows = _CANONICAL_LEAF.findall(text, start, stop)
             if len(rows) != text.count("\n", start, stop):
                 return None
-            pa += map(int, map(_PA, rows))
-            pb += map(int, map(_PB, rows))
+            a += map(int, map(_PA, rows))
+            b += map(int, map(_PB, rows))
             levels += map(level_of.get, map(_LEVEL, rows))
             qa += map(texts.setdefault, map(_QA, rows), map(_QA, rows))
             qb += map(texts.setdefault, map(_QB, rows), map(_QB, rows))
@@ -1096,8 +1097,8 @@ def _canonical_leaves(text: str, start: int, end: int, depth: int) -> Optional[L
         return None
     M = lcm(*q.values())
     scale = {t: M // qt for t, qt in q.items()}
-    a = list(map(mul, pa, map(scale.__getitem__, qa)))
-    b = list(map(mul, pb, map(scale.__getitem__, qb)))
+    a = list(map(mul, a, map(scale.__getitem__, qa)))  # each p over M
+    b = list(map(mul, b, map(scale.__getitem__, qb)))
     keys = list(map(add, map(mul, a, repeat(M)), b))
     # gcd 1: N = M, as reduced angles give; then a <= b < M is a valid pair
     if gcd(M, *a, *b) > 1 or max(b, default=0) >= M or not all(map(le, a, b)) \
@@ -1124,7 +1125,8 @@ def loads(text: str) -> Lamination:
         L = _read_lines(text[:start])  # the header lines, as the whole text has them
         leaves = _canonical_leaves(text, start, end, L.depth)
         if leaves is not None:
-            after_gaps = len(text[:start].splitlines()) + text.count("\n", start, end) + 2
+            # one line per leaf, then the [gaps] line
+            after_gaps = len(text[:start].splitlines()) + len(leaves) + 2
             gaps = _read_gaps(_numbered(text[end + len("[gaps]\n"):], after_gaps), L.d)
             return replace(L, leaves=leaves, gaps=gaps)
     return _read_lines(text)
