@@ -158,20 +158,24 @@ class Leaves(Mapping):
         self.N, self.packed, self.levels = 1, array("q"), array("q")
 
     @classmethod
+    def _from_packed(cls, N: int, packed: Dict[int, int]) -> "Leaves":
+        """The store over N of a packed key -> level dict, whose keys must
+        already be a * N + b with 0 <= a <= b < N: one sort of the keys and
+        one gather of their levels, both in C."""
+        store = cls.__new__(cls)
+        keys = sorted(packed)
+        store.N = N
+        store.levels = _column(list(map(packed.__getitem__, keys)))
+        store.packed = _column(keys)
+        return store
+
+    @classmethod
     def _from_sorted(cls, N: int, keys: List[int], levels: List[int]) -> "Leaves":
         """The store over N of packed keys a * N + b, 0 <= a <= b < N, that
         are already strictly ascending, with the level of each."""
         store = cls.__new__(cls)
         store.N, store.packed, store.levels = N, _column(keys), _column(levels)
         return store
-
-    @classmethod
-    def _from_packed(cls, N: int, packed: Dict[int, int]) -> "Leaves":
-        """The store over N of a packed key -> level dict, whose keys must
-        already be a * N + b with 0 <= a <= b < N: one sort of the keys and
-        one gather of their levels, both in C."""
-        keys = sorted(packed)
-        return cls._from_sorted(N, keys, list(map(packed.__getitem__, keys)))
 
     @classmethod
     def from_pairs(cls, N: int, pairs: Mapping[Tuple[int, int], int]) -> "Leaves":
