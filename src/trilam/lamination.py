@@ -1123,9 +1123,10 @@ def loads(text: str) -> Lamination:
     and gap lines around it one by one.  Any other block is read line by
     line by `_read_lines`, the one reader of other spellings and of faulty
     leaf lines, so every error keeps its message and line number."""
-    start = text.find("\n[leaves]\n") + len("\n[leaves]\n")
-    end = text.find("\n[gaps]\n", start - 1) + 1
-    if start > len("\n[leaves]") and end:
+    at = text.find("\n[leaves]\n")
+    end = text.find("\n[gaps]\n", at + len("\n[leaves]")) + 1
+    if at >= 0 and end:
+        start = at + len("\n[leaves]\n")
         L = _read_lines(text[:start])  # the header lines, as the whole text has them
         leaves = _canonical_leaves(text, start, end, L.depth)
         if leaves is not None:

@@ -7,7 +7,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trilam.chords import Chord, format_chord, image, linked, parse_chord
 from trilam.circle import (
@@ -1381,6 +1381,9 @@ def test_loads_matches_one_pass_oracle_on_mutated_texts(text):
     assert _read_with(loads, text) == _read_with(oracle_loads, text)
 
 
+_TWO_LEAVES = "d=3 depth=1 recipe=x\nregistry=partial\n[leaves]\n1/3-2/3 0\n1/4-1/2 1\n[gaps]\n"
+
+
 _CANONICAL_EDITS = ["level above depth", "q of 0", "unreduced", "p >= q", "reversed",
                     "duplicate", "out of order", "point leaf", "non-ASCII digit", "CRLF",
                     "no [gaps]", "bad gap line", "blank line", "no trailing newline"]
@@ -1414,18 +1417,19 @@ def _canonical_texts(draw):
             gaps_at += 1
         i = draw(st.integers(3, gaps_at - 1))
         chord, level = lines[i].split(" ", 1)
-        ta, tb = chord.split("-", 1)
-        p, _, q = ta.partition("/")
+        ends = chord.split("-", 1)
+        ta, tb = ends
+        e = draw(st.integers(0, 1))  # the end an angle edit changes
+        p, _, q = ends[e].partition("/")
         plain = (p + q).isascii() and p.isdigit() and (q == "" or q.isdigit())
         k = draw(st.integers(1, 3))
         if kind == "level above depth":
             lines[i] = f"{chord} {L.depth + k}"
-        elif kind == "q of 0":
-            lines[i] = f"{ta}-{k}/0 {level}"
-        elif kind == "unreduced" and plain:
-            lines[i] = f"{int(p) * (k + 1)}/{int(q or 1) * (k + 1)}-{tb} {level}"
-        elif kind == "p >= q" and plain:
-            lines[i] = f"{int(p) + int(q or 1) * k}/{q or 1}-{tb} {level}"
+        elif kind in ("q of 0", "unreduced", "p >= q") and plain:
+            ends[e] = {"q of 0": f"{k}/0",
+                       "unreduced": f"{int(p) * (k + 1)}/{int(q or 1) * (k + 1)}",
+                       "p >= q": f"{int(p) + int(q or 1) * k}/{q or 1}"}[kind]
+            lines[i] = f"{ends[0]}-{ends[1]} {level}"
         elif kind == "reversed":
             lines[i] = f"{tb}-{ta} {level}"
         elif kind == "duplicate":
@@ -1446,6 +1450,9 @@ def _canonical_texts(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_canonical_texts())
+@example(_TWO_LEAVES.replace("2/3 0", "5/3 0"))  # p >= q at the second end
+@example(_TWO_LEAVES.replace("1/2 1", "2/4 1"))  # unreduced at the second end
+@example(_TWO_LEAVES.replace("1/4-1/2", "1/2-1/4"))
 def test_loads_matches_one_pass_oracle_on_canonical_texts(text):
     assert _read_with(loads, text) == _read_with(oracle_loads, text)
 
@@ -1468,9 +1475,6 @@ def test_loads_reads_dumps_output_in_bulk(monkeypatch):
     for other in (text.replace("\n", "\r\n"), text.replace("\n7/26-", "\n 7/26-")):
         with pytest.raises(AssertionError, match="read line by line"):
             loads(other)
-
-
-_TWO_LEAVES = "d=3 depth=1 recipe=x\nregistry=partial\n[leaves]\n1/3-2/3 0\n1/4-1/2 1\n[gaps]\n"
 
 
 _BAD_GAP = ("[gaps]\n", "[gaps]\n\nG0 kind=bogus\n")
