@@ -1408,9 +1408,11 @@ def _canonical_texts(draw):
         if kind == "no [gaps]":
             lines[gaps_at:] = [""]
             continue
-        if kind in ("bad gap line", "blank line"):
-            lines.insert(draw(st.integers(0, len(lines) - 1)) if kind == "blank line"
-                         else len(lines) - 1, "" if kind == "blank line" else "G9 kind=x")
+        if kind == "bad gap line":
+            lines.insert(len(lines) - 1, "G9 kind=x")
+            continue
+        if kind == "blank line":
+            lines.insert(draw(st.integers(0, len(lines) - 1)), "")
             continue
         if gaps_at == 3:  # no leaves: edit a new one
             lines.insert(3, "1/3-2/3 0")
