@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, compress, count, islice, repeat
 from math import gcd, lcm
-from operator import add, eq, itemgetter, le, lt, mul
+from operator import add, eq, le, lt, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .chords import Chord, format_chord, is_critical, parse_chord
@@ -162,19 +162,17 @@ class Leaves(Mapping):
         """The store over N of a packed key -> level dict, whose keys must
         already be a * N + b with 0 <= a <= b < N: one sort of the keys and
         one gather of their levels, both in C."""
-        store = cls.__new__(cls)
         keys = sorted(packed)
-        store.N = N
-        store.levels = _column(list(map(packed.__getitem__, keys)))
-        store.packed = _column(keys)
-        return store
+        return cls._from_sorted(N, keys, list(map(packed.__getitem__, keys)))
 
     @classmethod
     def _from_sorted(cls, N: int, keys: List[int], levels: List[int]) -> "Leaves":
         """The store over N of packed keys a * N + b, 0 <= a <= b < N, that
         are already strictly ascending, with the level of each."""
         store = cls.__new__(cls)
-        store.N, store.packed, store.levels = N, _column(keys), _column(levels)
+        store.N, store.levels = N, _column(levels)
+        del levels  # a list built for this call is freed before the keys' array is
+        store.packed = _column(keys)
         return store
 
     @classmethod
@@ -1058,13 +1056,11 @@ def _integer(text: str, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {text!r}") from None
 
 
-# One [leaves] line as `dumps` writes it, "p[/q]-p[/q] level\n" in ASCII
-# digits; the groups are p, q, p, q and the level, and a missing q reads as 1.
-# Possessive, since no digit run or "/q" need ever be given back.
-_CANONICAL_LEAF = re.compile(
-    r"^([0-9]++)(?:/([0-9]++))?+-([0-9]++)(?:/([0-9]++))?+ ([0-9]++)\n", re.M)
-_CHUNK = 1 << 16  # characters of the [leaves] block tokenised at once
-_PA, _QA, _PB, _QB, _LEVEL = map(itemgetter, range(5))
+# A [leaves] block as `dumps` writes it: lines "p/q-p/q level\n" in ASCII
+# digits, where only the first end may be the angle 0, written "0".
+# Possessive, since no digit run need ever be given back.
+_CANONICAL_BLOCK = re.compile(r"(?:(?:0|[0-9]++/[0-9]++)-[0-9]++/[0-9]++ [0-9]++\n)*+")
+_CHUNK = 1 << 16  # characters of the [leaves] block split at once
 
 
 def _canonical_leaves(text: str, start: int, end: int, depth: int) -> Optional[Leaves]:
@@ -1073,31 +1069,34 @@ def _canonical_leaves(text: str, start: int, end: int, depth: int) -> Optional[L
     p/q reduced with p < q, each leaf a <= b, the leaves strictly ascending.
     Otherwise None.
 
-    A chunk of lines at a time is tokenised by one regex findall, which
-    matches every line iff it matches as many times as there are lines, and
-    turned into integer columns at once, so its strings are freed; each
-    denominator text is kept once.  M is the lcm of those texts, and every
-    later step maps a C function over whole columns, so no bytecode runs
-    per leaf."""
+    One regex fullmatch checks the spelling of the whole block.  Then a
+    chunk of lines at a time is split into five fields a line, p, q, p, q
+    and the level, and turned into columns at once, so its strings are
+    freed: the numerators and levels as integers (each distinct level text
+    read once), each denominator text kept once.  M is the lcm of those
+    texts, and every later step maps a C function over whole columns, so no
+    bytecode runs per leaf."""
+    if not _CANONICAL_BLOCK.fullmatch(text, start, end):
+        return None
     a, qa, b, qb, levels = [], [], [], [], []  # each end's p and q text; the level
     texts: Dict[str, str] = {}
-    level_of = {str(lvl): lvl for lvl in range(depth + 1)}  # None for any other text
     try:
         while start < end:
             stop = text.find("\n", min(start + _CHUNK, end - 1)) + 1
-            rows = _CANONICAL_LEAF.findall(text, start, stop)
-            if len(rows) != text.count("\n", start, stop):
-                return None
-            a += map(int, map(_PA, rows))
-            b += map(int, map(_PB, rows))
-            levels += map(level_of.get, map(_LEVEL, rows))
-            qa += map(texts.setdefault, map(_QA, rows), map(_QA, rows))
-            qb += map(texts.setdefault, map(_QB, rows), map(_QB, rows))
+            # from the newline before the chunk, so that a first end "0" reads as 0/1
+            f = text[start - 1:stop].replace("\n0-", "\n0/1-").replace("/", " ") \
+                .replace("-", " ").split()
+            a += map(int, f[0::5])
+            b += map(int, f[2::5])
+            qa += map(texts.setdefault, f[1::5], f[1::5])
+            qb += map(texts.setdefault, f[3::5], f[3::5])
+            level_texts = set(f[4::5])
+            levels += map(dict(zip(level_texts, map(int, level_texts))).__getitem__, f[4::5])
             start = stop
-        q = {t: int(t or 1) for t in texts}
+        q = {t: int(t) for t in texts}
     except ValueError:  # a number of more digits than int() reads
         return None
-    if None in levels or 0 in q.values():
+    if max(levels, default=0) > depth or 0 in q.values():
         return None
     M = lcm(*q.values())
     scale = {t: M // qt for t, qt in q.items()}

@@ -1,10 +1,13 @@
+import os
 import random
+import subprocess
 import sys
 from array import array
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -1455,24 +1458,43 @@ def _canonical_texts(draw):
 @example(_TWO_LEAVES.replace("2/3 0", "5/3 0"))  # p >= q at the second end
 @example(_TWO_LEAVES.replace("1/2 1", "2/4 1"))  # unreduced at the second end
 @example(_TWO_LEAVES.replace("1/4-1/2", "1/2-1/4"))
+@example(_TWO_LEAVES.replace("1/2 1", "1/2 01"))  # a level with a leading zero
+@example(_TWO_LEAVES.replace("1/3-2/3", "1/3-0"))  # the angle 0 at a second end
 def test_loads_matches_one_pass_oracle_on_canonical_texts(text):
     assert _read_with(loads, text) == _read_with(oracle_loads, text)
+
+
+@pytest.mark.parametrize("leaves", ["", "1/4-1/2 7\n1/3-2/3 0\n"], ids=["no-leaves", "bulk"])
+def test_loads_takes_no_memory_from_the_header_depth(leaves):
+    # a subprocess with a timeout and 1 GiB of address space: the depth in
+    # the header only bounds the levels, so reading a file with depth 10**12
+    # takes no time or memory that grows with it
+    text = f"d=3 depth=1000000000000 recipe=x\nregistry=partial\n[leaves]\n{leaves}[gaps]\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import resource, sys; "
+         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+         "from trilam.lamination import dumps, loads; "
+         "text = sys.stdin.read(); assert dumps(loads(text)) == text"],
+        input=text, capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")))
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_loads_reads_dumps_output_in_bulk(monkeypatch):
     # the line-by-line reader reads every angle with _angle_parts; the bulk
     # path reads none, yet gives the same lamination, gaps included
-    L = canonical_of_rotational(FINGAP1, depth=3)
-    text = dumps(L)
-    assert "[gaps]\nG0 kind=finite" in text
-    want = _read_with(oracle_loads, text)
+    text = dumps(canonical_of_rotational(FINGAP1, depth=3))
+    zero_text = dumps(canonical_diameter(depth=3))  # a leaf 0-1/2: the angle 0 has no "/q"
+    assert "[gaps]\nG0 kind=finite" in text and "\n0-1/2 0\n" in zero_text
+    wants = [_read_with(oracle_loads, t) for t in (text, zero_text)]
 
     def no_angle_parts(t):
         raise AssertionError(f"{t!r} read line by line")
 
     monkeypatch.setattr("trilam.lamination._angle_parts", no_angle_parts)
-    assert _read_with(loads, text) == want
-    assert dumps(loads(text)) == text
+    for t, want in zip((text, zero_text), wants):
+        assert _read_with(loads, t) == want
+        assert dumps(loads(t)) == t
     # other spellings still go line by line
     for other in (text.replace("\n", "\r\n"), text.replace("\n7/26-", "\n 7/26-")):
         with pytest.raises(AssertionError, match="read line by line"):
