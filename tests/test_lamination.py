@@ -1384,7 +1384,8 @@ def test_loads_matches_one_pass_oracle_on_mutated_texts(text):
     assert _read_with(loads, text) == _read_with(oracle_loads, text)
 
 
-_TWO_LEAVES = "d=3 depth=1 recipe=x\nregistry=partial\n[leaves]\n1/3-2/3 0\n1/4-1/2 1\n[gaps]\n"
+# what `dumps` writes, so that it is read in bulk
+_TWO_LEAVES = "d=3 depth=1 recipe=x\nregistry=partial\n[leaves]\n1/4-1/2 1\n1/3-2/3 0\n[gaps]\n"
 
 
 _CANONICAL_EDITS = ["level above depth", "q of 0", "unreduced", "p >= q", "reversed",
@@ -1502,14 +1503,14 @@ def test_loads_reads_dumps_output_in_bulk(monkeypatch):
 
 
 _BAD_GAP = ("[gaps]\n", "[gaps]\n\nG0 kind=bogus\n")
-_TOO_LONG = ("line 4: Exceeds the limit (4300 digits) for integer string conversion: "
+_TOO_LONG = ("line 5: Exceeds the limit (4300 digits) for integer string conversion: "
              "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit")
 
 
 @pytest.mark.parametrize("edits, message", [
-    ([("1/2 1", "1/2 2")], "line 5: level 2 is outside 0..1"),
-    ([("1/2 1", "1/2 10")], "line 5: level 10 is outside 0..1"),
-    ([("1/3-", "1/0-")], "line 4: bad angle syntax: '1/0'"),
+    ([("1/2 1", "1/2 2")], "line 4: level 2 is outside 0..1"),
+    ([("1/2 1", "1/2 10")], "line 4: level 10 is outside 0..1"),
+    ([("1/3-", "1/0-")], "line 5: bad angle syntax: '1/0'"),
     ([("1/3-", "1/3" + "0" * 5000 + "-")], _TOO_LONG),
     ([("1/3-", "1" + "0" * 5000 + "/3-")], _TOO_LONG),
     # a canonical block, read in bulk, then a faulty gap line: its number
