@@ -7,12 +7,18 @@ orbits, together with their types.
 """
 
 import argparse
+import sys
 from fractions import Fraction
 
-from trilam.lamsets import classify_rotational, enumerate_rotational, format_lamset
+from trilam.lamsets import (
+    classify_rotational,
+    enumerate_rotational,
+    format_lamset,
+    hold_walk_budget,
+)
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--d", type=int, default=3, choices=[2, 3],
                     help="degree of the angle map")
@@ -20,6 +26,11 @@ def main() -> None:
                     help="largest rotation-number denominator")
     ap.add_argument("--orbits", type=int, default=2, choices=[1, 2])
     args = ap.parse_args()
+    try:  # the largest q walks the most points: hold it before the first walk
+        hold_walk_budget(args.d, args.max_q)
+    except ValueError as exc:  # a LeafBudgetError
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
 
     totals = {"A": 0, "B": 0, "D": 0}
     for q in range(2, args.max_q + 1):
@@ -35,7 +46,8 @@ def main() -> None:
                 print(f"  {format_lamset(G)}  type={rep.type_tag} "
                       f"orbits={rep.orbit_count}")
     print("totals: " + " ".join(f"{t}={n}" for t, n in sorted(totals.items())))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

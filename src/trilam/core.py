@@ -9,7 +9,6 @@ classifier consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple, TypeVar
 
 from .circle import _set_period, format_angle
@@ -78,7 +77,7 @@ def periodic_rotational_classes(L, period_bound: int = 6) -> CoreReport:
         j = _set_period(d, N, cls, period_bound)
         if j is None:
             continue
-        G = LamSet([Fraction(v, N) for v in cls], degree_d=d ** j)
+        G = LamSet._from_nums(N, cls, d ** j)
         rep = classify_rotational(G)
         if rep.is_rotational:
             rotational.append((G, rep))

@@ -109,11 +109,8 @@ class AttachedGap:
     def is_critical(self) -> bool:
         """The gap's hole, from vertex `index` to the next, is a major hole:
         d times its length is at least 1."""
-        vs, i = self.base.vertices, self.index
-        a, b = vs[i], vs[(i + 1) % len(vs)]
-        N = a.denominator * b.denominator  # the hole's length is h / N
-        h = (b.numerator * a.denominator - a.numerator * b.denominator) % N
-        return self.base.degree_d * h >= N
+        M, xs, i = self.base.M, self.base.nums, self.index
+        return self.base.degree_d * ((xs[(i + 1) % len(xs)] - xs[i]) % M) >= M
 
     def serialize(self) -> str:
         return (f"kind=attached degree={self.base.degree_d} "
@@ -327,8 +324,7 @@ def _attached_polygon(g: AttachedGap) -> Polygon:
     u = d^(c-1) / (d^(2c) - 1).  That is a basis point strictly inside the
     hole and off the cycle of G.  All of it runs on numerators over M."""
     G, i, d, n = g.base, g.index, g.base.degree_d, len(g.base)
-    M = lcm(*(v.denominator for v in G.vertices))
-    nums = [_over(M, v) for v in G.vertices]
+    M, nums = G.M, G.nums
     p = nums.index(d * nums[0] % M)  # the shift i -> i + p of G's vertices
     ell = [(nums[(j + 1) % n] - nums[j]) % M for j in (i, (i + p) % n)]
     delta = 1 + (d * ell[0] - ell[1]) // M

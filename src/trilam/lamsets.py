@@ -5,38 +5,64 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from math import gcd, lcm
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .chords import Chord
 from .circle import Arc, _orbit_walk, _over, angle, arc_length, format_angle, parse_angle
+from .quadgap import _hold_budget
+
+# The most points the walk of `enumerate_rotational` may visit: d^q - 1 of
+# them, with a seen set of about 60 bytes a point, so d = 3 answers up to
+# q = 14 and d = 2 up to q = 22.
+_WALK_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
 class LamSet:
-    """A nonempty finite vertex set in canonical circular order together
-    with the degree of the ambient map.
-
-    For two vertices the single chord is treated as a gap with empty
-    interior and two oriented edges (so it has two holes).
+    """A nonempty finite set of angles and the degree of the ambient map,
+    stored as its sorted distinct numerators `nums` over M, the lcm of the
+    reduced denominators; `vertices` is the same set as sorted angles in
+    [0, 1), a read-only view.  For two vertices the single chord is a gap
+    with empty interior and two oriented edges (so it has two holes).
     """
 
-    vertices: Tuple[Fraction, ...]
+    M: int
+    nums: Tuple[int, ...]
     degree_d: int = 3
 
     def __init__(self, vertices, degree_d: int = 3):
-        vs = sorted(set(map(angle, vertices)))
-        if not vs:
+        vs = set(map(angle, vertices))
+        M = lcm(*(v.denominator for v in vs))
+        self._store(M, [_over(M, v) for v in vs], degree_d)
+
+    @classmethod
+    def _from_nums(cls, N: int, nums: Iterable[int], degree_d: int) -> LamSet:
+        """The set of the angles x/N for x in `nums`, each in 0..N-1."""
+        G = cls.__new__(cls)
+        G._store(N, nums, degree_d)
+        return G
+
+    def _store(self, N: int, nums: Iterable[int], degree_d: int) -> None:
+        xs = sorted(set(nums))
+        if not xs:
             raise ValueError("a laminational set needs at least one vertex")
-        object.__setattr__(self, "vertices", tuple(vs))
+        g = gcd(N, *xs)  # over M = N / g the angles' denominators have lcm M
+        object.__setattr__(self, "M", N // g)
+        object.__setattr__(self, "nums", tuple(x // g for x in xs))
         object.__setattr__(self, "degree_d", degree_d)
 
+    @cached_property
+    def vertices(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.M) for x in self.nums)
+
     def __len__(self):
-        return len(self.vertices)
+        return len(self.nums)
 
     def __repr__(self):
-        return "LamSet({" + ",".join(format_angle(v) for v in self.vertices) + "}" \
-            + f", d={self.degree_d})"
+        return f"LamSet({{{format_lamset(self)}}}, d={self.degree_d})"
 
 
 def parse_lamset(text: str, degree_d: int = 3) -> LamSet:
@@ -88,23 +114,20 @@ def classify_rotational(G: LamSet) -> RotationalReport:
     is_rotational = False, but carries the `diameter_special` flag since it
     plays the role of a type-D set downstream.
 
-    One table decides the rest: the vertices as numerators over M, the lcm
-    of their denominators, and the index of each vertex's image.  Edge i is
-    a major iff d times its hole, over M, is at least M.  When every vertex
-    moves i -> i + p, so does every edge, and both the vertex orbits and the
-    edge cycles are the classes of i mod gcd(n, p).
+    One table decides the rest: the index of the image of each numerator
+    over M.  Edge i is a major iff d times its hole, over M, is at least M.
+    When every vertex moves i -> i + p, so does every edge, and both the
+    vertex orbits and the edge cycles are the classes of i mod gcd(n, p).
     """
-    d, vs, n = G.degree_d, G.vertices, len(G)
-    M = lcm(*(v.denominator for v in vs))
-    nums = [_over(M, v) for v in vs]
+    d, M, nums, n = G.degree_d, G.M, G.nums, len(G)
     index = {x: i for i, x in enumerate(nums)}
     image = [index.get(d * x % M) for x in nums]
     if set(image) != set(range(n)):
         return RotationalReport(is_invariant=False, is_rotational=False)
     big = [i for i in range(n) if d * ((nums[(i + 1) % n] - nums[i]) % M) >= M]
-    majs = tuple(Chord(vs[i], vs[(i + 1) % n]) for i in big)
+    majs = tuple(Chord(Fraction(nums[i], M), Fraction(nums[(i + 1) % n], M)) for i in big)
 
-    if d == 3 and vs == (Fraction(0), Fraction(1, 2)):
+    if d == 3 and (M, nums) == (2, (0, 1)):
         return RotationalReport(
             is_invariant=True,
             is_rotational=False,
@@ -138,13 +161,22 @@ def classify_rotational(G: LamSet) -> RotationalReport:
     )
 
 
-def _cycles_with_rotation(d: int, rho: Fraction) -> List[LamSet]:
+def hold_walk_budget(d: int, q: int) -> None:
+    """Raise LeafBudgetError when the sigma_d-cycles of length q, found by
+    walking the d^q - 1 points over d^q - 1, are over _WALK_BUDGET."""
+    _hold_budget(q, lambda n: d ** n - 1, _WALK_BUDGET, "walk", "points", "walk",
+                 name="q =")
+
+
+def _cycles_with_rotation(d: int, rho: Fraction) -> List[List[int]]:
     """All single sigma_d-cycles of exact length q whose circular dynamics is
-    the rigid rotation by rho = p/q, walked on numerators over d^q - 1: the
+    the rigid rotation by rho = p/q, as sorted numerators over d^q - 1: the
     sorted points of such a cycle all shift by p places under x -> d*x.
     Every such cycle has at least one major, and for d <= 3 at most two, so
-    each is a rotational set of type A, B or D."""
+    each is a rotational set of type A, B or D.  The walk is held against
+    _WALK_BUDGET first."""
     p, q = rho.numerator, rho.denominator
+    hold_walk_budget(d, q)
     den = d ** q - 1
     seen = set()
     out = []
@@ -155,7 +187,7 @@ def _cycles_with_rotation(d: int, rho: Fraction) -> List[LamSet]:
         seen.update(cyc)
         pts = sorted(cyc)
         if len(cyc) == q and all(d * pts[i] % den == pts[(i + p) % q] for i in range(q)):
-            out.append(LamSet([Fraction(v, den) for v in cyc], d))
+            out.append(pts)
     return out
 
 
@@ -174,22 +206,14 @@ def enumerate_rotational(d: int, rho: Fraction, max_orbits: int = 2) -> List[Lam
         raise ValueError("rotation number must lie in (0, 1)")
     if max_orbits not in (1, 2):
         raise ValueError("max_orbits must be 1 or 2")
-    singles = _cycles_with_rotation(d, rho)
-    out = list(singles)
+    cycles = _cycles_with_rotation(d, rho)
+    sets = list(cycles)
     if max_orbits == 2:
-        for i in range(len(singles)):
-            for j in range(i + 1, len(singles)):
-                # two distinct cycles are disjoint, so the union has 2q vertices
-                union = LamSet(singles[i].vertices + singles[j].vertices, d)
-                rep = classify_rotational(union)
-                if rep.is_rotational and rep.rotation_number == rho \
-                        and rep.orbit_count == 2 and _alternates(union, singles[i]):
-                    out.append(union)
-    return sorted(out, key=lambda G: G.vertices)
-
-
-def _alternates(union: LamSet, part: LamSet) -> bool:
-    """Vertices of the two constituent orbits alternate around the circle."""
-    members = set(part.vertices)
-    marks = [v in members for v in union.vertices]
-    return all(marks[i] != marks[(i + 1) % len(marks)] for i in range(len(marks)))
+        # Two disjoint cycles that each shift by p of q places and alternate
+        # shift by 2p of 2q places together: their union is rotational with
+        # rotation number rho and two orbits, and for d <= 3 one or two majors.
+        for a, b in combinations(cycles, 2):
+            union = sorted(a + b)
+            if union[::2] in (a, b):
+                sets.append(union)
+    return [LamSet._from_nums(d ** rho.denominator - 1, xs, d) for xs in sorted(sets)]

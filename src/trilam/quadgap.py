@@ -52,16 +52,17 @@ _POINT_BUDGET = 1 << 20
 
 
 def _hold_budget(depth: int, count: Callable[[int], int], budget: int,
-                 verb: str, things: str, unit: str) -> None:
-    """Raise LeafBudgetError when a construction at `depth` may `verb` more
-    than `budget` `things`, count(depth) of them.  Each count here at least
-    doubles per level, so past the budget's bit length in depth the count at
-    that length already exceeds the budget; it is named there as "more
-    than", and no larger power is computed."""
+                 verb: str, things: str, unit: str, name: str = "depth") -> None:
+    """Raise LeafBudgetError when a construction at `depth` (called `name`
+    in the message) may `verb` more than `budget` `things`, count(depth) of
+    them.  Each count here at least doubles per level, so past the budget's
+    bit length in depth the count at that length already exceeds the
+    budget; it is named there as "more than", and no larger power is
+    computed."""
     n = min(depth, budget.bit_length())
     bound = count(n)
     if bound > budget:
-        raise LeafBudgetError(f"depth {depth} may {verb} "
+        raise LeafBudgetError(f"{name} {depth} may {verb} "
                               f"{'up to' if n == depth else 'more than'} {bound} {things}, "
                               f"over the {unit} budget of {budget}")
 

@@ -103,5 +103,5 @@ def render(obj, spec: Optional[RenderSpec] = None) -> str:
         ux, uy = _unit(x, N)
         out.append(f'  <text x="{_fmt(cx + r * 1.06 * ux)}" y="{_fmt(cy - r * 1.06 * uy)}" '
                    f'font-size="10" text-anchor="middle">{format_angle(Fraction(x, N))}</text>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("</svg>\n")
+    return "\n".join(out)

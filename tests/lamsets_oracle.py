@@ -1,10 +1,15 @@
-"""The Fraction classifier of rotational sets: the `classify_rotational`
-that trilam ran before it read invariance, the shift, the majors and the
-orbit count from one table of numerators, kept as a test oracle.
+"""The Fraction code of rotational sets, kept as test oracles:
 
-It steps every vertex through `sigma` one Fraction at a time.
-`trilam.lamsets.classify_rotational` must give the same report, every
-field, and `is_invariant` and `majors` the same answers.
+- the `classify_rotational` that trilam ran before it read invariance, the
+  shift, the majors and the orbit count from one table of numerators.  It
+  steps every vertex through `sigma` one Fraction at a time.
+  `trilam.lamsets.classify_rotational` must give the same report, every
+  field, and `is_invariant` and `majors` the same answers;
+- the `enumerate_rotational` that trilam ran before `LamSet` stored its
+  numerators: each cycle a `LamSet` of Fractions, and each pair of cycles
+  kept when the classifier calls their union rotational with rotation
+  number rho and two orbits whose vertices alternate.
+  `trilam.lamsets.enumerate_rotational` must list the same sets.
 """
 
 from fractions import Fraction
@@ -12,7 +17,7 @@ from math import gcd
 from typing import List, Optional
 
 from trilam.chords import Chord
-from trilam.circle import arc_length, sigma
+from trilam.circle import _orbit_walk, arc_length, sigma
 from trilam.lamsets import LamSet, RotationalReport, holes
 
 
@@ -108,3 +113,46 @@ def classify_rotational(G: LamSet) -> RotationalReport:
         majors=tuple(majs),
         orbit_count=_orbit_count(G),
     )
+
+
+def _cycles_with_rotation(d: int, rho: Fraction) -> List[LamSet]:
+    """The sigma_d-cycles of exact length q on which sigma_d shifts the
+    sorted points by p places, rho = p/q, each a LamSet of Fractions."""
+    p, q = rho.numerator, rho.denominator
+    den = d ** q - 1
+    seen = set()
+    out = []
+    for x in range(den):
+        if x in seen:
+            continue
+        cyc, _ = _orbit_walk(d, x, den)
+        seen.update(cyc)
+        pts = sorted(cyc)
+        if len(cyc) == q and all(d * pts[i] % den == pts[(i + p) % q] for i in range(q)):
+            out.append(LamSet([Fraction(v, den) for v in cyc], d))
+    return out
+
+
+def _alternates(union: LamSet, part: LamSet) -> bool:
+    """Vertices of the two constituent orbits alternate around the circle."""
+    members = set(part.vertices)
+    marks = [v in members for v in union.vertices]
+    return all(marks[i] != marks[(i + 1) % len(marks)] for i in range(len(marks)))
+
+
+def enumerate_rotational(d: int, rho: Fraction, max_orbits: int = 2) -> List[LamSet]:
+    """The rotational sets of sigma_d with rotation number rho and at most
+    max_orbits orbits: the cycles, and the unions of two cycles that the
+    Fraction classifier accepts, sorted by their vertices."""
+    singles = _cycles_with_rotation(d, rho)
+    out = list(singles)
+    if max_orbits == 2:
+        for i in range(len(singles)):
+            for j in range(i + 1, len(singles)):
+                # two distinct cycles are disjoint, so the union has 2q vertices
+                union = LamSet(singles[i].vertices + singles[j].vertices, d)
+                rep = classify_rotational(union)
+                if rep.is_rotational and rep.rotation_number == rho \
+                        and rep.orbit_count == 2 and _alternates(union, singles[i]):
+                    out.append(union)
+    return sorted(out, key=lambda G: G.vertices)

@@ -224,6 +224,25 @@ def test_vertex_lists_past_the_point_budget_are_usage_errors(argv, message):
                            f"over the point budget of 1048576\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--rho", "1/16"), "q = 16 may walk up to 43046720"),
+    (("--rho", "1/1000000000"), "q = 1000000000 may walk more than 94143178826"),
+    (("--d", "2", "--rho", "1/23"), "q = 23 may walk up to 8388607"),
+], ids=["q-16", "q-10**9", "d2-q-23"])
+def test_find_rotational_past_the_walk_budget_is_usage_error(argv, message):
+    # a subprocess with a timeout and 1 GiB of address space: without the
+    # budget, q = 16 ends in a MemoryError and q = 10**9 computes 3**(10**9)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import resource, sys; "
+         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+         "from trilam.cli import main; sys.exit(main(sys.argv[1:]))",
+         "find-rotational", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"usage error: {message} points, over the walk budget of 5000000\n"
+
+
 @pytest.mark.parametrize("command", ["core-report", "classify-smp"])
 @pytest.mark.parametrize("bound", ["-5", "-1", "0"])
 def test_period_bound_below_one_is_usage_error(capsys, tmp_path, command, bound):

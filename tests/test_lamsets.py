@@ -1,8 +1,9 @@
+import dataclasses
 from fractions import Fraction as F
-from math import comb
+from math import comb, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lamsets_oracle as oracle
 from trilam.chords import Chord
@@ -21,12 +22,44 @@ FINGAP1 = parse_lamset("7/26,4/13,11/26,10/13,21/26,12/13")
 FINGAP2 = parse_lamset("7/26,11/26,21/26")
 FINGAP3 = parse_lamset("1/26,3/26,9/26")
 
+_DEGREES = st.sampled_from([2, 3, 4, 5, 9, 27])
+
 
 def test_lamset_canonicalizes():
     G = LamSet([F(3, 2), F(1, 4), F(1, 2)])
     assert G.vertices == (F(1, 4), F(1, 2))
     with pytest.raises(ValueError):
         LamSet([])
+
+
+def test_lamset_stores_numerators_over_one_denominator():
+    assert [f.name for f in dataclasses.fields(LamSet)] == ["M", "nums", "degree_d"]
+    G = LamSet([F(5, 4), F(1, 6), F(1, 2), F(-1, 3)])
+    assert (G.M, G.nums, G.vertices) == (12, (2, 3, 6, 8), (F(1, 6), F(1, 4), F(1, 2), F(2, 3)))
+    assert (LamSet([0]).M, LamSet([0]).nums) == (1, (0,))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        G.vertices = (F(0),)
+    with pytest.raises(ValueError):
+        LamSet._from_nums(6, [], 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 720), st.integers(1, 12), _DEGREES,
+       st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=8))
+@example(4, 2, 3, [0, 2, 2])  # a shared factor, a duplicate and 0: {0, 1/2} over M = 2
+@example(1, 1, 2, [0])
+def test_lamset_from_numerators_is_the_lamset_of_their_angles(n, k, d, draws):
+    # numerators over N = n * k, some of them multiples of k, so that the
+    # whole set may share a factor with N
+    N = n * k
+    xs = [x % N if i % 2 else x % n * k for i, x in enumerate(draws)]
+    G, want = LamSet._from_nums(N, xs, d), LamSet([F(x, N) for x in xs], d)
+    angles = sorted({F(x, N) for x in xs})
+    assert G.vertices == want.vertices == tuple(angles)
+    assert G.M == want.M == lcm(*(a.denominator for a in angles))
+    assert G.nums == want.nums == tuple(a.numerator * (G.M // a.denominator) for a in angles)
+    assert G == want and hash(G) == hash(want) and repr(G) == repr(want)
+    assert G != LamSet(angles, d + 1)
 
 
 def test_parse_format():
@@ -217,9 +250,6 @@ def test_classifier_matches_oracle_on_enumerated_sets():
         _assert_matches_oracle(LamSet([F(0), F(1, 2)], D))
 
 
-_DEGREES = st.sampled_from([2, 3, 4, 5, 9, 27])
-
-
 @settings(max_examples=300, deadline=None)
 @given(_DEGREES, st.lists(st.fractions(0, 1, max_denominator=120), min_size=1, max_size=8))
 def test_classifier_matches_oracle_on_drawn_sets(d, vertices):
@@ -233,3 +263,19 @@ def test_classifier_matches_oracle_on_orbit_closures(d, k, nums):
     # invariant; k = 1 at d = 2 gives the fixed point 0 alone
     q = d ** k - 1
     _assert_matches_oracle(LamSet({y for j in nums for y in orbit(d, F(j % q, q))}, d))
+
+
+@pytest.mark.parametrize("d, max_q", [(2, 9), (3, 7)])
+def test_enumerate_rotational_matches_fraction_oracle(d, max_q):
+    # the census range: no LamSet or classifier per pair of cycles, only
+    # the alternation of their sorted numerators
+    for q in range(2, max_q + 1):
+        for p in range(1, q):
+            if F(p, q).denominator != q:
+                continue
+            for orbits in (1, 2):
+                got = enumerate_rotational(d, F(p, q), orbits)
+                want = oracle.enumerate_rotational(d, F(p, q), orbits)
+                assert got == want, (d, p, q, orbits)
+                assert [G.vertices for G in got] == [G.vertices for G in want]
+

@@ -1,5 +1,5 @@
 """Smoke tests: the scripts in scripts/ run to completion at depth 1, and
-report a depth they cannot build in one line."""
+report a depth or a q they cannot build in one line."""
 
 import os
 import subprocess
@@ -73,8 +73,13 @@ def test_depth_probe_past_the_leaf_budget_is_usage_error():
      "depth 13 may build up to 7174452 leaves, over the leaf budget of 5000000"),
     ("smp_survey.py", ("--max-q", "3", "--orbits", "1", "--depth", "13"),
      "depth 13 may build up to 7174452 leaves, over the leaf budget of 5000000"),
+    # every q below the largest fits; none of them is walked or printed
+    ("rotational_census.py", ("--max-q", "15"),
+     "q = 15 may walk up to 14348906 points, over the walk budget of 5000000"),
+    ("rotational_census.py", ("--d", "2", "--max-q", "23"),
+     "q = 23 may walk up to 8388607 points, over the walk budget of 5000000"),
 ], ids=["gallery-20", "gallery-negative", "survey-20", "survey-negative", "gallery-13",
-        "survey-13"])
+        "survey-13", "census-15", "census-d2-23"])
 def test_building_scripts_report_a_bad_depth_in_one_line(tmp_path, script, args, err):
     out_dir = tmp_path / "gallery"
     if script == "gap_gallery.py":
