@@ -37,6 +37,18 @@ def parse_angle(text: str) -> Fraction:
         raise ValueError(f"bad angle syntax: {text!r}") from exc
 
 
+def _angle_parts(text: str) -> Tuple[int, int]:
+    """`parse_angle(text)` as (p, q), 0 <= p < q, not always reduced; no Fraction for "p/q"."""
+    num, slash, den = text.partition("/")
+    if num.isascii() and num.isdigit() and (
+            not slash or den.isascii() and den.isdigit()):
+        q = int(den) if slash else 1
+        if q:
+            return int(num) % q, q
+    x = parse_angle(text)
+    return x.numerator, x.denominator
+
+
 def format_angle(a: Fraction) -> str:
     a = angle(a)
     if a == 0:

@@ -9,12 +9,13 @@ classifier consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple, TypeVar
+from itertools import compress, repeat
+from math import gcd
+from operator import lt, mod, not_, or_
+from typing import Dict, Iterable, List, Tuple
 
 from .circle import _set_period, format_angle
 from .lamsets import LamSet, RotationalReport, classify_rotational, format_lamset
-
-T = TypeVar("T")
 
 
 @dataclass
@@ -37,43 +38,49 @@ class CoreReport:
         return out
 
 
-def endpoint_classes(pairs: Iterable[Tuple[T, T]]) -> List[Tuple[T, ...]]:
-    """Connected components of the graph whose edges are the given endpoint
-    pairs, each sorted, in sorted order.  Endpoints may be any hashable,
-    ordered values (angles, or integer numerators over one denominator)."""
-    parent: Dict[T, T] = {}
-
-    def find(x: T) -> T:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+def _classes(pairs: Iterable[Tuple[int, int]]) -> List[List[int]]:
+    """The connected components of the graph of the given endpoint pairs, in
+    no order: each point maps to its component's list, and joining two
+    lists moves the shorter into the longer."""
+    comp: Dict[int, List[int]] = {}
     for a, b in pairs:
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: Dict[T, List[T]] = {}
-    for v in parent:
-        groups.setdefault(find(v), []).append(v)
-    return sorted(tuple(sorted(g)) for g in groups.values())
+        ca, cb = comp.get(a), comp.get(b)
+        if ca is None and cb is None:
+            comp[a] = comp[b] = [a] if a == b else [a, b]
+        elif ca is None or cb is None:
+            c, x = (cb, a) if ca is None else (ca, b)
+            c.append(x)
+            comp[x] = c
+        elif ca is not cb:
+            if len(ca) < len(cb):
+                ca, cb = cb, ca
+            ca += cb
+            comp.update(dict.fromkeys(cb, ca))
+    return list({id(c): c for c in comp.values()}.values())
 
 
-def periodic_rotational_classes(L, period_bound: int = 6) -> CoreReport:
-    """Census of periodic classes whose return map acts as a nontrivial
-    rotation.  The return map of a period-j class is sigma_d^j = sigma_{d^j},
-    so the rotational test reuses the plain classifier at degree d^j.  The
-    classes are found on the lamination's numerators over N, where sigma_d
-    is d*x mod N.  Only classes of periodic points are walked."""
+def rotational_census(L, period_bound: int = 6) -> List[Tuple[LamSet, RotationalReport]]:
+    """The sorted periodic classes of L, of period j <= `period_bound`, whose
+    return map sigma_d^j = sigma_{d^j} is a nontrivial rotation.  v/N is
+    periodic iff P, the part of N made of d's primes, divides v, so P | k
+    and k % (N * P) < N pick the keys k = a * N + b with P | b and P | a.
+    Classes are joined over the leaves with both ends periodic, less those
+    a leaf with one periodic end touches."""
     if period_bound < 1:
         raise ValueError(f"period_bound must be >= 1, got {period_bound}")
-    d = L.d
-    N = L.leaves.N
-    classes = [c for c in endpoint_classes(L.leaves.pairs()) if len(c) >= 2]
+    d, N, keys = L.d, L.leaves.N, L.leaves.packed
+    P = gcd(N, d ** N.bit_length())
+    ends_b = map(not_, map(mod, keys, repeat(P)))
+    ends_a = map(lt, map(mod, keys, repeat(N * P)), repeat(N))
+    both, mixed = [], set()  # leaves with two periodic ends; periodic ends of the others
+    for a, b in map(divmod, compress(keys, map(or_, ends_a, ends_b)), repeat(N)):
+        if a % P or b % P:
+            mixed.add(b if a % P else a)
+        else:
+            both.append((a, b))
     rotational: List[Tuple[LamSet, RotationalReport]] = []
-    for cls in classes:
+    for cls in sorted(tuple(sorted(c)) for c in _classes(both)
+                      if len(c) >= 2 and mixed.isdisjoint(c)):
         j = _set_period(d, N, cls, period_bound)
         if j is None:
             continue
@@ -81,16 +88,13 @@ def periodic_rotational_classes(L, period_bound: int = 6) -> CoreReport:
         rep = classify_rotational(G)
         if rep.is_rotational:
             rotational.append((G, rep))
-    if not rotational:
-        summary = "EmptyCore"
-    elif len(rotational) == 1:
-        summary = "SinglePoint"
-    else:
-        summary = "MultipleRotational"
-    return CoreReport(
-        period_bound=period_bound,
-        rotational_classes=rotational,
-        cut_classes=classes,
-        summary=summary,
-    )
+    return rotational
 
+
+def periodic_rotational_classes(L, period_bound: int = 6) -> CoreReport:
+    """`rotational_census`, with every endpoint class of two or more points
+    as numerators over the lamination's N."""
+    rotational = rotational_census(L, period_bound)
+    classes = sorted(tuple(sorted(c)) for c in _classes(L.leaves.pairs()) if len(c) >= 2)
+    summary = ("EmptyCore", "SinglePoint", "MultipleRotational")[min(len(rotational), 2)]
+    return CoreReport(period_bound, rotational, classes, summary)

@@ -19,7 +19,7 @@ from collections import Counter
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations, compress, count, islice, repeat
+from itertools import chain, combinations, compress, count, islice, repeat
 from math import gcd, lcm
 from operator import add, eq, le, lt, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -27,15 +27,15 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from .chords import Chord, format_chord, is_critical, parse_chord
 from .circle import (
     Arc,
+    _angle_parts,
     _over,
     fixed_points,
     format_angle,
     orbit,
-    parse_angle,
     preimages,
     sigma,
 )
-from .core import periodic_rotational_classes
+from .core import rotational_census
 from .lamsets import (
     LamSet,
     classify_rotational,
@@ -53,7 +53,7 @@ from .quadgap import (
     below_diameter,
     classify_critical,
     parse_fields,
-    psi,
+    psi_values,
     vassal,
 )
 
@@ -292,13 +292,13 @@ def _gap_polygon(U: GapGen, seeds: Sequence[Chord]) -> Polygon:
     """The critical polygon inside the quadratic gap U: the preimages of
     sigma(x) that lie in U's basis, for the first x = j/(3^m - 1), by m and
     then j, that is a basis point of U whose orbit misses the forward
-    orbits of the seed endpoints; U's integer basis walk gives that orbit."""
+    orbits of the seed endpoints."""
     avoid = {y for s in seeds for e in (s.a, s.b) for y in orbit(3, e)}
     for m in count(1):
         q = 3 ** m - 1
         for j in range(q):
-            walk = U._basis_orbit(j, q)
-            if walk and avoid.isdisjoint(Fraction(v, walk[2]) for v in walk[0]):
+            x = Fraction(j, q)
+            if U.in_basis(x) and avoid.isdisjoint(orbit(3, x)):
                 return tuple(y for y in preimages(3, Fraction(3 * j % q, q)) if U.in_basis(y))
 
 
@@ -841,26 +841,26 @@ def project_through_gap(U: GapGen, L: Lamination) -> Lamination:
 
     The leaves are read from the integer store: the crossing test with the
     major runs on numerators over the lcm of N and the major's denominators.
-    psi walks each endpoint's orbit once, deciding membership and the image."""
+    `psi_values` values the distinct endpoints in one walk of their orbits,
+    and the images are stored over the lcm of their denominators."""
     major, N = U.major, L.leaves.N
     M = lcm(N, major.a.denominator, major.b.denominator)
     f = M // N
     m = _over(M, major.a), _over(M, major.b)
-    out: Dict[Chord, int] = {}
+    value = psi_values(U, N, chain.from_iterable(L.leaves.pairs()))
+    images = {}  # (psi a, psi b) of each leaf kept, in leaf order
     for a, b in L.leaves.pairs():
         if _crosses((a * f, b * f), m):
             raise ValueError(f"leaf {format_chord(L.leaves.chord((a, b)))} "
                              f"crosses the major {format_chord(major)}")
-        try:
-            pa, pb = psi(U, Fraction(a, N)), psi(U, Fraction(b, N))
-        except ValueError:  # an endpoint is off U's basis
-            continue
-        if pa != pb:
-            out[Chord(pa, pb)] = L.depth
+        pa, pb = value[a], value[b]
+        if pa is not None and pb is not None and pa != pb:
+            images[pa, pb] = None
+    D = lcm(*{q for pair in images for _, q in pair})
+    ends = [sorted((p * (D // q), r * (D // s))) for (p, q), (r, s) in images]
     return Lamination(
-        d=2, depth=L.depth, recipe=f"projected:{L.recipe}",
-        leaves=out, registry_complete=False,
-    )
+        d=2, depth=L.depth, recipe=f"projected:{L.recipe}", registry_complete=False,
+        leaves=Leaves._from_packed(D, {x * D + y: L.depth for x, y in ends}))
 
 
 # ---------------------------------------------------------------------------
@@ -943,8 +943,7 @@ def classify_smp(L: Lamination, period_bound: int = 6) -> SmpVerdict:
     quadratic gap whose major is a leaf of L; that gap is the witness."""
     if L.d != 3:
         raise ValueError("SMP classification applies to degree-3 laminations")
-    report = periodic_rotational_classes(L, period_bound)
-    rc = report.rotational_classes
+    rc = rotational_census(L, period_bound)
 
     if len(rc) == 0:
         wq = next((g for g in L.gaps if isinstance(g, GapGen) and g.major in L.leaves),
@@ -1030,19 +1029,6 @@ def dumps(L: Lamination) -> str:
 
 class LamFormatError(ValueError):
     """Malformed .lam text; the message names the line."""
-
-
-def _angle_parts(text: str) -> Tuple[int, int]:
-    """The angle `parse_angle(text)` as (p, q) with 0 <= p < q, not always
-    reduced; plain "p/q" and "p" are read without building a Fraction."""
-    num, slash, den = text.partition("/")
-    if num.isascii() and num.isdigit() and (
-            not slash or den.isascii() and den.isdigit()):
-        q = int(den) if slash else 1
-        if q:
-            return int(num) % q, q
-    x = parse_angle(text)
-    return x.numerator, x.denominator
 
 
 def _integer(text: str, name: str) -> int:
@@ -1141,12 +1127,13 @@ def _numbered(text: str, first: int = 1) -> Iterator[Tuple[int, str]]:
 def _read_gaps(numbered: Iterator[Tuple[int, str]], d: int) -> List[object]:
     """The regions of the [gaps] lines of a degree-d file, in file order."""
     gaps: List[object] = []
+    sets: Dict[str, LamSet] = {}
     for no, line in numbered:
         name_spec = line.split(None, 1)
         try:
             if len(name_spec) < 2:
                 raise ValueError("gap line without a spec")
-            gaps.append(_parse_region(name_spec[1], d))
+            gaps.append(_parse_region(name_spec[1], d, sets))
         except ValueError as exc:
             raise LamFormatError(f"line {no}: {exc}") from None
     return gaps
@@ -1209,17 +1196,21 @@ def _read_lines(text: str) -> Lamination:
                       registry_complete=registry_complete)
 
 
-def _parse_region(spec: str, d: int):
-    """The region a `[gaps]` spec serializes, in a degree-d file."""
+def _parse_region(spec: str, d: int, sets: Optional[Dict[str, LamSet]] = None):
+    """The region a `[gaps]` spec serializes, in a degree-d file; `sets`
+    keeps each set= or vertices= text's LamSet, so it is parsed once."""
     fields = parse_fields(spec)
     kind = fields["kind"]
     if kind in ("finite", "attached"):
         deg = _integer(fields.get("degree", d), "degree")
         if deg != d:
             raise ValueError(f"gap degree {deg} does not match d={d}")
+        text = fields["vertices" if kind == "finite" else "set"]
+        G = (sets or {}).get(text) or parse_lamset(text, d)
+        if sets is not None:
+            sets[text] = G
         if kind == "finite":
-            return FiniteRegion(parse_lamset(fields["vertices"], d))
-        G = parse_lamset(fields["set"], d)
+            return FiniteRegion(G)
         index = _integer(fields["index"], "index")
         if not 0 <= index < len(G):
             raise ValueError(f"attached gap index {index} is not an edge of a "

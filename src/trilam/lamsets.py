@@ -11,7 +11,7 @@ from math import gcd, lcm
 from typing import Iterable, List, Optional, Tuple
 
 from .chords import Chord
-from .circle import Arc, _orbit_walk, _over, angle, arc_length, format_angle, parse_angle
+from .circle import Arc, _angle_parts, _orbit_walk, _over, angle, arc_length, format_angle
 from .quadgap import _hold_budget
 
 # The most points the walk of `enumerate_rotational` may visit: d^q - 1 of
@@ -70,7 +70,9 @@ def parse_lamset(text: str, degree_d: int = 3) -> LamSet:
     parts = [p for p in text.strip().split(",") if p]
     if not parts:
         raise ValueError(f"bad laminational-set syntax: {text!r}")
-    return LamSet([parse_angle(p) for p in parts], degree_d)
+    pq = [_angle_parts(p) for p in parts]
+    M = lcm(*(q for _, q in pq))
+    return LamSet._from_nums(M, (p * (M // q) for p, q in pq), degree_d)
 
 
 def format_lamset(G: LamSet) -> str:

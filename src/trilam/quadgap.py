@@ -23,8 +23,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
-from math import lcm
-from typing import Callable, Iterator, List, Optional, Tuple
+from math import gcd, lcm
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .chords import Chord, format_chord, is_critical
 from .circle import (
@@ -194,9 +194,8 @@ GAP_KINDS = ("regular-critical", "periodic-type", "above-diameter", "below-diame
 class QuadraticGap:
     """What an invariant quadratic gap and a vassal gap share: the
     positively oriented hole (a, b) behind the major, the chord a-b, and one
-    `[gaps]` line.  A subclass supplies `kind`, `hole`, `period` and
-    `critical`, as fields or class attributes, and `_basis_orbit`, the one
-    orbit walk that decides basis membership."""
+    `[gaps]` line.  A subclass supplies `kind`, `hole`, `period`, `critical`,
+    `_step` (its map's degree) and `_bits`, the rule of basis and psi bits."""
 
     @property
     def major(self) -> Chord:
@@ -207,7 +206,7 @@ class QuadraticGap:
         return arc_length(self.hole)
 
     def in_basis(self, x: Fraction) -> bool:
-        return self._basis_orbit(x.numerator, x.denominator) is not None
+        return None not in psi_values(self, x.denominator, (x.numerator % x.denominator,)).values()
 
     def serialize(self) -> str:
         return (f"kind={self.kind} major={format_chord(self.major)} "
@@ -228,24 +227,13 @@ class GapGen(QuadraticGap):
     hole: Arc
     period: Optional[int] = None  # leaf period of the major; None if critical
     critical: Optional[Chord] = None
+    _step = 3
 
-    def _hits(self, orb: List[int], M: int) -> Iterator[bool]:
-        """Whether each numerator over M in `orb` lies in the open hole."""
+    def _bits(self, M: int) -> Callable[[int], Optional[int]]:
+        """psi's bit of v/M: 0 on the third from the hole end, None in the hole."""
         a, h = _arc_over(M, self.hole)
-        return (0 < (v - a) % M < h for v in orb)
-
-    def _basis_orbit(self, x: int, N: int) -> Optional[Tuple[List[int], int, int]]:
-        """The orbit of x/N as numerators over M, a multiple of 3 and N, with
-        the index where its cycle starts and M; None when the orbit enters
-        the open hole."""
-        M = lcm(3, N, self.hole.start.denominator, self.hole.end.denominator)
-        orb, start = _orbit_walk(3, x % N * (M // N), M)
-        return None if any(self._hits(orb, M)) else (orb, start, M)
-
-    def _bits(self, orb: List[int], M: int) -> List[int]:
-        """psi's bits: 0 on the third of the circle starting at the hole end."""
-        b = _over(M, self.hole.end)
-        return [int((v - b) % M >= M // 3) for v in orb]
+        b, third = (a + h) % M, M // 3
+        return lambda v: None if 0 < (v - a) % M < h else int((v - b) % M >= third)
 
     def _edges_over(self, depth: int) -> Tuple[int, List[Tuple[int, int]]]:
         """(M, edges): the major orbit, then its preimages level by level down
@@ -307,15 +295,10 @@ class GapGen(QuadraticGap):
         D = lcm(M, *qs, self.critical.a.denominator if self.critical else 1)
         pts = {v * (D // M) for a, h in edges for v in (a, (a + h) % M)}
         if self.critical is not None:
-            # one walk of the critical orbit: its point i stays in the basis
-            # iff no point from index min(i, start) on lies in the hole
-            orb, start = _orbit_walk(3, 3 * _over(D, self.critical.a) % D, D)
-            last_hit = max((i for i, hit in enumerate(self._hits(orb, D)) if hit),
-                           default=-1)
-            if start > last_hit:
-                pts.update(orb[last_hit + 1:])
+            orb, _ = _orbit_walk(3, 3 * _over(D, self.critical.a) % D, D)
+            pts.update(v for v, p in psi_values(self, D, orb).items() if p is not None)
         for q in qs:
-            pts.update(j * (D // q) for j in range(q) if self._basis_orbit(j, q) is not None)
+            pts.update(j * (D // q) for j in range(q) if self.in_basis(Fraction(j, q)))
         return [Fraction(v, D) for v in sorted(pts)]
 
 
@@ -446,22 +429,13 @@ class VassalGap(QuadraticGap):
                     for x, y in zip(lo, hi)]
         return out
 
-    def _basis_orbit(self, x: int, N: int) -> Optional[Tuple[List[int], int, int]]:
-        """The sigma^k-orbit of x/N as numerators over M, a multiple of 3 and
-        N, with the index where its cycle starts and M; None when an iterate
-        leaves the closed two-arc horseshoe."""
-        M = lcm(3, N, self.a.denominator, self.b.denominator)
-        orb, start = _orbit_walk(3 ** self.period, x % N * (M // N), M)
-        a, h = _arc_over(M, self.hole)
-        third = M // 3
-        if all(u <= h - third or third <= u <= h for u in ((v - a) % M for v in orb)):
-            return orb, start, M
-        return None
+    _step = property(lambda self: 3 ** self.period)
 
-    def _bits(self, orb: List[int], M: int) -> List[int]:
-        """psi's bits: 0 on the arc at a, 1 on the arc at b."""
+    def _bits(self, M: int) -> Callable[[int], Optional[int]]:
+        """psi's bit of v/M: 0 on the arc at a, 1 at b, None off the horseshoe."""
         a, h = _arc_over(M, self.hole)
-        return [int((v - a) % M > h - M // 3) for v in orb]
+        lo, hi = h - M // 3, M // 3  # the arc at a ends at lo, the arc at b starts at hi
+        return lambda v: 0 if (v - a) % M <= lo else 1 if hi <= (v - a) % M <= h else None
 
 
 def vassal(U: GapGen) -> VassalGap:
@@ -474,39 +448,53 @@ def vassal(U: GapGen) -> VassalGap:
 # boundary collapse onto the doubling map
 
 
-def _binary_value(bits: List[int], preperiod: int) -> Fraction:
-    """Exact value of the binary expansion 0.b0 b1 ... with the tail from
-    `preperiod` on repeating."""
-    head = tail = 0
-    for b in bits[:preperiod]:
-        head = 2 * head + b
-    for b in bits[preperiod:]:
-        tail = 2 * tail + b
-    cycle = 2 ** (len(bits) - preperiod) - 1
-    return Fraction(head * cycle + tail, cycle * 2 ** preperiod) % 1
+def psi_values(U, N: int, xs: Iterable[int]) -> Dict[int, Optional[Tuple[int, int]]]:
+    """psi of each point x/N, x in `xs`, as the reduced (p, q) of p/q in
+    [0, 1), or None off U's basis.  A walk of the gap's map stops at a point
+    already valued or on closing a cycle, valued sum b_i 2^(n-1-i)/(2^n - 1)
+    by the `_bits` rule; each point before follows by psi(x) =
+    (b(x) + psi(sigma x)) / 2, and is off the basis iff its walk meets a
+    point off the gap's region.  Only the final value is taken mod 1."""
+    xs = set(xs)
+    M = lcm(3, N, U.hole.start.denominator, U.hole.end.denominator)
+    f, step, bit = M // N, U._step, U._bits(M)
+    val: Dict[int, Optional[Tuple[int, int]]] = {}  # over M: psi as p/q in [0, 1]
+    for x in xs:
+        path: Dict[int, Optional[int]] = {}  # the walk's points and their bits
+        y = x * f
+        while y not in val and y not in path:
+            path[y] = bit(y)
+            y = step * y % M
+        tail = list(path)
+        if y in path:  # a new cycle, from y on
+            i = tail.index(y)
+            cycle, tail = tail[i:], tail[:i]
+            bits = [path[z] for z in cycle]
+            if None in bits:
+                val.update(dict.fromkeys(cycle))
+            else:
+                q, p = (1 << len(bits)) - 1, int("".join(map(str, bits)), 2)
+                for z, b in zip(cycle, bits):
+                    val[z] = (p, q)
+                    p = 2 * p - b * q
+        v = val[y]
+        for z in reversed(tail):
+            b = path[z]
+            val[z] = v = None if v is None or b is None else (b * v[1] + v[0], 2 * v[1])
 
-
-class _OffBasis(ValueError):
-    """psi's error for a point off the basis.  The message is formatted only
-    when read, so callers that skip such points do not pay for it."""
-
-    def __str__(self) -> str:
-        U, x = self.args
-        return f"{format_angle(x)} is not in the basis of {U}"
+    def reduced(v: Tuple[int, int]) -> Tuple[int, int]:
+        p, q = v[0] % v[1], v[1]
+        return p // gcd(p, q), q // gcd(p, q)
+    return {x: None if val[x * f] is None else reduced(val[x * f]) for x in xs}
 
 
 def psi(U, x: Fraction) -> Fraction:
-    """Collapse a basis point of a quadratic gap to its doubling-map angle.
-
-    Itinerary coding: the basis splits into two arcs by the fiber of the
-    gap's critical chord; the itinerary of x (under sigma for an invariant
-    gap, under sigma^k for a vassal) read as a binary expansion is the
-    image angle.  The labels are chosen so the hole-start side reads 0; for
-    the diameter gaps this sends both major endpoints to 0.  One orbit walk
-    decides basis membership and gives the bits.
-    """
-    walk = U._basis_orbit(x.numerator, x.denominator)
-    if walk is None:
-        raise _OffBasis(U, x)
-    orb, start, M = walk
-    return _binary_value(U._bits(orb, M), start)
+    """Collapse a basis point of a quadratic gap to its doubling-map angle:
+    `psi_values` on x.  The itinerary of x (under sigma for an invariant
+    gap, under sigma^k for a vassal) on the gap's two bit arcs, read as a
+    binary expansion, is the image angle; the hole-start side reads 0."""
+    y = x.numerator % x.denominator
+    v = psi_values(U, x.denominator, (y,))[y]
+    if v is None:
+        raise ValueError(f"{format_angle(x)} is not in the basis of {U!r}")
+    return Fraction(*v)

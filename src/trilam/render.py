@@ -32,17 +32,6 @@ class RenderSpec:
     label_angles: bool = False
 
 
-def _unit(x: int, N: int) -> Tuple[float, float]:
-    """cos and sin of x/N turns; x / N rounds correctly, so it is float(Fraction(x, N))."""
-    t = 2 * math.pi * (x / N)
-    return math.cos(t), math.sin(t)
-
-
-def _fmt(v: float) -> str:
-    out = f"{v:.6f}"
-    return "0.000000" if out == "-0.000000" else out
-
-
 def _collect_pairs(obj) -> Tuple[int, Iterator[Tuple[int, int]]]:
     """The chords to draw as (N, sorted numerator pairs a <= b over N): Chord order."""
     if isinstance(obj, Chord):
@@ -60,48 +49,62 @@ def _collect_pairs(obj) -> Tuple[int, Iterator[Tuple[int, int]]]:
 
 
 def render(obj, spec: Optional[RenderSpec] = None) -> str:
-    """SVG document for a lamination, laminational set, gap generator,
-    chord, or plain iterable of chords."""
+    """SVG document, of a positive size, for a lamination, laminational set,
+    gap generator, chord, or plain iterable of chords.  An endpoint's point is
+    made on its first leaf and held to its next; coordinates >= 0.023 * size
+    and radii >= 0 print no "-0.000000"."""
     spec = spec or RenderSpec()
     s = spec.size
+    if s <= 0:
+        raise ValueError(f"size must be > 0, got {s}")
     cx = cy = s / 2.0
     r = 0.45 * s
     N, pairs = _collect_pairs(obj)
+
+    def point(x: int) -> Tuple[float, float, str]:
+        """cos and sin of x/N turns, and the point there (SVG y grows down)."""
+        t = 2 * math.pi * (x / N)
+        ux, uy = math.cos(t), math.sin(t)
+        return ux, uy, f"{cx + r * ux:.6f} {cy - r * uy:.6f}"
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{s}" height="{s}" '
         f'viewBox="0 0 {s} {s}">',
         f'  <rect width="{s}" height="{s}" fill="white"/>',
-        f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
+        f'  <circle cx="{cx:.6f}" cy="{cy:.6f}" r="{r:.6f}" '
         f'fill="none" stroke="black" stroke-width="{CIRCLE_STROKE}"/>',
     ]
+    tails = [f'" fill="none" stroke="{c}" stroke-width="{STROKE}"/>' for c in PALETTE]
     labels = {}  # label numerators in first-seen order
+    held, start = {}, None  # endpoints seen once, to their next use: at most 1024
     for i, (a, b) in enumerate(pairs):
         if spec.label_angles:
             labels.update(dict.fromkeys((a, b)))
+        if a != start:
+            start = a
+            ux1, uy1, p1 = held.pop(a, None) or point(a)
         if a == b:
             continue
-        # unit-disk coordinates (y up); SVG y grows down, so negate sin (counterclockwise)
-        ux1, uy1 = _unit(a, N)
-        ux2, uy2 = _unit(b, N)
-        p1 = f"{_fmt(cx + r * ux1)} {_fmt(cy - r * uy1)}"
-        p2 = f"{_fmt(cx + r * ux2)} {_fmt(cy - r * uy2)}"
+        end = held.pop(b, None)
+        if end is None:
+            held = held if len(held) < 1024 else {}
+            end = held[b] = point(b)
+        ux2, uy2, p2 = end
         dot = ux1 * ux2 + uy1 * uy2
         if 2 * (b - a) == N or dot == -1:  # antipodal, or too close in floats: a diameter
-            path = f"M {p1} L {p2}"
-        else:
-            ox, oy = (ux1 + ux2) / (1 + dot), (uy1 + uy2) / (1 + dot)
-            # the geodesic is the minor arc; sweep by orientation around the center
-            cross = (ux1 - ox) * (uy2 - oy) - (uy1 - oy) * (ux2 - ox)
-            sweep = 0 if cross > 0 else 1  # y-flip inverts handedness
-            # the radicand rounds below 0 only on chords far thinner than a pixel
-            rr = _fmt(math.sqrt(max(0.0, ox * ox + oy * oy - 1)) * r)
-            path = f"M {p1} A {rr} {rr} 0 0 {sweep} {p2}"
-        out.append(f'  <path d="{path}" fill="none" stroke="{PALETTE[i % len(PALETTE)]}" '
-                   f'stroke-width="{STROKE}"/>')
+            out.append(f'  <path d="M {p1} L {p2}{tails[i % len(tails)]}')
+            continue
+        ox, oy = (ux1 + ux2) / (1 + dot), (uy1 + uy2) / (1 + dot)
+        # the geodesic is the minor arc; sweep by orientation around the center
+        cross = (ux1 - ox) * (uy2 - oy) - (uy1 - oy) * (ux2 - ox)
+        sweep = 0 if cross > 0 else 1  # y-flip inverts handedness
+        # the radicand rounds below 0 only on chords far thinner than a pixel
+        rad = ox * ox + oy * oy - 1
+        rr = f"{math.sqrt(rad) * r if rad > 0 else 0.0:.6f}"
+        out.append(f'  <path d="M {p1} A {rr} {rr} 0 0 {sweep} {p2}{tails[i % len(tails)]}')
     for x in labels:
-        ux, uy = _unit(x, N)
-        out.append(f'  <text x="{_fmt(cx + r * 1.06 * ux)}" y="{_fmt(cy - r * 1.06 * uy)}" '
+        ux, uy, _ = point(x)
+        out.append(f'  <text x="{cx + r * 1.06 * ux:.6f}" y="{cy - r * 1.06 * uy:.6f}" '
                    f'font-size="10" text-anchor="middle">{format_angle(Fraction(x, N))}</text>')
     out.append("</svg>\n")
     return "\n".join(out)

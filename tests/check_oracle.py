@@ -5,7 +5,7 @@ integer, kept as a test oracle.
 
 It reads the store as a dict of endpoint pairs (a, b), finds the gap
 polygons among the connected components of the endpoint graph
-(`core.endpoint_classes`) and tests every leaf's image against the store.
+(`core_oracle.endpoint_classes`) and tests every leaf's image against the store.
 Its crossing scan, crossing count and crossing test work on those pairs and
 are its own, so that no helper of the checked code checks itself.
 `trilam.lamination.check_invariance` must give the same report: every field
@@ -18,8 +18,8 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Dict, List, Tuple
 
+from core_oracle import endpoint_classes
 from trilam.circle import format_angle
-from trilam.core import endpoint_classes
 from trilam.lamination import InvarianceReport, Lamination
 
 _LINKED_LIMIT = 20  # the crossing pairs an invariance report lists

@@ -157,12 +157,13 @@ def vertices(U: GapGen, depth: int) -> List[Fraction]:
         c, hole = U.critical.a, U.hole
         M = lcm(c.denominator, hole.start.denominator, hole.end.denominator)
         orb, start = _orbit_walk(3, 3 * _over(M, c) % M, M)
-        last_hit = max((i for i, hit in enumerate(U._hits(orb, M)) if hit), default=-1)
+        last_hit = max((i for i, v in enumerate(orb) if contains(hole, Fraction(v, M))),
+                       default=-1)
         if start > last_hit:
             pts.update(Fraction(v, M) for v in orb[last_hit + 1:])
     for p in range(1, depth + 1):
         q = 3 ** p - 1
-        pts.update(Fraction(j, q) for j in range(q) if U._basis_orbit(j, q) is not None)
+        pts.update(Fraction(j, q) for j in range(q) if U.in_basis(Fraction(j, q)))
     return sorted(pts)
 
 

@@ -2,13 +2,19 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from core_oracle import census, endpoint_classes
 from trilam.chords import Chord
-from trilam.core import CoreReport, endpoint_classes, periodic_rotational_classes
+from trilam.core import CoreReport, periodic_rotational_classes, rotational_census
 from trilam.lamination import (
+    Lamination,
+    Leaves,
     canonical_diameter,
     canonical_of_quadratic_gap,
     canonical_of_rotational,
@@ -173,3 +179,66 @@ def test_census_rejects_period_bound_below_one(bound):
     assert periodic_rotational_classes(L, 1).period_bound == 1
     with pytest.raises(ValueError, match=f"period_bound must be >= 1, got {bound}"):
         periodic_rotational_classes(L, bound)
+
+
+# ---------------------------------------------------------------------------
+# the periodic-only census against every endpoint class
+
+
+def _assert_census_matches_class_oracle(L, bound):
+    want = census(L, bound)
+    assert rotational_census(L, bound) == want.rotational_classes
+    rep = periodic_rotational_classes(L, bound)
+    assert rep.cut_classes == want.cut_classes
+    assert rep.rotational_classes == want.rotational_classes
+    assert rep.lines() == want.lines()
+
+
+# rotational sets whose polygons a drawn leaf set may hold
+_SEED_SETS = {3: [FINGAP1, FINGAP3, parse_lamset("7/26,11/26,21/26"), parse_lamset("1/4,3/4"),
+                  parse_lamset("1/8,3/8")],
+              2: [parse_lamset("1/7,2/7,4/7", 2), parse_lamset("1/3,2/3", 2)]}
+
+
+@st.composite
+def _leaf_sets(draw):
+    """A d = 2 or 3 leaf store over N = M * d^i * (1 or 5), M the
+    denominator of a rotational set: random leaves among the set's points,
+    periodic points and any points, with degenerate leaves, shared
+    endpoints, a star and the set's polygon each likely."""
+    d = draw(st.sampled_from([2, 3]))
+    G = draw(st.sampled_from(_SEED_SETS[d]))
+    N = G.M * d ** draw(st.integers(0, 3)) * draw(st.sampled_from([1, 5]))
+    P = gcd(N, d ** N.bit_length())
+    seed = [v * (N // G.M) for v in G.nums]
+    point = st.one_of(st.sampled_from(seed), st.integers(0, N // P - 1).map(lambda j: j * P),
+                      st.integers(0, N - 1))
+    leaves = draw(st.lists(st.tuples(point, point), max_size=25))
+    if draw(st.booleans()):
+        leaves += zip(seed, seed[1:] + seed[:1])
+    if draw(st.booleans()):
+        center = draw(point)
+        leaves += [(center, draw(point)) for _ in range(draw(st.integers(2, 5)))]
+    store = Leaves.from_pairs(N, {(min(a, b), max(a, b)): 0 for a, b in leaves})
+    return Lamination(d=d, depth=0, recipe="drawn", leaves=store)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_leaf_sets(), st.integers(1, 6))
+def test_periodic_census_matches_class_oracle_on_drawn_leaf_sets(L, bound):
+    _assert_census_matches_class_oracle(L, bound)
+
+
+def test_periodic_census_matches_class_oracle_on_census_and_files():
+    # the 81 canonical laminations of the benchmark's census, and the seven
+    # laminations of its files texts
+    lams = [canonical_of_rotational(G, 4) for q in range(2, 6) for p in range(1, q)
+            if gcd(p, q) == 1 for G in enumerate_rotational(3, F(p, q), 2)]
+    assert len(lams) == 81
+    lams += _golden_recipes(6)
+    found = 0
+    for L in lams:
+        for bound in (1, 6):
+            _assert_census_matches_class_oracle(L, bound)
+        found += len(rotational_census(L))
+    assert found == 81 + 4  # one each, and fingap1, fingap2, fingap3 and the rabbit

@@ -1502,6 +1502,22 @@ def test_loads_reads_dumps_output_in_bulk(monkeypatch):
             loads(other)
 
 
+def test_loads_parses_each_set_text_once(monkeypatch):
+    # fingap1's finite gap and its six attached gaps share one set text
+    import trilam.lamination as lamination_module
+    text = dumps(canonical_of_rotational(FINGAP1, depth=2))
+    want = loads(text).gaps
+    calls = []
+
+    def counting_parse(t, d):
+        calls.append(t)
+        return parse_lamset(t, d)
+
+    monkeypatch.setattr(lamination_module, "parse_lamset", counting_parse)
+    assert loads(text).gaps == want and len(want) == 7
+    assert calls == [format_lamset(FINGAP1)]
+
+
 _BAD_GAP = ("[gaps]\n", "[gaps]\n\nG0 kind=bogus\n")
 _TOO_LONG = ("line 5: Exceeds the limit (4300 digits) for integer string conversion: "
              "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit")

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import lamsets_oracle as oracle
 from trilam.chords import Chord
-from trilam.circle import arc_length, contains_closed, fixed_points, orbit
+from trilam.circle import arc_length, contains_closed, fixed_points, orbit, parse_angle
 from trilam.lamsets import (
     LamSet,
     classify_rotational,
@@ -65,6 +65,36 @@ def test_lamset_from_numerators_is_the_lamset_of_their_angles(n, k, d, draws):
 def test_parse_format():
     assert format_lamset(FINGAP2) == "7/26,11/26,21/26"
     assert parse_lamset(format_lamset(FINGAP1)) == FINGAP1
+
+
+_ANGLE_TEXTS = st.one_of(
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(0, 200), st.integers(0, 60)),
+    st.integers(0, 9).map(str),
+    st.sampled_from([" 1/3", "2/6 ", "-1/4", "0.5", "1e-1", "1_0/26", "x", "1/", "/3", " ", ""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ANGLE_TEXTS, max_size=6), st.sampled_from([2, 3]))
+def test_parse_lamset_matches_the_fraction_parse(parts, d):
+    # numerators straight from the text give the set, or the error, that a
+    # Fraction per vertex gave
+    text = ",".join(parts)
+
+    def fraction_parse():
+        ps = [p for p in text.strip().split(",") if p]
+        if not ps:
+            raise ValueError(f"bad laminational-set syntax: {text!r}")
+        return LamSet([parse_angle(p) for p in ps], d)
+
+    try:
+        want = fraction_parse()
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            parse_lamset(text, d)
+        assert str(info.value) == str(exc)
+        return
+    G = parse_lamset(text, d)
+    assert (G, G.M, G.nums, G.vertices) == (want, want.M, want.nums, want.vertices)
 
 
 def test_holes_partition_circle():

@@ -2,6 +2,7 @@ import random
 from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction as F
 from itertools import islice
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,8 @@ from trilam.circle import (
     sigma,
 )
 from trilam.lamination import (
-    ImageGap, _parse_region, _vassal_chord, canonical_of_quadratic_gap, project_through_gap,
+    ImageGap, _parse_region, _vassal_chord, canonical_diameter, canonical_of_quadratic_gap,
+    project_through_gap,
 )
 from trilam import quadgap
 from trilam.quadgap import (
@@ -666,23 +668,53 @@ def test_project_through_gap_matches_fraction_oracle(critical):
     assert want
 
 
-def test_project_through_gap_calls_psi_by_module_name(monkeypatch):
-    # the projection evaluates psi through lamination's `psi` name, once per
-    # endpoint it tries, so a wrapper rebound there sees every evaluation
-    import trilam.lamination as lamination_module
-    U = build_gap(PERIOD3_CRITICAL, depth=0)[0]
-    L = canonical_of_quadratic_gap(U, depth=3)
-    calls = []
+def _endpoint_table_cases():
+    """(gap, N, numerators over N): every endpoint of the regular-critical,
+    period-3 and diameter laminations at depth 5, under their own gaps, and
+    those of the period-3 lamination with its vassal's depth-5 vertices,
+    under the vassal."""
+    regcrit = build_gap(Chord(F(1, 3), F(2, 3)), depth=0)[0]
+    diameter = canonical_diameter(5)
+    cases = [(U, canonical_of_quadratic_gap(U, 5)) for U in (regcrit, _PERIOD3)]
+    cases += [(FGB, diameter), (FGA, diameter)]
+    for U, L in cases:
+        yield U, L.leaves.N, {x for pair in L.leaves.pairs() for x in pair}
+    V = vassal(_PERIOD3)
+    L = canonical_of_quadratic_gap(_PERIOD3, 5)
+    points = [F(x, L.leaves.N) for pair in L.leaves.pairs() for x in pair] + V.vertices(5)
+    N = lcm(*(x.denominator for x in points))
+    yield V, N, {x.numerator * (N // x.denominator) for x in points}
 
-    def counting_psi(gap, x):
-        calls.append(x)
-        return psi(gap, x)
 
-    monkeypatch.setattr(lamination_module, "psi", counting_psi)
-    project_through_gap(U, L)
-    want = [x for c in L.leaves
-            for x in ((c.a, c.b) if _oracle_in_basis(U, c.a) else (c.a,))]
-    assert calls == want
+@pytest.mark.parametrize("case", list(_endpoint_table_cases()),
+                         ids=["regular-critical", "period3", "FGB", "FGA", "period3-vassal"])
+def test_psi_values_match_fraction_oracles_on_endpoints(case, monkeypatch):
+    # the one walk over every endpoint gives each point's oracle psi, and
+    # None exactly off the basis; each value is a reduced p/q in [0, 1).
+    # It reads the bit of each point of the endpoints' orbits once.
+    U, N, xs = case
+    read, rule_of = [], type(U)._bits
+
+    def counting_bits(gap, M):
+        rule = rule_of(gap, M)
+        return lambda v: read.append(F(v, M)) or rule(v)
+
+    monkeypatch.setattr(type(U), "_bits", counting_bits)
+    table = quadgap.psi_values(U, N, xs)
+    monkeypatch.undo()
+    step = 3 ** U.period if isinstance(U, VassalGap) else 3
+    assert sorted(read) == sorted({y for x in xs for y in orbit(step, F(x, N))})
+    assert table.keys() == xs
+    inside = 0
+    for x, v in table.items():
+        if _oracle_in_basis(U, F(x, N)):
+            inside += 1
+            p, q = v
+            assert 0 <= p < q and gcd(p, q) == 1, (x, v)
+            assert F(p, q) == _oracle_psi(U, F(x, N)), x
+        else:
+            assert v is None, x
+    assert 0 < inside < len(xs)
 
 
 def test_psi_off_basis_message():

@@ -90,6 +90,38 @@ def test_render_size_sets_both_sides():
                           '  <circle cx="125.000000" cy="125.000000" r="112.500000" ')
 
 
+@pytest.mark.parametrize("size", [0, -1, -600])
+def test_render_rejects_a_size_that_is_not_positive(size):
+    with pytest.raises(ValueError, match=f"^size must be > 0, got {size}$"):
+        render(Chord(F(0), F(1, 3)), RenderSpec(size=size))
+
+
+def test_render_takes_each_endpoints_cos_once(monkeypatch):
+    # on the rotational laminations each endpoint serves two leaves, and its
+    # point is made once, on the first
+    import math
+    import sys
+    render_module = sys.modules["trilam.render"]  # the package's `render` is the function
+
+    class CountingMath:
+        pi, sin, sqrt = math.pi, math.sin, math.sqrt
+        calls = 0
+
+        @classmethod
+        def cos(cls, t):
+            cls.calls += 1
+            return math.cos(t)
+
+    for G in (parse_lamset("1/26,3/26,9/26"), parse_lamset("7/26,4/13,11/26,10/13,21/26,12/13")):
+        L = canonical_of_rotational(G, depth=4)
+        want = render(L)
+        CountingMath.calls = 0
+        monkeypatch.setattr(render_module, "math", CountingMath)
+        assert render(L) == want
+        monkeypatch.undo()
+        assert CountingMath.calls == len({x for pair in L.leaves.pairs() for x in pair})
+
+
 def test_render_labels():
     svg = render(Chord(F(0), F(1, 3)), RenderSpec(label_angles=True))
     assert ">0<" in svg and ">1/3<" in svg
@@ -146,9 +178,9 @@ def _chord_families(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_chord_families(), st.booleans(), st.integers(1, 3))
-def test_render_matches_chord_oracle_on_random_families(chords, labels, scale):
-    spec = RenderSpec(label_angles=labels)
+@given(_chord_families(), st.booleans(), st.integers(1, 3), st.integers(1, 2000))
+def test_render_matches_chord_oracle_on_random_families(chords, labels, scale, size):
+    spec = RenderSpec(size=size, label_angles=labels)
     # a lamination whose store N is a multiple of the lcm of its denominators
     store = Leaves.from_chords(dict.fromkeys(chords, 0))
     L = Lamination(3, 0, "random", Leaves.from_pairs(store.N * scale, {

@@ -14,6 +14,7 @@ UNREACHED_ALLOWED = {
     "image": "imported by test_acceptance.py",
     "majors": "imported by test_acceptance.py",
     "linked": "the Fraction crossing oracle of the invariance tests",
+    "psi": "the public per-point psi, tested by test_quadgap.py; project reads psi_values",
 }
 
 
