@@ -39,9 +39,8 @@ class CoreReport:
 
 
 def _classes(pairs: Iterable[Tuple[int, int]]) -> List[List[int]]:
-    """The connected components of the graph of the given endpoint pairs, in
-    no order: each point maps to its component's list, and joining two
-    lists moves the shorter into the longer."""
+    """The components, in no order, of the graph of the given pairs: each point
+    maps to its component's list; a join moves the shorter list into the longer."""
     comp: Dict[int, List[int]] = {}
     for a, b in pairs:
         ca, cb = comp.get(a), comp.get(b)
@@ -61,11 +60,10 @@ def _classes(pairs: Iterable[Tuple[int, int]]) -> List[List[int]]:
 
 def rotational_census(L, period_bound: int = 6) -> List[Tuple[LamSet, RotationalReport]]:
     """The sorted periodic classes of L, of period j <= `period_bound`, whose
-    return map sigma_d^j = sigma_{d^j} is a nontrivial rotation.  v/N is
-    periodic iff P, the part of N made of d's primes, divides v, so P | k
-    and k % (N * P) < N pick the keys k = a * N + b with P | b and P | a.
-    Classes are joined over the leaves with both ends periodic, less those
-    a leaf with one periodic end touches."""
+    return map sigma_d^j = sigma_{d^j} is a rotation.  v/N is periodic iff P,
+    the part of N made of d's primes, divides v: P | k and k % (N * P) < N pick
+    the keys k = a * N + b with P | b and P | a.  Classes join the leaves with
+    both ends periodic, less those a leaf with one periodic end touches."""
     if period_bound < 1:
         raise ValueError(f"period_bound must be >= 1, got {period_bound}")
     d, N, keys = L.d, L.leaves.N, L.leaves.packed

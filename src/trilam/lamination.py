@@ -839,10 +839,9 @@ def project_through_gap(U: GapGen, L: Lamination) -> Lamination:
     """Collapse L through the boundary map of U: leaves with both endpoints
     in U's basis map endpoint-wise by psi; degenerate images are dropped.
 
-    The leaves are read from the integer store: the crossing test with the
-    major runs on numerators over the lcm of N and the major's denominators.
-    `psi_values` values the distinct endpoints in one walk of their orbits,
-    and the images are stored over the lcm of their denominators."""
+    The crossing test with the major runs on numerators over the lcm of N and
+    the major's denominators.  `psi_values` values the distinct endpoints in
+    one walk of their orbits; the images are stored over their denominators' lcm."""
     major, N = U.major, L.leaves.N
     M = lcm(N, major.a.denominator, major.b.denominator)
     f = M // N

@@ -449,12 +449,11 @@ def vassal(U: GapGen) -> VassalGap:
 
 
 def psi_values(U, N: int, xs: Iterable[int]) -> Dict[int, Optional[Tuple[int, int]]]:
-    """psi of each point x/N, x in `xs`, as the reduced (p, q) of p/q in
-    [0, 1), or None off U's basis.  A walk of the gap's map stops at a point
-    already valued or on closing a cycle, valued sum b_i 2^(n-1-i)/(2^n - 1)
-    by the `_bits` rule; each point before follows by psi(x) =
-    (b(x) + psi(sigma x)) / 2, and is off the basis iff its walk meets a
-    point off the gap's region.  Only the final value is taken mod 1."""
+    """psi of each point x/N, x in `xs`, as the reduced (p, q) of p/q in [0, 1),
+    or None off U's basis.  A walk of the gap's map stops at a point already
+    valued or on closing a cycle, valued sum b_i 2^(n-1-i)/(2^n - 1) by the
+    `_bits` rule; each point before it has psi(x) = (b(x) + psi(sigma x)) / 2
+    and is off the basis iff its walk meets one.  Only the result is mod 1."""
     xs = set(xs)
     M = lcm(3, N, U.hole.start.denominator, U.hole.end.denominator)
     f, step, bit = M // N, U._step, U._bits(M)

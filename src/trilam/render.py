@@ -76,8 +76,11 @@ def render(obj, spec: Optional[RenderSpec] = None) -> str:
     ]
     tails = [f'" fill="none" stroke="{c}" stroke-width="{STROKE}"/>' for c in PALETTE]
     labels = {}  # label numerators in first-seen order
-    held, start = {}, None  # endpoints seen once, to their next use: at most 1024
+    held, start, lines = {}, None, []  # held: endpoints seen once, to their next use
     for i, (a, b) in enumerate(pairs):
+        if len(lines) == 4096:  # joined a block at a time, to free the line objects
+            out.append("\n".join(lines))
+            lines.clear()
         if spec.label_angles:
             labels.update(dict.fromkeys((a, b)))
         if a != start:
@@ -87,12 +90,12 @@ def render(obj, spec: Optional[RenderSpec] = None) -> str:
             continue
         end = held.pop(b, None)
         if end is None:
-            held = held if len(held) < 1024 else {}
+            held = held if len(held) < 1024 else {}  # at most 1024
             end = held[b] = point(b)
         ux2, uy2, p2 = end
         dot = ux1 * ux2 + uy1 * uy2
         if 2 * (b - a) == N or dot == -1:  # antipodal, or too close in floats: a diameter
-            out.append(f'  <path d="M {p1} L {p2}{tails[i % len(tails)]}')
+            lines.append(f'  <path d="M {p1} L {p2}{tails[i % len(tails)]}')
             continue
         ox, oy = (ux1 + ux2) / (1 + dot), (uy1 + uy2) / (1 + dot)
         # the geodesic is the minor arc; sweep by orientation around the center
@@ -101,7 +104,8 @@ def render(obj, spec: Optional[RenderSpec] = None) -> str:
         # the radicand rounds below 0 only on chords far thinner than a pixel
         rad = ox * ox + oy * oy - 1
         rr = f"{math.sqrt(rad) * r if rad > 0 else 0.0:.6f}"
-        out.append(f'  <path d="M {p1} A {rr} {rr} 0 0 {sweep} {p2}{tails[i % len(tails)]}')
+        lines.append(f'  <path d="M {p1} A {rr} {rr} 0 0 {sweep} {p2}{tails[i % len(tails)]}')
+    out += lines
     for x in labels:
         ux, uy, _ = point(x)
         out.append(f'  <text x="{cx + r * 1.06 * ux:.6f}" y="{cy - r * 1.06 * uy:.6f}" '

@@ -164,6 +164,14 @@ def test_render_matches_chord_oracle_on_gallery(name, make):
             assert svg == expected, (name, obj, spec)
 
 
+def test_render_matches_chord_oracle_past_one_block_of_path_lines():
+    # the path lines are joined 4096 at a time
+    L = canonical_of_rotational(parse_lamset("7/26,4/13,11/26,10/13,21/26,12/13"), depth=6)
+    assert len(L.leaves) > 4096
+    for spec in (RenderSpec(), RenderSpec(size=90, label_angles=True)):
+        assert render(L, spec) == render_oracle.render(L, spec)
+
+
 @st.composite
 def _chord_families(draw):
     """Chords over a few random denominators: endpoints in either order,
