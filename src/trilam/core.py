@@ -90,8 +90,7 @@ def rotational_census(L, period_bound: int = 6) -> List[Tuple[LamSet, Rotational
 
 
 def periodic_rotational_classes(L, period_bound: int = 6) -> CoreReport:
-    """`rotational_census`, with every endpoint class of two or more points
-    as numerators over the lamination's N."""
+    """`rotational_census`, and every endpoint class of 2+ points over L's N."""
     rotational = rotational_census(L, period_bound)
     classes = sorted(tuple(sorted(c)) for c in _classes(L.leaves.pairs()) if len(c) >= 2)
     summary = ("EmptyCore", "SinglePoint", "MultipleRotational")[min(len(rotational), 2)]

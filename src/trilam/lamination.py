@@ -296,10 +296,9 @@ def _gap_polygon(U: GapGen, seeds: Sequence[Chord]) -> Polygon:
     avoid = {y for s in seeds for e in (s.a, s.b) for y in orbit(3, e)}
     for m in count(1):
         q = 3 ** m - 1
-        for j in range(q):
-            x = Fraction(j, q)
+        for x in map(Fraction, range(q), repeat(q)):
             if U.in_basis(x) and avoid.isdisjoint(orbit(3, x)):
-                return tuple(y for y in preimages(3, Fraction(3 * j % q, q)) if U.in_basis(y))
+                return tuple(y for y in preimages(3, sigma(3, x)) if U.in_basis(y))
 
 
 def _vassal_chord(V: VassalGap) -> Polygon:

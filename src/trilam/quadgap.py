@@ -297,8 +297,11 @@ class GapGen(QuadraticGap):
         if self.critical is not None:
             orb, _ = _orbit_walk(3, 3 * _over(D, self.critical.a) % D, D)
             pts.update(v for v, p in psi_values(self, D, orb).items() if p is not None)
-        for q in qs:
-            pts.update(j * (D // q) for j in range(q) if self.in_basis(Fraction(j, q)))
+        for q in qs:  # j/q is a basis point iff its orbit meets no point in the hole
+            M = lcm(3, q, self.hole.start.denominator, self.hole.end.denominator)
+            bit = self._bits(M)
+            pts.update(j * (D // q) for j in range(q)
+                       if None not in map(bit, _orbit_walk(3, j * (M // q), M)[0]))
         return [Fraction(v, D) for v in sorted(pts)]
 
 
@@ -366,6 +369,7 @@ class VassalGap(QuadraticGap):
     hole: Arc  # the parent's major hole (a, b); the vassal lives inside it
     period: int
     kind = "vassal"
+    _step = property(lambda self: 3 ** self.period)  # its map is the return map sigma^k
 
     @property
     def a(self) -> Fraction:
@@ -429,8 +433,6 @@ class VassalGap(QuadraticGap):
                     for x, y in zip(lo, hi)]
         return out
 
-    _step = property(lambda self: 3 ** self.period)
-
     def _bits(self, M: int) -> Callable[[int], Optional[int]]:
         """psi's bit of v/M: 0 on the arc at a, 1 at b, None off the horseshoe."""
         a, h = _arc_over(M, self.hole)
@@ -454,11 +456,12 @@ def psi_values(U, N: int, xs: Iterable[int]) -> Dict[int, Optional[Tuple[int, in
     valued or on closing a cycle, valued sum b_i 2^(n-1-i)/(2^n - 1) by the
     `_bits` rule; each point before it has psi(x) = (b(x) + psi(sigma x)) / 2
     and is off the basis iff its walk meets one.  Only the result is mod 1."""
-    xs = set(xs)
     M = lcm(3, N, U.hole.start.denominator, U.hole.end.denominator)
     f, step, bit = M // N, U._step, U._bits(M)
-    val: Dict[int, Optional[Tuple[int, int]]] = {}  # over M: psi as p/q in [0, 1]
+    val, out = {}, {}  # psi as p/q in [0, 1] over M, and as the result over N
     for x in xs:
+        if x in out:
+            continue
         path: Dict[int, Optional[int]] = {}  # the walk's points and their bits
         y = x * f
         while y not in val and y not in path:
@@ -480,18 +483,17 @@ def psi_values(U, N: int, xs: Iterable[int]) -> Dict[int, Optional[Tuple[int, in
         for z in reversed(tail):
             b = path[z]
             val[z] = v = None if v is None or b is None else (b * v[1] + v[0], 2 * v[1])
-
-    def reduced(v: Tuple[int, int]) -> Tuple[int, int]:
-        p, q = v[0] % v[1], v[1]
-        return p // gcd(p, q), q // gcd(p, q)
-    return {x: None if val[x * f] is None else reduced(val[x * f]) for x in xs}
+        if v is not None:  # psi of x, the walk's first point
+            p, q = v[0] % v[1], v[1]
+            v = p // gcd(p, q), q // gcd(p, q)
+        out[x] = v
+    return out
 
 
 def psi(U, x: Fraction) -> Fraction:
-    """Collapse a basis point of a quadratic gap to its doubling-map angle:
-    `psi_values` on x.  The itinerary of x (under sigma for an invariant
-    gap, under sigma^k for a vassal) on the gap's two bit arcs, read as a
-    binary expansion, is the image angle; the hole-start side reads 0."""
+    """Collapse a basis point of a quadratic gap to its doubling-map angle, by
+    `psi_values`: the itinerary of x on the gap's two bit arcs (under sigma,
+    or sigma^k for a vassal), read in binary; the hole-start side reads 0."""
     y = x.numerator % x.denominator
     v = psi_values(U, x.denominator, (y,))[y]
     if v is None:
