@@ -23,7 +23,7 @@ from .lamsets import (
     format_lamset,
     parse_lamset,
 )
-from .quadgap import build_gap, classify_critical, vassal
+from .quadgap import _classify, build_gap, vassal
 
 
 class UsageError(Exception):
@@ -94,13 +94,11 @@ def _emit(lines) -> None:
 
 
 def cmd_classify_critical_leaf(args) -> int:
-    c = _chord(args.chord)
-    cls = classify_critical(c)
+    cls, hole = _classify(_chord(args.chord))
     if cls.tag == "PeriodicType":
-        gap, _ = build_gap(c, depth=0)
         # major printed in scan order: hole end first (nearest fixed point
         # forward of the short side), then hole start
-        major = f"{format_angle(gap.hole.end)}-{format_angle(gap.hole.start)}"
+        major = f"{format_angle(hole.end)}-{format_angle(hole.start)}"
         print(f"PeriodicType n_c={cls.n_c} major={major}")
     else:
         print(f"{cls.tag} major={format_chord(cls.major)}")

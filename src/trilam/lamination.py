@@ -22,14 +22,12 @@ from fractions import Fraction
 from itertools import chain, combinations, compress, count, islice, repeat
 from math import gcd, lcm
 from operator import add, eq, le, lt, mul
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .chords import Chord, format_chord, is_critical, parse_chord
 from .circle import (
-    Arc,
     _angle_parts,
     _over,
-    fixed_points,
     format_angle,
     orbit,
     preimages,
@@ -48,10 +46,9 @@ from .quadgap import (
     LeafBudgetError,
     VassalGap,
     _hold_budget,
-    _leaf_period,
     _parse_arc,
+    _witness_gap,
     below_diameter,
-    classify_critical,
     parse_fields,
     psi_values,
     vassal,
@@ -904,36 +901,6 @@ class SmpVerdict:
         return out
 
 
-_WITNESS_MAX_PERIOD = 6
-
-
-def _witness_quadratic_gap(points: Set[Fraction]) -> Optional[GapGen]:
-    """A periodic-type invariant quadratic gap whose basis contains every
-    given point: scan periodic majors by increasing period, up to
-    _WITNESS_MAX_PERIOD, using the exact hole-length formula, and keep the
-    first whose open hole misses all the points."""
-    for k in range(1, _WITNESS_MAX_PERIOD + 1):
-        h = Fraction(3 ** (k - 1), 3 ** k - 1)
-        for a in fixed_points(3, k):
-            U = GapGen(kind="periodic-type", hole=Arc(a, (a + h) % 1), period=k)
-            if _leaf_period(3, U.major) != k:
-                continue
-            if any(0 < (x - a) % 1 < h for x in points):
-                continue
-            # validate: a critical chord centered in the hole must classify
-            # as periodic type with exactly this major
-            m0 = (a + (h - Fraction(1, 3)) / 2) % 1
-            c = Chord(m0, (m0 + Fraction(1, 3)) % 1)
-            try:
-                cls = classify_critical(c)
-            except ValueError:
-                continue
-            if cls.tag != "PeriodicType" or cls.major != U.major or cls.n_c != k:
-                continue
-            return U
-    return None
-
-
 def classify_smp(L: Lamination, period_bound: int = 6) -> SmpVerdict:
     """Decide membership in the simplest-core class: laminations with exactly
     one periodic rotational gap or leaf, all of whose edges are isolated.
@@ -964,7 +931,7 @@ def classify_smp(L: Lamination, period_bound: int = 6) -> SmpVerdict:
         return SmpVerdict(case_tag="CanonicalTypeD", period_bound=period_bound,
                           witness_rotational=G, witness_type="D")
     # types A and B live inside an invariant quadratic gap (co-existence)
-    U = _witness_quadratic_gap({x for v in G.vertices for x in orbit(3, v)})
+    U = _witness_gap(G.M, G.nums)
     if U is None:
         return SmpVerdict(case_tag="NotSMP", period_bound=period_bound, certified=False,
                           note="single rotational class but no containing quadratic gap "

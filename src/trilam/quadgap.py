@@ -120,13 +120,6 @@ def _arc_over(M: int, arc: Arc) -> Tuple[int, int]:
     return a, (_over(M, arc.end) - a) % M
 
 
-def _leaf_period(d: int, c: Chord) -> Optional[int]:
-    """Minimal n with sigma_d^n(c) = c, or None when an endpoint of c is
-    not periodic."""
-    M = lcm(c.a.denominator, c.b.denominator)
-    return _set_period(d, M, (_over(M, c.a), _over(M, c.b)))
-
-
 def caterpillar_head(c: Chord) -> Tuple[Chord, Fraction, int, int]:
     """For a critical chord with a periodic endpoint y, the head of its
     canonical chain gap: Chord(y, z) with z the sigma^k-fixed accumulation
@@ -150,9 +143,10 @@ def caterpillar_head(c: Chord) -> Tuple[Chord, Fraction, int, int]:
     return Chord(y, z), y, k, direction
 
 
-def classify_critical(c: Chord) -> CriticalClass:
-    """The class of a critical chord, found on numerators over the lcm of
-    its denominators; the closure of L(c) is the closed arc from t to s."""
+def _classify(c: Chord) -> Tuple[CriticalClass, Optional[Arc]]:
+    """The class of a critical chord and the hole of the invariant quadratic
+    gap it spans (None for a caterpillar), found on numerators over the lcm
+    of its denominators; the closure of L(c) is the closed arc from t to s."""
     M, s, t = _critical_nums(c)
     span = (s - t) % M
     orb, _ = _orbit_walk(3, 3 * s % M, M)
@@ -171,17 +165,50 @@ def classify_critical(c: Chord) -> CriticalClass:
         # both ends lie in the open arc L(c) = (t, s), over q * M
         if not all(0 < (v * M - t * q) % (q * M) < span * q for v in (y, z)):
             raise AssertionError("major endpoints escaped L(c)")
-        major = Chord(Fraction(y, q), Fraction(z, q))
+        hole = Arc(Fraction(z, q), Fraction(y, q))
+        major = Chord(hole.end, hole.start)
         if _set_period(3, q, (y, z)) != n_c:
             raise AssertionError(f"major {major} does not have period {n_c}")
-        return CriticalClass(tag="PeriodicType", major=major, major_period=n_c)
+        return CriticalClass(tag="PeriodicType", major=major, major_period=n_c), hole
 
     if hits_boundary:
         head, y, k, _ = caterpillar_head(c)
         return CriticalClass(tag="Caterpillar", major=head, major_period=k,
-                             periodic_endpoint=y)
+                             periodic_endpoint=y), None
 
-    return CriticalClass(tag="RegularCritical", major=c)
+    return CriticalClass(tag="RegularCritical", major=c), Arc(Fraction(s, M), Fraction(t, M))
+
+
+def classify_critical(c: Chord) -> CriticalClass:
+    """The class of a critical chord."""
+    return _classify(c)[0]
+
+
+_WITNESS_MAX_PERIOD = 6
+
+
+def _witness_gap(M: int, nums: Iterable[int]) -> Optional[GapGen]:
+    """A periodic-type invariant quadratic gap whose basis holds the sigma_3
+    orbits of the points x/M, x in `nums`: the first open hole
+    (j/q, (j + 3^(k-1))/q), q = 3^k - 1, by k <= _WITNESS_MAX_PERIOD and
+    then j, that misses every orbit point and is the hole of the critical
+    chord centred in it, (6j + 1)/(6q) to (6j + 1)/(6q) + 1/3, with n_c = k."""
+    pts = {y for x in nums for y in _orbit_walk(3, x, M)[0]}
+    for k in range(1, _WITNESS_MAX_PERIOD + 1):
+        q = 3 ** k - 1
+        N = lcm(M, q)
+        f = N // q
+        h = 3 ** (k - 1) * f
+        xs = [x * (N // M) for x in pts]
+        for j in range(q):
+            a = j * f
+            if any(0 < (x - a) % N < h for x in xs):
+                continue
+            m, Q = 6 * j + 1, 6 * q
+            cls, hole = _classify(Chord(Fraction(m, Q), Fraction((m + 2 * q) % Q, Q)))
+            if cls.n_c == k:
+                return GapGen(kind="periodic-type", hole=hole, period=k)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +360,11 @@ def _parse_arc(text: str) -> Arc:
 def build_gap(c: Chord, depth: int = 6) -> Tuple[GapGen, List[Fraction]]:
     """The invariant quadratic gap spanned by orbits avoiding the major hole
     of the critical chord `c`, together with its enumerated vertices."""
-    cls = classify_critical(c)
-    if cls.tag == "Caterpillar":
+    cls, hole = _classify(c)
+    if hole is None:
         raise ValueError("caterpillar critical chords do not span a plain quadratic gap")
-    M, s, t = _critical_nums(c)
-    if cls.tag == "RegularCritical":
-        gap = GapGen(kind="regular-critical", hole=Arc(Fraction(s, M), Fraction(t, M)),
-                     critical=c)
-    else:
-        q, z, y = _major_ends(M, s, t, cls.n_c)
-        gap = GapGen(kind="periodic-type", hole=Arc(Fraction(z, q), Fraction(y, q)),
-                     period=cls.n_c, critical=c)
+    gap = GapGen(kind="periodic-type" if cls.n_c else "regular-critical", hole=hole,
+                 period=cls.n_c, critical=c)
     return gap, gap.vertices(depth)
 
 

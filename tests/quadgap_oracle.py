@@ -1,14 +1,16 @@
 """The Fraction set-up of the census constructions, kept as a test oracle.
 
 This is the code trilam ran before `classify_critical`, `build_gap`, the
-gap's edges and vertices, and the critical polygons of the canonical
-constructions moved to integer numerators: the short side, L(c), the
+gap's edges and vertices, the critical polygons of the canonical
+constructions and the SMP witness scan moved to integer numerators: the
+short side, L(c), the
 nearest sigma^n-fixed points and each edge's hole are `Fraction` and `Arc`
 values, the critical polygon of a quadratic gap is found by a search over
 j/(3^m - 1) with a Fraction basis test and orbit per candidate, and the
 polygon of an attached gap reads the rotation and the hole lengths from
 `classify_rotational` and `holes` for each gap; criticality compares two
-`sigma` images.  The trilam functions of
+`sigma` images; the witness scan builds a `GapGen` per candidate hole and
+tests each orbit point as a Fraction.  The trilam functions of
 the same names must give the same values, and the same exception types
 and messages.
 """
@@ -16,15 +18,16 @@ and messages.
 from fractions import Fraction
 from itertools import count
 from math import lcm
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from trilam.chords import Chord
 from trilam.circle import (
-    Arc, _orbit_walk, _over, _set_period, arc_length, contains, orbit, preimages, sigma,
+    Arc, _orbit_walk, _over, _set_period, arc_length, contains, fixed_points, orbit,
+    preimages, sigma,
 )
 from trilam.lamination import AttachedGap
 from trilam.lamsets import LamSet, classify_rotational, holes
-from trilam.quadgap import CriticalClass, GapGen, _leaf_period
+from trilam.quadgap import CriticalClass, GapGen
 
 THIRD = Fraction(1, 3)
 
@@ -57,6 +60,13 @@ def _nearest_fixed(point: Fraction, n: int, direction: int) -> Fraction:
     num, den = point.numerator * q, point.denominator
     j = num // den + 1 if direction > 0 else -(-num // den) - 1
     return Fraction(j % q, q)
+
+
+def _leaf_period(c: Chord) -> Optional[int]:
+    """Minimal n with sigma^n(c) = c, or None when an endpoint of c is not
+    periodic."""
+    M = lcm(c.a.denominator, c.b.denominator)
+    return _set_period(3, M, (_over(M, c.a), _over(M, c.b)))
 
 
 def caterpillar_head(c: Chord) -> Tuple[Chord, Fraction, int, int]:
@@ -98,7 +108,7 @@ def classify_critical(c: Chord) -> CriticalClass:
         if not (contains(L, y) and contains(L, z)):
             raise AssertionError("major endpoints escaped L(c)")
         major = Chord(y, z)
-        if _leaf_period(3, major) != n_c:
+        if _leaf_period(major) != n_c:
             raise AssertionError(f"major {major} does not have period {n_c}")
         return CriticalClass(tag="PeriodicType", major=major, major_period=n_c)
 
@@ -108,6 +118,34 @@ def classify_critical(c: Chord) -> CriticalClass:
                              periodic_endpoint=y)
 
     return CriticalClass(tag="RegularCritical", major=c)
+
+
+def witness_quadratic_gap(vertices: Iterable[Fraction]) -> Optional[GapGen]:
+    """A periodic-type invariant quadratic gap whose basis contains the
+    sigma_3 orbits of the vertices: scan periodic majors by increasing
+    period, up to 6, using the exact hole-length formula, and keep the
+    first whose open hole misses all the points."""
+    points = {x for v in vertices for x in orbit(3, v)}
+    for k in range(1, 7):
+        h = Fraction(3 ** (k - 1), 3 ** k - 1)
+        for a in fixed_points(3, k):
+            U = GapGen(kind="periodic-type", hole=Arc(a, (a + h) % 1), period=k)
+            if _leaf_period(U.major) != k:
+                continue
+            if any(0 < (x - a) % 1 < h for x in points):
+                continue
+            # validate: a critical chord centered in the hole must classify
+            # as periodic type with exactly this major
+            m0 = (a + (h - THIRD) / 2) % 1
+            c = Chord(m0, (m0 + THIRD) % 1)
+            try:
+                cls = classify_critical(c)
+            except ValueError:
+                continue
+            if cls.tag != "PeriodicType" or cls.major != U.major or cls.n_c != k:
+                continue
+            return U
+    return None
 
 
 def base_edges(U: GapGen) -> List[Tuple[Chord, Arc]]:

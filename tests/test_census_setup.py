@@ -1,9 +1,11 @@
 """The integer set-up of the census constructions against the Fraction code
 it replaced (tests/quadgap_oracle.py): critical-chord classes, quadratic
-gaps with their edges and vertices, and the seeds, attached gaps and
-critical portraits of the canonical constructions."""
+gaps with their edges and vertices, the seeds, attached gaps and critical
+portraits of the canonical constructions, and the quadratic gap that
+witnesses SMP case 3."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -18,7 +20,7 @@ from trilam.lamination import (
     canonical_of_quadratic_gap, canonical_of_rotational,
 )
 from trilam.lamsets import LamSet, enumerate_rotational
-from trilam.quadgap import _major_ends, build_gap, classify_critical
+from trilam.quadgap import _classify, _major_ends, _witness_gap, build_gap, classify_critical
 
 # the m of a drawn critical chord (m, m + 1/3) is j/q, q a multiple of 3 up
 # to 3 * (3^8 - 1), or a sigma^k-fixed point j/(3^k - 1), k <= 8, whose
@@ -136,6 +138,70 @@ def test_rotational_setup_matches_the_fraction_oracle():
     # a hole of exactly 1/d is a major hole, on a set that is no rotational set
     for g in attached_cycle(LamSet([F(0), F(1, 3), F(5, 6)])):
         assert g.is_critical == oracle.is_attached_critical(g) == (g.index != 2)
+
+
+def test_centred_chord_has_period_k_exactly_when_the_fraction_scan_keeps_the_hole():
+    # every candidate hole (j, j + 3^(k-1)) over q = 3^k - 1, k <= 6, of the
+    # witness scan: the integer scan keeps it iff its centred critical chord
+    # has n_c = k, the Fraction scan iff also its major has leaf period k
+    # and is the chord's major
+    kept = 0
+    for k in range(1, 7):
+        q, h = 3 ** k - 1, F(3 ** (k - 1), 3 ** k - 1)
+        for j in range(q):
+            major = Chord(F(j, q), F(j, q) + h)
+            m = F(6 * j + 1, 6 * q)
+            c = Chord(m, m + F(1, 3))
+            cls, hole = _classify(c)
+            want = oracle.classify_critical(c)
+            if cls.n_c == k:
+                kept += 1
+                assert hole == Arc(F(j, q), F(j, q) + h)
+            assert (cls.n_c == k) == (oracle._leaf_period(major) == k == want.n_c
+                                      and want.major == major), (k, j)
+    assert kept > 200
+
+
+def test_witness_gap_matches_the_fraction_oracle_on_rotational_sets():
+    found = Counter()
+    for q in range(2, 9):
+        for p in range(1, q):
+            if F(p, q).denominator == q:
+                for G in enumerate_rotational(3, F(p, q), 2):
+                    U = _witness_gap(G.M, G.nums)
+                    assert U == oracle.witness_quadratic_gap(G.vertices), G
+                    found[None if U is None else U.period] += 1
+    assert sum(found.values()) == 265 and found[None] == 74
+
+
+# periodic points j/(3^k - 1), most of which some gap holds, and any points
+# over M <= 300, most of which none does
+_point_sets = st.one_of(
+    st.integers(1, 6).map(lambda k: 3 ** k - 1),
+    st.integers(1, 300),
+).flatmap(lambda M: st.tuples(st.just(M), st.lists(st.integers(0, M - 1), min_size=1,
+                                                   max_size=4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_point_sets)
+# a type B set of rotation 1/12 that no gap of period <= 6 holds
+@example((1456, [1, 3, 9, 27, 81, 243, 729, 731, 737, 755, 809, 971]))
+def test_witness_gap_matches_the_fraction_oracle_on_drawn_points(case):
+    M, nums = case
+    U = _witness_gap(M, nums)
+    assert U == oracle.witness_quadratic_gap([F(x, M) for x in nums])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_sets)
+def test_witness_gap_commutes_with_reflection(case):
+    # x -> -x commutes with sigma_3 and takes the candidate holes of period
+    # k onto each other, so the reflected points have a witness of the same
+    # period, or none
+    M, nums = case
+    U, V = _witness_gap(M, nums), _witness_gap(M, [-x % M for x in nums])
+    assert (U is None) == (V is None) and (U is None or U.period == V.period)
 
 
 def test_arc_normalises_its_ends():

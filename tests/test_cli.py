@@ -271,6 +271,24 @@ def test_classify_smp_does_not_read_the_recipe(capsys, tmp_path):
                    "note: no periodic rotational class found up to the period bound\n")
 
 
+def test_classify_smp_is_inconclusive_without_a_containing_gap(capsys, tmp_path):
+    # a type B set of rotation 1/12: one rotational class, and no quadratic
+    # gap of period <= 6 holds it
+    path = str(tmp_path / "q12.lam")
+    code, out, _ = run(capsys, "build-canonical", "rotational", "--set",
+                       "1/1456,3/1456,9/1456,27/1456,81/1456,243/1456,729/1456,731/1456,"
+                       "737/1456,755/1456,809/1456,971/1456", "--depth", "1", "--out", path)
+    assert (code, out) == (0, f"36 leaves -> {path}\n")
+    code, out, _ = run(capsys, "check-invariance", "--in", path)
+    assert code == 0 and "ok: true" in out
+    code, out, err = run(capsys, "classify-smp", "--in", path)
+    assert (code, err) == (0, "")
+    assert out == ("in_smp: false\nverdict: NotSMP\nperiod_bound: 6\n"
+                   "certified: false (period bound may be insufficient)\n"
+                   "note: single rotational class but no containing quadratic gap "
+                   "found within the period bound; inconclusive\n")
+
+
 @pytest.mark.parametrize("index", ["-5", "-1", "1"])
 def test_project_gap_index_out_of_range(capsys, tmp_path, index):
     path = str(tmp_path / "p3.lam")

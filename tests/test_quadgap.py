@@ -27,7 +27,6 @@ from trilam.quadgap import (
     LeafBudgetError,
     VassalGap,
     _POINT_BUDGET,
-    _leaf_period,
     above_diameter,
     below_diameter,
     build_gap,
@@ -37,7 +36,7 @@ from trilam.quadgap import (
     vassal,
 )
 
-from quadgap_oracle import _nearest_fixed, _short_side, big_arc
+from quadgap_oracle import _leaf_period, _nearest_fixed, _short_side, big_arc
 
 # the two invariant quadratic gaps split by the diameter 0-1/2
 FGB = below_diameter()          # basis in [1/2, 1], hole (0, 1/2)
@@ -150,12 +149,12 @@ def test_leaf_period_of_census_majors():
             M = Chord(u, (u + h) % 1)
             if _bounded_leaf_period(M, k) == k:
                 majors += 1
-                assert _leaf_period(3, M) == k
+                assert _leaf_period(M) == k
     assert majors > 100
-    assert _leaf_period(3, Chord(F(1, 9), F(4, 9))) is None  # 1/9 -> 1/3 -> 0
-    assert _leaf_period(3, Chord(F(0), F(1, 3))) is None  # one periodic endpoint
+    assert _leaf_period(Chord(F(1, 9), F(4, 9))) is None  # 1/9 -> 1/3 -> 0
+    assert _leaf_period(Chord(F(0), F(1, 3))) is None  # one periodic endpoint
     # period-2 endpoints that swap: the leaf period is below their lcm
-    assert _leaf_period(3, Chord(F(1, 4), F(3, 4))) == 1
+    assert _leaf_period(Chord(F(1, 4), F(3, 4))) == 1
 
 
 @pytest.mark.parametrize("den", [4, 7, 8, 9, 10, 13])
@@ -164,7 +163,7 @@ def test_leaf_period_matches_bounded_iteration(den):
         for j in range(i, den):
             c = Chord(F(i, den), F(j, den))
             want = _bounded_leaf_period(c, 2 * den ** 2)
-            assert _leaf_period(3, c) == want, c
+            assert _leaf_period(c) == want, c
             # the set period of the endpoints, unreduced over den, with and
             # without a bound
             assert _set_period(3, den, (i, j)) == want, c
@@ -637,7 +636,7 @@ def test_integer_walks_match_fraction_oracles_on_random_rationals(x, U, y, z):
     if want:
         assert psi(U, x) == _oracle_psi(U, x)
     c = Chord(y, z)
-    assert _leaf_period(3, c) == _oracle_leaf_period(c), c
+    assert _leaf_period(c) == _oracle_leaf_period(c), c
     N = y.denominator * z.denominator
     pts = (y.numerator * z.denominator, z.numerator * y.denominator)
     assert _set_period(3, N, pts) == _oracle_leaf_period(c), c

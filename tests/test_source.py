@@ -17,6 +17,11 @@ UNREACHED_ALLOWED = {
     "psi": "the public per-point psi, tested by test_quadgap.py; project reads psi_values",
 }
 
+# names a src/trilam module imports only for other modules to read from it
+REEXPORTED = {
+    ("lamination", "LeafBudgetError"): "read by cli as lamination.LeafBudgetError",
+}
+
 
 def test_no_assert_statements_in_src():
     # python -O strips assert statements, so no check may rest on one
@@ -100,3 +105,24 @@ def test_every_src_definition_is_read():
                 unread.add(node.name)
     # the allow-list holds exactly the defined names that are never read
     assert sorted(unread) == sorted(UNREACHED_ALLOWED)
+
+
+def test_every_src_import_is_read():
+    # a name a module imports (other than __init__.py's re-exports and
+    # __future__ features) is read as a bare name in that module, so a
+    # deletion leaves no stale import behind
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        bare, _ = _module_reads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unread.update((path.stem, name) for name in bound if name not in bare)
+    assert sorted(unread) == sorted(REEXPORTED)
