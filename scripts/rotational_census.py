@@ -14,7 +14,7 @@ from trilam.lamsets import (
     classify_rotational,
     enumerate_rotational,
     format_lamset,
-    hold_walk_budget,
+    hold_scan_budget,
 )
 
 
@@ -26,8 +26,8 @@ def main() -> int:
                     help="largest rotation-number denominator")
     ap.add_argument("--orbits", type=int, default=2, choices=[1, 2])
     args = ap.parse_args()
-    try:  # the largest q walks the most points: hold it before the first walk
-        hold_walk_budget(args.d, args.max_q)
+    try:  # the largest q scans the most points: hold it before the first scan
+        hold_scan_budget(args.d, args.max_q)
     except ValueError as exc:  # a LeafBudgetError
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

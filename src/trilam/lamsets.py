@@ -3,21 +3,17 @@ recognition / enumeration of invariant rotational sets (types A, B, D)."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from math import gcd, lcm
+from itertools import combinations, combinations_with_replacement
+from math import comb, gcd, lcm
 from typing import Iterable, List, Optional, Tuple
 
 from .chords import Chord
 from .circle import Arc, _angle_parts, _orbit_walk, _over, angle, arc_length, format_angle
-from .quadgap import _hold_budget
-
-# The most points the walk of `enumerate_rotational` may visit: d^q - 1 of
-# them, with a seen set of about 60 bytes a point, so d = 3 answers up to
-# q = 14 and d = 2 up to q = 22.
-_WALK_BUDGET = 5_000_000
+from .quadgap import _POINT_BUDGET, LeafBudgetError
 
 
 @dataclass(frozen=True)
@@ -163,42 +159,42 @@ def classify_rotational(G: LamSet) -> RotationalReport:
     )
 
 
-def hold_walk_budget(d: int, q: int) -> None:
-    """Raise LeafBudgetError when the sigma_d-cycles of length q, found by
-    walking the d^q - 1 points over d^q - 1, are over _WALK_BUDGET."""
-    _hold_budget(q, lambda n: d ** n - 1, _WALK_BUDGET, "walk", "points", "walk",
-                 name="q =")
+def hold_scan_budget(d: int, q: int) -> None:
+    """Raise LeafBudgetError when the scan for the sigma_d-cycles of length
+    q, q points for each of C(q + d - 1, d - 1) words, is over _POINT_BUDGET."""
+    bound = comb(q + d - 1, d - 1) * q
+    if bound > _POINT_BUDGET:
+        raise LeafBudgetError(f"q = {q} may scan up to {bound} points, "
+                              f"over the point budget of {_POINT_BUDGET}")
 
 
 def _cycles_with_rotation(d: int, rho: Fraction) -> List[List[int]]:
-    """All single sigma_d-cycles of exact length q whose circular dynamics is
-    the rigid rotation by rho = p/q, as sorted numerators over d^q - 1: the
-    sorted points of such a cycle all shift by p places under x -> d*x.
-    Every such cycle has at least one major, and for d <= 3 at most two, so
-    each is a rotational set of type A, B or D.  The walk is held against
-    _WALK_BUDGET first."""
+    """All single sigma_d-cycles of exact length q on which x -> d*x shifts
+    the sorted points by p places, rho = p/q, as sorted numerators over
+    d^q - 1.  For d <= 3 each has one or two majors: type A, B or D.
+    The sorted points' first base-d digits do not decrease, and
+    sigma_d^k(x_0) = x_(kp mod q) begins with the k-th digit of x_0, so x_0
+    is read off one of the C(q + d - 1, d - 1) non-decreasing digit words."""
     p, q = rho.numerator, rho.denominator
-    hold_walk_budget(d, q)
+    hold_scan_budget(d, q)
     den = d ** q - 1
-    seen = set()
-    out = []
-    for x in range(den):
-        if x in seen:
-            continue
-        cyc, _ = _orbit_walk(d, x, den)
-        seen.update(cyc)
-        pts = sorted(cyc)
-        if len(cyc) == q and all(d * pts[i] % den == pts[(i + p) % q] for i in range(q)):
-            out.append(pts)
-    return out
+    out = set()
+    for cuts in combinations_with_replacement(range(q + 1), d - 1):
+        x = 0
+        for k in range(q):
+            x = x * d + bisect_right(cuts, k * p % q)
+        pts = sorted(_orbit_walk(d, x % den, den)[0])
+        if len(pts) == q and all(d * pts[i] % den == pts[(i + p) % q] for i in range(q)):
+            out.add(tuple(pts))
+    return [list(pts) for pts in sorted(out)]
 
 
 def enumerate_rotational(d: int, rho: Fraction, max_orbits: int = 2) -> List[LamSet]:
     """All invariant rotational sets of sigma_d with rotation number rho and
-    at most max_orbits vertex orbits.  Brute force over angles of denominator
-    d^q - 1 (which necessarily carries every period-q point).  Only d = 2
-    and d = 3 are covered: from d = 4 on a rotational set may have more than
-    two majors, which the A/B/D types do not name."""
+    at most max_orbits vertex orbits, over d^q - 1 (which carries every
+    period-q point).  Only d = 2 and d = 3 are covered: from d = 4 on a
+    rotational set may have more than two majors, which the A/B/D types do
+    not name."""
     if d < 2:
         raise ValueError(f"degree must be >= 2, got {d}")
     if d > 3:

@@ -45,9 +45,10 @@ class LeafBudgetError(ValueError):
     return more points, than its budget."""
 
 
-# The most points a gap's vertex list may scan or return: a vassal at depth
-# 19 returns 2**20 points (about 250 MB), and a quadratic gap at depth 12
-# scans 797 145 candidates for its periodic points.
+# The most points a gap's vertex list, or the rotational-cycle scan of
+# `lamsets`, may scan or return: a vassal at depth 19 returns 2**20 points
+# (about 250 MB), a quadratic gap at depth 12 scans 797 145 candidates for its
+# periodic points, and the sigma_3-cycles of length 127 take 1 048 512.
 _POINT_BUDGET = 1 << 20
 
 

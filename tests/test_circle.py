@@ -74,6 +74,8 @@ def test_orbit_rejects_degree_below_two():
     for d in (1, 0, -2):
         with pytest.raises(ValueError, match="degree must be >= 2"):
             orbit(d, F(1, 2))
+        with pytest.raises(ValueError, match="degree must be >= 2"):
+            preimages(d, F(1, 2))
 
 
 @given(degrees, st.integers(1, 200), st.lists(st.integers(0, 10 ** 4), min_size=1, max_size=4),

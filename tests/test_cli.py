@@ -47,6 +47,13 @@ def test_classify_critical_leaf_regular(capsys):
     assert "RegularCritical" in out
 
 
+def test_classify_critical_leaf_caterpillar_names_its_periodic_end(capsys):
+    code, out, _ = run(capsys, "classify-critical-leaf", "0-1/3")
+    assert code == 0
+    assert out.splitlines()[1:] == ["tag: Caterpillar", "major: 0-1/2", "major_period: 1",
+                                    "periodic_endpoint: 0", "image_in_basis: true"]
+
+
 def test_classify_critical_leaf_rejects_non_critical(capsys):
     code, _, err = run(capsys, "classify-critical-leaf", "0-1/2")
     assert code == 1
@@ -225,13 +232,14 @@ def test_vertex_lists_past_the_point_budget_are_usage_errors(argv, message):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("--rho", "1/16"), "q = 16 may walk up to 43046720"),
-    (("--rho", "1/1000000000"), "q = 1000000000 may walk more than 94143178826"),
-    (("--d", "2", "--rho", "1/23"), "q = 23 may walk up to 8388607"),
-], ids=["q-16", "q-10**9", "d2-q-23"])
-def test_find_rotational_past_the_walk_budget_is_usage_error(argv, message):
-    # a subprocess with a timeout and 1 GiB of address space: without the
-    # budget, q = 16 ends in a MemoryError and q = 10**9 computes 3**(10**9)
+    (("--rho", "1/128"), "q = 128 may scan up to 1073280"),
+    (("--rho", "1/1000000000"), "q = 1000000000 may scan up to 500000001500000001000000000"),
+    (("--d", "2", "--rho", "1/1024"), "q = 1024 may scan up to 1049600"),
+], ids=["q-128", "q-10**9", "d2-q-1024"])
+def test_find_rotational_past_the_point_budget_is_usage_error(argv, message):
+    # a subprocess with a timeout and 1 GiB of address space: the scan's
+    # count, C(q + d - 1, d - 1) digit words of q points, is held before any
+    # word is read, and without the budget q = 10**9 would never end
     proc = subprocess.run(
         [sys.executable, "-c", "import resource, sys; "
          "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
@@ -240,7 +248,27 @@ def test_find_rotational_past_the_walk_budget_is_usage_error(argv, message):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == f"usage error: {message} points, over the walk budget of 5000000\n"
+    assert proc.stderr == f"usage error: {message} points, over the point budget of 1048576\n"
+
+
+@pytest.mark.parametrize("argv, count, types", [
+    (("--rho", "1/16"), 33, {"type=A": 2, "type=B": 15, "type=D": 16}),
+    (("--d", "2", "--rho", "1/23"), 1, {"type=A": 1}),
+], ids=["q-16", "d2-q-23"])
+def test_find_rotational_answers_past_the_old_walk(argv, count, types):
+    # a walk over the d^q - 1 points of period q stopped here: q + 1 cycles
+    # and q two-orbit unions for sigma_3, the one cycle of 1/(2^23 - 1) for
+    # sigma_2
+    proc = subprocess.run(
+        [sys.executable, "-m", "trilam.cli", "find-rotational", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == count
+    assert {t: sum(ln.endswith(" " + t) for ln in lines) for t in types} == types
+    if argv[1] == "2":
+        assert lines == [",".join(f"{2 ** k}/8388607" for k in range(23)) + " type=A"]
 
 
 @pytest.mark.parametrize("command", ["core-report", "classify-smp"])
@@ -436,6 +464,18 @@ def test_render_rejects_non_positive_size(capsys, tmp_path, size):
     assert code == 2
     assert out == ""
     assert err == f"usage error: --size must be > 0, got {size}\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("quadratic-gap",), "variant quadratic-gap needs --critical CHORD"),
+    (("quadratic-d2",), "variant quadratic-d2 needs --set ANGLES"),
+    (("rotational", "--set", "1/26,x"), "bad angle syntax: 'x'"),
+], ids=["no-critical", "no-set", "bad-set"])
+def test_build_canonical_without_its_input_is_usage_error(capsys, tmp_path, argv, message):
+    path = tmp_path / "x.lam"
+    code, out, err = run(capsys, "build-canonical", *argv, "--out", str(path))
+    assert (code, out, err) == (2, "", f"usage error: {message}\n")
     assert not path.exists()
 
 

@@ -957,6 +957,13 @@ def test_write_read_roundtrip(tmp_path):
 def test_loads_rejects_malformed():
     with pytest.raises(ValueError):
         loads("d=3 depth=1 recipe=x\nregistry=partial\n1/2 0\n")
+    with pytest.raises(LamFormatError, match=r"^line 1: depth must be >= 0, got depth=-1$"):
+        loads("d=3 depth=-1 recipe=x\n[leaves]\n[gaps]\n")
+    # a hole is two angles
+    text = dumps(canonical_of_quadratic_gap(build_gap(Chord(F(1, 3), F(2, 3)), 0)[0], 1))
+    assert " hole=1/3,2/3 " in text
+    with pytest.raises(LamFormatError, match=r"^line 9: bad arc syntax: '1/3'$"):
+        loads(text.replace(" hole=1/3,2/3 ", " hole=1/3 "))
 
 
 def test_dumps_rejects_level_above_depth():
@@ -1068,6 +1075,14 @@ def test_count_crossings_matches_brute_force_on_random_families():
 
 # ---------------------------------------------------------------------------
 # the integer leaf store
+
+
+def test_empty_store_and_reprs():
+    empty = Leaves()
+    assert (empty.N, len(empty), list(empty), repr(empty)) == (1, 0, [], "<0 leaves over N=1>")
+    L = canonical_diameter(depth=1)
+    assert (len(L), repr(L.leaves)) == (3, "<3 leaves over N=24>")
+    assert repr(L) == "Lamination(d=3, depth=1, 3 leaves)"
 
 
 def test_leaves_view_reads_the_store():
@@ -1545,3 +1560,42 @@ def test_loads_reports_canonical_looking_faults_by_line(edits, message):
         loads(text)
     assert str(info.value) == message
     assert _read_with(oracle_loads, text) == ("LamFormatError", message)
+
+
+# ---------------------------------------------------------------------------
+# the symmetries of sigma_3: tau(x) = -x and the half-turn x + 1/2 commute
+# with sigma_3, so they map each canonical lamination onto the canonical
+# lamination of the mapped set or gap
+
+
+_TAU, _HALF_TURN = (lambda x, M: -x % M), (lambda x, M: (x + M // 2) % M)
+
+
+def _moved_leaves(L: Lamination, M: int, move) -> set:
+    """L's leaves as numerator pairs over M, an even multiple of L's N,
+    with each endpoint moved by `move`."""
+    f = M // L.leaves.N
+    return {tuple(sorted((move(a * f, M), move(b * f, M)))) for a, b in L.leaves.pairs()}
+
+
+def _assert_commutes(build, L: Lamination, moved_vertices, move) -> None:
+    """The construction of the moved input has the moved leaves of L."""
+    K = build(moved_vertices)
+    M = lcm(L.leaves.N, K.leaves.N, 2)
+    assert _moved_leaves(K, M, lambda x, M: x) == _moved_leaves(L, M, move)
+
+
+@pytest.mark.parametrize("move, shift", [(_TAU, lambda v: -v), (_HALF_TURN, lambda v: v + F(1, 2))],
+                         ids=["tau", "half-turn"])
+def test_canonical_constructions_commute_with_the_symmetries_of_sigma_3(move, shift):
+    # the 81 sigma_3 rotational sets with q <= 5 of the census, at its depth
+    sets = [G for q in range(2, 6) for p in range(1, q) if gcd(p, q) == 1
+            for G in enumerate_rotational(3, F(p, q), 2)]
+    assert len(sets) == 81
+    for G in sets:
+        _assert_commutes(lambda vs: canonical_of_rotational(LamSet(vs, 3), 4),
+                         canonical_of_rotational(G, 4), [shift(v) for v in G.vertices], move)
+    for c in (Chord(F(1, 3), F(2, 3)), Chord(F(145, 156), F(41, 156))):
+        _assert_commutes(lambda vs: canonical_of_quadratic_gap(build_gap(Chord(*vs), 0)[0], 4),
+                         canonical_of_quadratic_gap(build_gap(c, 0)[0], 4),
+                         [shift(c.a), shift(c.b)], move)

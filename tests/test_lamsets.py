@@ -1,6 +1,6 @@
 import dataclasses
 from fractions import Fraction as F
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -295,10 +295,12 @@ def test_classifier_matches_oracle_on_orbit_closures(d, k, nums):
     _assert_matches_oracle(LamSet({y for j in nums for y in orbit(d, F(j % q, q))}, d))
 
 
-@pytest.mark.parametrize("d, max_q", [(2, 9), (3, 7)])
+@pytest.mark.parametrize("d, max_q", [(2, 9), (3, 7), (2, 16), (3, 9)])
 def test_enumerate_rotational_matches_fraction_oracle(d, max_q):
-    # the census range: no LamSet or classifier per pair of cycles, only
-    # the alternation of their sorted numerators
+    # the census range, and past it as far as the oracle's walk over all
+    # d^q - 1 points stays under about 1 s: the digit-word scan finds the
+    # cycles that the walk finds, and no LamSet or classifier is built per
+    # pair of cycles, only the alternation of their sorted numerators is read
     for q in range(2, max_q + 1):
         for p in range(1, q):
             if F(p, q).denominator != q:
@@ -309,3 +311,24 @@ def test_enumerate_rotational_matches_fraction_oracle(d, max_q):
                 assert got == want, (d, p, q, orbits)
                 assert [G.vertices for G in got] == [G.vertices for G in want]
 
+
+def _reflected(G):
+    """tau(G), tau(x) = -x, which commutes with every sigma_d."""
+    return LamSet._from_nums(G.M, [-x % G.M for x in G.nums], G.degree_d)
+
+
+@pytest.mark.parametrize("d, max_q", [(2, 40), (3, 20)])
+def test_enumerate_rotational_past_the_fraction_oracle(d, max_q):
+    # where the oracle's walk would visit up to 3^20 points: Goldberg's
+    # count gives sigma_3 q + 1 one-orbit sets of each p/q, and the two-orbit
+    # unions of adjacent cycles q more; sigma_2 has one cycle and no union.
+    # The classifier reads each set back, and tau maps p/q onto (q - p)/q.
+    for q in range(2, max_q + 1):
+        found = {p: enumerate_rotational(d, F(p, q), 2) for p in range(1, q) if gcd(p, q) == 1}
+        for p, sets in found.items():
+            reps = [classify_rotational(G) for G in sets]
+            assert all(rep.is_rotational and rep.rotation_number == F(p, q) for rep in reps)
+            assert all(len(G) == q * rep.orbit_count for G, rep in zip(sets, reps))
+            orbits = [rep.orbit_count for rep in reps]
+            assert (orbits.count(1), orbits.count(2)) == ((q + 1, q) if d == 3 else (1, 0)), (p, q)
+            assert {_reflected(G) for G in sets} == set(found[q - p]), (p, q)

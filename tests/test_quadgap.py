@@ -100,6 +100,12 @@ def test_caterpillar_head(c, head, y, k, direction):
         ("Caterpillar", head, k, y)
 
 
+def test_caterpillar_head_needs_a_periodic_end():
+    # 1/12 and 5/12 are both strictly preperiodic: no chain to walk
+    with pytest.raises(ValueError, match="needs a periodic endpoint"):
+        caterpillar_head(Chord(F(1, 12), F(5, 12)))
+
+
 def test_classify_rejects_non_critical():
     with pytest.raises(ValueError):
         classify_critical(Chord(F(0), F(1, 2)))

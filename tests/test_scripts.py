@@ -2,8 +2,10 @@
 report a depth or a q they cannot build in one line."""
 
 import os
+import re
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -40,6 +42,21 @@ def test_gap_gallery_runs(tmp_path):
     assert all((tmp_path / n).read_text().startswith("<svg") for n in names)
 
 
+def test_rotational_census_runs_past_the_old_walk():
+    # sigma_3 up to q = 20, past the q = 14 where a walk over every point of
+    # period q stopped: q + 1 cycles and q two-orbit unions per p/q
+    proc = _run_script("rotational_census.py", "--max-q", "20", timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    heads = [ln for ln in lines if ln.startswith("rho = ")]
+    assert len(heads) == sum(1 for q in range(2, 21) for p in range(1, q) if gcd(p, q) == 1)
+    for ln in heads:
+        q, n = re.fullmatch(r"rho = \d+/(\d+): (\d+) sets", ln).groups()
+        assert int(n) == 2 * int(q) + 1, ln
+    totals = dict(t.split("=") for t in lines[-1].removeprefix("totals: ").split())
+    assert sum(map(int, totals.values())) == len(lines) - len(heads) - 1
+
+
 def test_depth_probe_runs():
     proc = _run_script("depth_probe.py", "fingap1", "--depth", "2")
     assert proc.returncode == 0, proc.stderr
@@ -73,13 +90,16 @@ def test_depth_probe_past_the_leaf_budget_is_usage_error():
      "depth 13 may build up to 7174452 leaves, over the leaf budget of 5000000"),
     ("smp_survey.py", ("--max-q", "3", "--orbits", "1", "--depth", "13"),
      "depth 13 may build up to 7174452 leaves, over the leaf budget of 5000000"),
-    # every q below the largest fits; none of them is walked or printed
-    ("rotational_census.py", ("--max-q", "15"),
-     "q = 15 may walk up to 14348906 points, over the walk budget of 5000000"),
-    ("rotational_census.py", ("--d", "2", "--max-q", "23"),
-     "q = 23 may walk up to 8388607 points, over the walk budget of 5000000"),
+    # every q below the largest fits; none of them is scanned or printed
+    ("rotational_census.py", ("--max-q", "128"),
+     "q = 128 may scan up to 1073280 points, over the point budget of 1048576"),
+    ("rotational_census.py", ("--max-q", "1000000000"),
+     "q = 1000000000 may scan up to 500000001500000001000000000 points, "
+     "over the point budget of 1048576"),
+    ("rotational_census.py", ("--d", "2", "--max-q", "1024"),
+     "q = 1024 may scan up to 1049600 points, over the point budget of 1048576"),
 ], ids=["gallery-20", "gallery-negative", "survey-20", "survey-negative", "gallery-13",
-        "survey-13", "census-15", "census-d2-23"])
+        "survey-13", "census-128", "census-10**9", "census-d2-1024"])
 def test_building_scripts_report_a_bad_depth_in_one_line(tmp_path, script, args, err):
     out_dir = tmp_path / "gallery"
     if script == "gap_gallery.py":
